@@ -31,11 +31,11 @@
 //! **Gate:** the run exits nonzero if the `long-scan` reader records
 //! any abort under Snapshot isolation — dynamic retention makes reader
 //! aborts impossible, and this binary is the regression tripwire for
-//! that guarantee. Forensic attribution of the reader runtime is
-//! exported alongside as `reader_forensic_aborts`; like all abort
-//! forensics it is live only in `--features trace` builds (the CI gate
-//! runs traced so every reader abort would also be *attributed*) and
-//! reads zero in default builds.
+//! that guarantee. The reader runtime records its attempts
+//! (`Stm::with_history`), and the abort attribution folded from that
+//! log is exported alongside as `reader_forensic_aborts`, so every
+//! reader abort is also *attributed* (cause, variable, winner) in every
+//! build.
 //!
 //! Timing cells always execute sequentially — each cell owns the host's
 //! cores while it runs — so `--jobs` shapes nothing here; the flag is
@@ -120,8 +120,8 @@ struct CellStats {
     auditor_commits: u64,
     auditor_aborts: u64,
     /// Commit/abort tallies of the long-scan reader's dedicated
-    /// runtime (long-scan workloads only), plus its forensic abort
-    /// attribution (nonzero only with the `trace` feature).
+    /// runtime (long-scan workloads only), plus the abort count its
+    /// recorded history attributes.
     reader_commits: u64,
     reader_aborts: u64,
     reader_forensic_aborts: u64,
@@ -300,11 +300,12 @@ fn run_cell(work: Work, level: IsolationLevel, threads: usize, ops: usize, seed:
                     }
                 })
                 .collect();
-            let reader_stm = Arc::new(Stm::with_level(level).with_forensics());
             // Scans are ~256x heavier than the short transactions of
             // the other workloads (and stretched by yields), so scale
             // the count down from the per-thread op budget.
             let scans = (ops / 64).max(1);
+            // The reader's history holds every attempt it can make.
+            let reader_stm = Arc::new(Stm::with_level(level).with_history(scans * MAX_ATTEMPTS));
             // Writers churn until the reader finishes every scan —
             // bounding them by op count instead would let them drain in
             // milliseconds and leave most scans running unopposed.

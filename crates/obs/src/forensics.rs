@@ -6,23 +6,22 @@
 //! [`ForensicCause`] taxonomy and, when the abort site knows them,
 //! carries the conflicting line (cache-line address in the simulator, a
 //! `TVar` id in the software STM), the winning transaction's commit
-//! timestamp, and the loser's snapshot timestamp. Recording follows the
-//! same compile-out discipline as [`crate::trace::Tracer`]: with the
-//! `trace` cargo feature **disabled** (the default), [`Forensics`] and
-//! [`SharedForensics`] are zero-sized and every `record` call is an
-//! empty inline function the optimizer deletes, so the simulator hot
-//! path stays allocation-free.
+//! timestamp, and the loser's snapshot timestamp.
 //!
-//! Two recorders cover the two runtimes:
+//! The two runtimes get there differently:
 //!
 //! - [`Forensics`] — an *owned* recorder for the deterministic
 //!   discrete-event engine. "Lock-free" by ownership (exactly like the
 //!   per-thread tracers): one engine, one recorder, no atomics, fully
-//!   deterministic output.
-//! - [`SharedForensics`] — a sharded atomic recorder for the real-thread
-//!   software STM. Threads record into `THREAD_SHARDS` shards chosen by
-//!   thread index; counts are exact, the hot-line sketch is a racy
-//!   space-saving approximation (standard for sketches).
+//!   deterministic output. It follows the compile-out discipline of
+//!   [`crate::trace::Tracer`]: with the `trace` cargo feature
+//!   **disabled** (the default) it is zero-sized and every `record`
+//!   call is an empty inline function the optimizer deletes, so the
+//!   simulator hot path stays allocation-free.
+//! - The real-thread software STM keeps no recorder of its own: its
+//!   abort sites stamp an [`crate::AbortDetail`] on the attempt's
+//!   [`crate::TxnRecord`], and [`ForensicsSnapshot::from_history`]
+//!   folds a recorded [`History`] offline, in every build.
 //!
 //! Both fold into a [`ForensicsSnapshot`], which is always compiled
 //! (plain data): per-cause counts, the top-K hot-line sketch, and a
@@ -31,6 +30,7 @@
 //! it lost). Snapshots serialize as `sitm.abort_forensics.v1` JSONL via
 //! [`ForensicsReport`].
 
+use crate::history::History;
 use crate::json::Json;
 use crate::metrics::Histogram;
 
@@ -202,6 +202,29 @@ pub struct ForensicsSnapshot {
 }
 
 impl ForensicsSnapshot {
+    /// Folds every aborted attempt of a recorded history. An abort
+    /// whose site stamped an [`crate::AbortDetail`] is attributed to
+    /// that cause, line and winner; one without (a deliberate rollback,
+    /// an attempt dropped unfinished, a recorder that keeps no detail)
+    /// counts as [`ForensicCause::Explicit`] with no line.
+    pub fn from_history(history: &History) -> ForensicsSnapshot {
+        let mut state = imp::State::default();
+        for record in history.records().iter().filter(|r| !r.committed()) {
+            match record.abort {
+                Some(detail) => state.record(
+                    detail.cause,
+                    ForensicEvent {
+                        line: Some(detail.line),
+                        winner_ts: Some(detail.winner_ts),
+                        snapshot_ts: record.begin_ts,
+                    },
+                ),
+                None => state.record(ForensicCause::Explicit, ForensicEvent::default()),
+            }
+        }
+        state.snapshot()
+    }
+
     /// Fraction of recorded aborts that carried a concrete line
     /// (`1.0` when nothing was recorded — there is nothing unattributed).
     pub fn attribution_rate(&self) -> f64 {
@@ -379,12 +402,12 @@ impl Forensics {
     }
 }
 
-#[cfg(feature = "trace")]
 mod imp {
     use super::{ForensicCause, ForensicEvent, ForensicsSnapshot, TopK};
     use crate::metrics::Histogram;
 
-    /// The actual recorder state, only compiled under `trace`.
+    /// The fold behind both [`super::Forensics`] (which holds one only
+    /// under `trace`) and [`ForensicsSnapshot::from_history`].
     #[derive(Debug, Clone, Default, PartialEq)]
     pub(super) struct State {
         by_cause: [u64; ForensicCause::ALL.len()],
@@ -415,182 +438,6 @@ mod imp {
                 hot_lines: self.hot_lines.entries(),
                 conflict_age: self.conflict_age.clone(),
             }
-        }
-    }
-}
-
-/// Number of shards in [`SharedForensics`]; recording threads map to
-/// shards by `thread_index % THREAD_SHARDS`.
-pub const THREAD_SHARDS: usize = 16;
-
-/// The sharded atomic forensic recorder used by the real-thread
-/// software STM. Zero-sized and inert unless the `trace` cargo feature
-/// is enabled. Per-cause counts are exact (relaxed atomic adds); the
-/// hot-line sketch races benignly between threads of one shard and is
-/// approximate, as sketches are.
-#[derive(Debug, Default)]
-pub struct SharedForensics {
-    #[cfg(feature = "trace")]
-    shards: shared_imp::Shards,
-}
-
-impl SharedForensics {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one abort from the thread with dense index
-    /// `thread_index`. A no-op (inlined away) when the `trace` feature
-    /// is off. Lock-free: relaxed atomics only.
-    #[inline(always)]
-    #[allow(unused_variables)]
-    pub fn record(&self, thread_index: usize, cause: ForensicCause, event: ForensicEvent) {
-        #[cfg(feature = "trace")]
-        self.shards.record(thread_index, cause, event);
-    }
-
-    /// Folds all shards into a snapshot (empty with the feature off).
-    /// A snapshot taken while writers are active is a consistent lower
-    /// bound, not an atomic cut.
-    pub fn snapshot(&self) -> ForensicsSnapshot {
-        #[cfg(feature = "trace")]
-        {
-            self.shards.snapshot()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            ForensicsSnapshot::default()
-        }
-    }
-}
-
-#[cfg(feature = "trace")]
-mod shared_imp {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    use super::{
-        ForensicCause, ForensicEvent, ForensicsSnapshot, TopK, HOT_LINE_SLOTS, THREAD_SHARDS,
-    };
-    use crate::metrics::AtomicHistogram;
-
-    /// Sentinel marking an unclaimed hot-line slot (line addresses and
-    /// `TVar` ids never take this value in practice).
-    const EMPTY: u64 = u64::MAX;
-
-    #[derive(Debug)]
-    struct Shard {
-        by_cause: [AtomicU64; ForensicCause::ALL.len()],
-        total: AtomicU64,
-        attributed: AtomicU64,
-        /// Racy space-saving slots: `(line, count)` pairs. A slot is
-        /// claimed by storing its line; concurrent claims of one slot
-        /// can drop a count — acceptable sketch error.
-        hot_lines: [(AtomicU64, AtomicU64); HOT_LINE_SLOTS],
-        conflict_age: AtomicHistogram,
-    }
-
-    impl Default for Shard {
-        fn default() -> Self {
-            Shard {
-                by_cause: [const { AtomicU64::new(0) }; ForensicCause::ALL.len()],
-                total: AtomicU64::new(0),
-                attributed: AtomicU64::new(0),
-                hot_lines: [const { (AtomicU64::new(EMPTY), AtomicU64::new(0)) }; HOT_LINE_SLOTS],
-                conflict_age: AtomicHistogram::new(),
-            }
-        }
-    }
-
-    impl Shard {
-        fn record_line(&self, line: u64) {
-            // Pass 1: the line already owns a slot.
-            for (slot_line, count) in &self.hot_lines {
-                if slot_line.load(Ordering::Relaxed) == line {
-                    count.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            // Pass 2: claim an empty slot.
-            for (slot_line, count) in &self.hot_lines {
-                if slot_line
-                    .compare_exchange(EMPTY, line, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    count.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            // Pass 3: space-saving eviction of the minimum-count slot.
-            let mut min_idx = 0;
-            let mut min_count = u64::MAX;
-            for (i, (_, count)) in self.hot_lines.iter().enumerate() {
-                let c = count.load(Ordering::Relaxed);
-                if c < min_count {
-                    min_count = c;
-                    min_idx = i;
-                }
-            }
-            let (slot_line, count) = &self.hot_lines[min_idx];
-            slot_line.store(line, Ordering::Relaxed);
-            count.store(min_count + 1, Ordering::Relaxed);
-        }
-    }
-
-    #[derive(Debug)]
-    pub(super) struct Shards {
-        shards: Vec<Shard>,
-    }
-
-    impl Default for Shards {
-        fn default() -> Self {
-            Shards {
-                shards: (0..THREAD_SHARDS).map(|_| Shard::default()).collect(),
-            }
-        }
-    }
-
-    impl Shards {
-        pub(super) fn record(
-            &self,
-            thread_index: usize,
-            cause: ForensicCause,
-            event: ForensicEvent,
-        ) {
-            let shard = &self.shards[thread_index % THREAD_SHARDS];
-            shard.by_cause[cause.index()].fetch_add(1, Ordering::Relaxed);
-            shard.total.fetch_add(1, Ordering::Relaxed);
-            if let Some(line) = event.line {
-                shard.attributed.fetch_add(1, Ordering::Relaxed);
-                shard.record_line(line);
-            }
-            if let (Some(winner), Some(snapshot)) = (event.winner_ts, event.snapshot_ts) {
-                shard.conflict_age.record(winner.saturating_sub(snapshot));
-            }
-        }
-
-        pub(super) fn snapshot(&self) -> ForensicsSnapshot {
-            let mut snap = ForensicsSnapshot::default();
-            let mut sketch = TopK::default();
-            for shard in &self.shards {
-                for (i, c) in shard.by_cause.iter().enumerate() {
-                    snap.by_cause[i] += c.load(Ordering::Relaxed);
-                }
-                snap.total += shard.total.load(Ordering::Relaxed);
-                snap.attributed += shard.attributed.load(Ordering::Relaxed);
-                let mut local = TopK::default();
-                for (slot_line, count) in &shard.hot_lines {
-                    let line = slot_line.load(Ordering::Relaxed);
-                    let c = count.load(Ordering::Relaxed);
-                    if line != EMPTY && c > 0 {
-                        local.slots.push((line, c));
-                    }
-                }
-                sketch.merge(&local);
-                snap.conflict_age.merge(&shard.conflict_age.snapshot());
-            }
-            snap.hot_lines = sketch.entries();
-            snap
         }
     }
 }
@@ -734,39 +581,29 @@ mod tests {
         } else {
             assert_eq!(snap, ForensicsSnapshot::default());
             assert_eq!(std::mem::size_of::<Forensics>(), 0, "must be a ZST");
-            assert_eq!(std::mem::size_of::<SharedForensics>(), 0, "must be a ZST");
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
-    fn shared_recorder_counts_across_threads_exactly() {
-        let f = SharedForensics::new();
-        std::thread::scope(|s| {
-            for t in 0..8 {
-                let f = &f;
-                s.spawn(move || {
-                    for i in 0..500u64 {
-                        f.record(
-                            t,
-                            ForensicCause::WriteWriteFcw,
-                            ForensicEvent {
-                                line: Some((i % 4) * 64),
-                                winner_ts: Some(i + 1),
-                                snapshot_ts: Some(i),
-                            },
-                        );
-                    }
-                });
-            }
+    fn history_fold_attributes_stamped_aborts_and_counts_the_rest() {
+        use crate::history::{AbortDetail, TxnBuilder};
+        let mut h = History::default();
+        h.push(TxnBuilder::new(1, 0, 0, 1, Some(5)).commit(2, Some(6)));
+        let mut loser = TxnBuilder::new(2, 1, 0, 3, Some(5));
+        loser.detail(AbortDetail {
+            cause: ForensicCause::WriteWriteFcw,
+            line: 64,
+            winner_ts: 9,
         });
-        let snap = f.snapshot();
-        assert_eq!(snap.total, 4000);
-        assert_eq!(snap.attributed, 4000);
-        assert_eq!(snap.count(ForensicCause::WriteWriteFcw), 4000);
-        // Only 4 distinct lines: the sketch is exact.
-        let total_sketched: u64 = snap.hot_lines.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total_sketched, 4000);
-        assert_eq!(snap.conflict_age.total(), 4000);
+        h.push(loser.abort(4, "write-write"));
+        h.push(TxnBuilder::new(3, 1, 0, 5, Some(9)).abort(6, "explicit"));
+        let snap = ForensicsSnapshot::from_history(&h);
+        assert_eq!(snap.total, 2, "commits are not aborts");
+        assert_eq!(snap.attributed, 1);
+        assert_eq!(snap.count(ForensicCause::WriteWriteFcw), 1);
+        assert_eq!(snap.count(ForensicCause::Explicit), 1);
+        assert_eq!(snap.hot_lines, vec![(64, 1)]);
+        assert_eq!(snap.conflict_age.total(), 1);
+        assert_eq!(snap.conflict_age.max(), 4, "winner 9 - snapshot 5");
     }
 }

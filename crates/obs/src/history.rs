@@ -10,10 +10,22 @@
 //! `sitm-check` replays the log and machine-checks the isolation-level
 //! axioms against it.
 //!
+//! The same log feeds two more offline readers: the write-skew analyser
+//! (`sitm-skew`, which needs each committed attempt's lifetime and
+//! read/write/promote sets, plus the optional `line → label` table for
+//! naming variables) and the abort-forensics fold
+//! ([`crate::ForensicsSnapshot::from_history`], which needs the
+//! [`AbortDetail`] an abort site stamped on the record).
+//!
 //! The schema deliberately uses only plain integers and static strings
 //! so this module sits at the bottom of the workspace graph, and every
-//! record exports as one `sitm.txn.v1` JSONL line via [`crate::Json`].
+//! record exports as one `sitm.txn.v1` JSONL line via [`crate::Json`];
+//! [`History::from_jsonl`] reads the export back.
 
+use std::collections::BTreeMap;
+use std::fmt;
+
+use crate::forensics::ForensicCause;
 use crate::json::Json;
 
 /// Default bound on retained records (~1M attempts; far above any Quick
@@ -65,13 +77,45 @@ impl OpKind {
     }
 }
 
+/// Every abort-cause label a recorder in this workspace closes a record
+/// with (the simulator's `AbortCause::label`, the STM's
+/// `Conflict::label`, and `explicit` for rollbacks). The vocabulary is
+/// closed because [`TxnOutcome::Aborted`] holds a `&'static str`:
+/// [`History::from_jsonl`] resolves `aborted:<cause>` against this table
+/// and rejects anything else.
+pub const ABORT_LABELS: [&str; 10] = [
+    "read-write",
+    "write-write",
+    "capacity",
+    "version-overflow",
+    "order",
+    "clock-overflow",
+    "inconsistent",
+    "snapshot-too-old",
+    "read-validation",
+    "explicit",
+];
+
 /// How a transaction attempt ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxnOutcome {
     /// The attempt committed.
     Committed,
-    /// The attempt aborted; the payload is the protocol's cause label.
+    /// The attempt aborted; the payload is the protocol's cause label
+    /// (one of [`ABORT_LABELS`]).
     Aborted(&'static str),
+}
+
+/// What the abort site knew about the conflict that killed an attempt:
+/// the input of [`crate::ForensicsSnapshot::from_history`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AbortDetail {
+    /// The conflict family in the forensic taxonomy.
+    pub cause: ForensicCause,
+    /// The line the attempt lost on.
+    pub line: u64,
+    /// Commit timestamp of the conflicting (winning) version.
+    pub winner_ts: u64,
 }
 
 /// One transaction attempt, fully recorded.
@@ -96,6 +140,9 @@ pub struct TxnRecord {
     pub commit_ts: Option<u64>,
     /// How the attempt ended.
     pub outcome: TxnOutcome,
+    /// Conflict attribution of an aborted attempt, when the abort site
+    /// stamped one ([`TxnBuilder::detail`]). Always `None` on commits.
+    pub abort: Option<AbortDetail>,
     /// Every recorded operation, in issue order.
     pub ops: Vec<HistoryOp>,
 }
@@ -114,7 +161,10 @@ impl TxnRecord {
         })
     }
 
-    /// The record as one `sitm.txn.v1` JSON object.
+    /// The record as one `sitm.txn.v1` JSON object. An aborted record
+    /// that carries an [`AbortDetail`] gains the `abort_cause`,
+    /// `abort_line` and `abort_winner_ts` keys; every other record's
+    /// bytes are independent of the detail field.
     pub fn to_json(&self) -> Json {
         let opt = |v: Option<u64>| match v {
             Some(n) => Json::Num(n as f64),
@@ -140,8 +190,8 @@ impl TxnRecord {
                 Json::obj(pairs)
             })
             .collect();
-        Json::obj([
-            ("schema", Json::Str("sitm.txn.v1".to_string())),
+        let mut pairs = vec![
+            ("schema", Json::Str(TXN_SCHEMA.to_string())),
             ("txn", Json::Num(self.txn as f64)),
             ("thread", Json::Num(self.thread as f64)),
             ("epoch", Json::Num(self.epoch as f64)),
@@ -157,8 +207,88 @@ impl TxnRecord {
                 },
             ),
             ("ops", Json::Arr(ops)),
-        ])
+        ];
+        if let Some(detail) = self.abort {
+            pairs.push(("abort_cause", Json::Str(detail.cause.label().to_string())));
+            pairs.push(("abort_line", Json::Num(detail.line as f64)));
+            pairs.push(("abort_winner_ts", Json::Num(detail.winner_ts as f64)));
+        }
+        Json::obj(pairs)
     }
+
+    /// Parses a [`TxnRecord::to_json`] object back.
+    fn from_json(v: &Json) -> Result<TxnRecord, String> {
+        let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_u64).ok_or_else(|| bad(key));
+        let opt = |v: &Json, key: &str| match v.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(n) => n.as_u64().map(Some).ok_or_else(|| bad(key)),
+        };
+        let outcome = match v.get("outcome").and_then(Json::as_str) {
+            Some("committed") => TxnOutcome::Committed,
+            Some(other) => {
+                let cause = other
+                    .strip_prefix("aborted:")
+                    .ok_or_else(|| bad("outcome"))?;
+                let known = ABORT_LABELS.iter().find(|&&label| label == cause);
+                TxnOutcome::Aborted(known.ok_or_else(|| format!("unknown abort cause {cause:?}"))?)
+            }
+            None => return Err(bad("outcome")),
+        };
+        let abort = match v.get("abort_cause") {
+            None => None,
+            Some(_) if outcome == TxnOutcome::Committed => {
+                return Err("abort detail on a committed record".to_string())
+            }
+            Some(cause) => Some(AbortDetail {
+                cause: cause
+                    .as_str()
+                    .and_then(ForensicCause::from_label)
+                    .ok_or_else(|| bad("abort_cause"))?,
+                line: num(v, "abort_line")?,
+                winner_ts: num(v, "abort_winner_ts")?,
+            }),
+        };
+        let ops = v
+            .get("ops")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| bad("ops"))?;
+        let ops = ops
+            .iter()
+            .map(|op| {
+                let line = num(op, "line")?;
+                let kind = match op.get("op").and_then(Json::as_str) {
+                    Some("read") => OpKind::Read {
+                        line,
+                        observed: opt(op, "observed")?,
+                    },
+                    Some("write") => OpKind::Write { line },
+                    Some("promote") => OpKind::Promote { line },
+                    _ => return Err(bad("op")),
+                };
+                Ok(HistoryOp {
+                    seq: num(op, "seq")?,
+                    kind,
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(TxnRecord {
+            txn: num(v, "txn")?,
+            thread: usize::try_from(num(v, "thread")?).map_err(|_| bad("thread"))?,
+            epoch: num(v, "epoch")?,
+            begin_seq: num(v, "begin_seq")?,
+            end_seq: num(v, "end_seq")?,
+            begin_ts: opt(v, "begin_ts")?,
+            commit_ts: opt(v, "commit_ts")?,
+            outcome,
+            abort,
+            ops,
+        })
+    }
+}
+
+/// The parse error for a field that is absent or has the wrong type.
+fn bad(key: &str) -> String {
+    format!("missing or mistyped field {key:?}")
 }
 
 /// Accumulates one in-flight transaction attempt until its outcome is
@@ -181,6 +311,7 @@ impl TxnBuilder {
                 begin_ts,
                 commit_ts: None,
                 outcome: TxnOutcome::Committed,
+                abort: None,
                 ops: Vec::new(),
             },
         }
@@ -191,12 +322,19 @@ impl TxnBuilder {
         self.record.ops.push(HistoryOp { seq, kind });
     }
 
+    /// Stamps the conflict that is about to abort this attempt; kept
+    /// by [`TxnBuilder::abort`], discarded by [`TxnBuilder::commit`].
+    pub fn detail(&mut self, detail: AbortDetail) {
+        self.record.abort = Some(detail);
+    }
+
     /// Finishes the record as committed. `commit_ts` is `None` for
     /// commits that reserved no end timestamp (read-only, promotion-only).
     pub fn commit(mut self, end_seq: u64, commit_ts: Option<u64>) -> TxnRecord {
         self.record.end_seq = end_seq;
         self.record.commit_ts = commit_ts;
         self.record.outcome = TxnOutcome::Committed;
+        self.record.abort = None;
         self.record
     }
 
@@ -209,6 +347,13 @@ impl TxnBuilder {
     }
 }
 
+/// Schema tag of one [`TxnRecord`] line.
+const TXN_SCHEMA: &str = "sitm.txn.v1";
+/// Schema tag of the log-level line [`History::to_jsonl`] leads with
+/// when there is anything to say beyond the records: the label table
+/// and the drop count.
+const LOG_SCHEMA: &str = "sitm.history.v1";
+
 /// The bounded in-memory transaction log of one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct History {
@@ -218,6 +363,8 @@ pub struct History {
     /// assumptions no longer hold).
     dropped: u64,
     capacity: usize,
+    /// Display names of lines, for reports that name variables.
+    labels: BTreeMap<u64, String>,
 }
 
 impl Default for History {
@@ -233,6 +380,7 @@ impl History {
             records: Vec::new(),
             dropped: 0,
             capacity,
+            labels: BTreeMap::new(),
         }
     }
 
@@ -244,6 +392,17 @@ impl History {
         } else {
             self.dropped += 1;
         }
+    }
+
+    /// Names `line` for reports (a labelled `TVar`'s label). A line's
+    /// first name sticks.
+    pub fn set_label(&mut self, line: u64, label: &str) {
+        self.labels.entry(line).or_insert_with(|| label.to_string());
+    }
+
+    /// The display name of `line`, if one was recorded.
+    pub fn label(&self, line: u64) -> Option<&str> {
+        self.labels.get(&line).map(String::as_str)
     }
 
     /// The retained records, in finish order.
@@ -271,16 +430,96 @@ impl History {
         self.records.is_empty()
     }
 
-    /// Exports the log as JSONL, one `sitm.txn.v1` record per line.
+    /// Exports the log as JSONL, one `sitm.txn.v1` record per line. A
+    /// log with labels or drops leads with one `sitm.history.v1` line
+    /// carrying them, so a truncated export still reads back as
+    /// truncated.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
+        if self.dropped > 0 || !self.labels.is_empty() {
+            let labels = self
+                .labels
+                .iter()
+                .map(|(line, label)| (line.to_string(), Json::Str(label.clone())))
+                .collect();
+            let log = Json::obj([
+                ("schema", Json::Str(LOG_SCHEMA.to_string())),
+                ("dropped", Json::Num(self.dropped as f64)),
+                ("labels", Json::Obj(labels)),
+            ]);
+            out.push_str(&log.to_line());
+            out.push('\n');
+        }
         for r in &self.records {
             out.push_str(&r.to_json().to_line());
             out.push('\n');
         }
         out
     }
+
+    /// Reads a [`History::to_jsonl`] export back (blank lines are
+    /// skipped). The result has the default capacity.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first line that is not valid JSON, carries neither
+    /// schema tag, or lacks a field.
+    pub fn from_jsonl(text: &str) -> Result<History, HistoryParseError> {
+        let mut history = History::default();
+        for (i, raw) in text.lines().enumerate() {
+            if raw.trim().is_empty() {
+                continue;
+            }
+            history
+                .absorb_line(raw)
+                .map_err(|message| HistoryParseError {
+                    line: i + 1,
+                    message,
+                })?;
+        }
+        Ok(history)
+    }
+
+    /// Folds one non-blank JSONL line into the log.
+    fn absorb_line(&mut self, raw: &str) -> Result<(), String> {
+        let v = Json::parse(raw).map_err(|e| e.to_string())?;
+        match v.get("schema").and_then(Json::as_str) {
+            Some(TXN_SCHEMA) => self.push(TxnRecord::from_json(&v)?),
+            Some(LOG_SCHEMA) => {
+                self.dropped += v
+                    .get("dropped")
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| bad("dropped"))?;
+                let Some(Json::Obj(labels)) = v.get("labels") else {
+                    return Err(bad("labels"));
+                };
+                for (line, label) in labels {
+                    let line = line.parse().map_err(|_| bad("labels"))?;
+                    self.set_label(line, label.as_str().ok_or_else(|| bad("labels"))?);
+                }
+            }
+            other => return Err(format!("unknown schema {other:?}")),
+        }
+        Ok(())
+    }
 }
+
+/// Error produced when a history JSONL line cannot be read back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistoryParseError {
+    /// 1-based line number of the offending line.
+    pub line: usize,
+    /// What went wrong.
+    pub message: String,
+}
+
+impl fmt::Display for HistoryParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "history line {}: {}", self.line, self.message)
+    }
+}
+
+impl std::error::Error for HistoryParseError {}
 
 #[cfg(test)]
 mod tests {

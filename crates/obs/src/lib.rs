@@ -24,13 +24,15 @@
 //! - [`rng`] — a small deterministic xoshiro256++ PRNG (the workspace
 //!   previously pulled `rand` for this; the hermetic build cannot).
 //! - [`history`] — the per-transaction execution-history schema the
-//!   isolation oracle (`sitm-check`) consumes, with bounded in-memory
-//!   logging and `sitm.txn.v1` JSONL export.
+//!   isolation oracle (`sitm-check`), the write-skew analyser
+//!   (`sitm-skew`) and the STM abort-forensics fold all read, with
+//!   bounded in-memory logging and `sitm.txn.v1` JSONL export/import.
 //! - [`cases`] — the seeded-case driver shared by the randomized tests
 //!   (env-tunable case count, failing seed always printed).
 //! - [`forensics`] — structured abort attribution: the
 //!   [`forensics::ForensicCause`] taxonomy, top-K hot-line sketches and
-//!   conflict-age histograms, compiled out behind the `trace` feature,
+//!   conflict-age histograms — recorded live by the simulator (compiled
+//!   out behind the `trace` feature) or folded from a [`history`] —
 //!   exported as `sitm.abort_forensics.v1` JSONL.
 //! - [`chrome`] — a `chrome://tracing` JSON-array exporter for merged
 //!   trace streams, reconstructing transaction-lifecycle spans.
@@ -54,10 +56,11 @@ pub mod trace;
 pub use cases::{run_seeded_cases, test_cases, CASES_ENV};
 pub use chrome::chrome_trace;
 pub use event::{EventKind, TraceRecord};
-pub use forensics::{
-    ForensicCause, ForensicEvent, Forensics, ForensicsReport, ForensicsSnapshot, SharedForensics,
+pub use forensics::{ForensicCause, ForensicEvent, Forensics, ForensicsReport, ForensicsSnapshot};
+pub use history::{
+    AbortDetail, History, HistoryOp, HistoryParseError, OpKind, TxnBuilder, TxnOutcome, TxnRecord,
+    ABORT_LABELS,
 };
-pub use history::{History, HistoryOp, OpKind, TxnBuilder, TxnOutcome, TxnRecord};
 pub use json::Json;
 pub use metrics::{AtomicHistogram, Histogram, MetricsRegistry, Observable};
 pub use phase::{Phase, PhaseCycles};

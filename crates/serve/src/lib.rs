@@ -17,9 +17,10 @@
 //!   reassembles frames incrementally from arbitrary read boundaries
 //!   for the pipelined event loop.
 //! - [`reactor`] — a minimal readiness poller: raw `epoll` via direct
-//!   syscalls on Linux (no external crates), a portable sweep poller
-//!   elsewhere. The only `unsafe` in the crate lives in its private
-//!   syscall layer.
+//!   syscalls (no external crates). sitm-serve runs on Linux
+//!   x86_64/aarch64; elsewhere the crate builds but `Server::start`
+//!   fails with `Unsupported`. The only `unsafe` in the crate lives in
+//!   its private syscall layer.
 //! - [`store`] — the sharded `key → TVar` directory. Directory locks
 //!   cover only handle lookup; value concurrency is all STM. Hot
 //!   paths additionally cache the immutable `key → TVar` binding

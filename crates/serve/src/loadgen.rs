@@ -302,7 +302,7 @@ pub fn run_against(addr: SocketAddr, cfg: &LoadConfig) -> Result<LoadReport, Cli
 
 /// Starts an in-process server, funds the key space, runs the measured
 /// phase, and returns both the report and the still-running server (so
-/// callers can inspect stats, history and forensics before shutdown).
+/// callers can inspect stats and history before shutdown).
 ///
 /// # Errors
 ///

@@ -3,16 +3,11 @@
 //! On Linux (x86_64 / aarch64) this is a thin safe wrapper over raw
 //! `epoll` + `eventfd` syscalls (the `sys` module) — level-triggered,
 //! one instance per event-loop thread, zero external dependencies.
-//! Everywhere else a portable std-only fallback takes over: a *sweep
-//! poller* that reports every registered connection as ready after a
-//! short park (or immediately on a wake). The sweep is correct —
-//! every socket the server polls is nonblocking, so a spurious
-//! readiness just costs a `WouldBlock` — but burns more CPU than real
-//! readiness notification; it exists so the crate builds and tests on
-//! hosts where no syscall surface is reachable without libc. A true
-//! `poll(2)` fallback would need exactly the same syscall access that
-//! only exists on the Linux targets above, which is why the portable
-//! path sweeps instead (DESIGN.md §17).
+//! Those are the targets sitm-serve runs on: no readiness syscall is
+//! reachable without libc anywhere else, so there the crate still
+//! builds (the workspace facade depends on it) but [`Poller::new`]
+//! returns [`io::ErrorKind::Unsupported`] and `Server::start` reports
+//! why (DESIGN.md §17).
 //!
 //! The [`Poller`] API is deliberately tiny: register/modify/remove a
 //! TCP stream with a `u64` token and an [`Interest`] (readable and/or
@@ -188,7 +183,7 @@ mod imp {
 }
 
 // ---------------------------------------------------------------------------
-// Portable fallback: the readiness sweep.
+// Everywhere else: unsupported.
 // ---------------------------------------------------------------------------
 
 #[cfg(not(all(
@@ -197,113 +192,48 @@ mod imp {
 )))]
 mod imp {
     use super::{Event, Interest};
-    use std::collections::HashMap;
     use std::io;
     use std::net::TcpStream;
-    use std::sync::{Arc, Condvar, Mutex};
     use std::time::Duration;
 
-    /// How long the sweep parks between passes when nothing woke it.
-    /// Short enough that a quiet connection sees sub-millisecond
-    /// latency, long enough not to spin a core flat out.
-    const SWEEP_PARK: Duration = Duration::from_micros(200);
-
-    #[derive(Default)]
-    struct WakeFlag {
-        woken: Mutex<bool>,
-        cv: Condvar,
-    }
-
-    pub struct Poller {
-        interests: Mutex<HashMap<u64, Interest>>,
-        flag: Arc<WakeFlag>,
-    }
+    /// Uninhabited: `new` never succeeds, so no method below can run.
+    pub enum Poller {}
 
     #[derive(Clone)]
-    pub struct Waker {
-        flag: Arc<WakeFlag>,
-    }
+    pub enum Waker {}
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                interests: Mutex::new(HashMap::new()),
-                flag: Arc::new(WakeFlag::default()),
-            })
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "sitm-serve runs on Linux x86_64/aarch64 only (epoll + eventfd)",
+            ))
         }
 
         pub fn waker(&self) -> Waker {
-            Waker {
-                flag: Arc::clone(&self.flag),
-            }
+            match *self {}
         }
 
-        pub fn add(&self, _stream: &TcpStream, token: u64, interest: Interest) -> io::Result<()> {
-            self.interests
-                .lock()
-                .expect("poller interests poisoned")
-                .insert(token, interest);
-            Ok(())
+        pub fn add(&self, _: &TcpStream, _: u64, _: Interest) -> io::Result<()> {
+            match *self {}
         }
 
-        pub fn modify(
-            &self,
-            _stream: &TcpStream,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            self.interests
-                .lock()
-                .expect("poller interests poisoned")
-                .insert(token, interest);
-            Ok(())
+        pub fn modify(&self, _: &TcpStream, _: u64, _: Interest) -> io::Result<()> {
+            match *self {}
         }
 
-        pub fn remove(&self, _stream: &TcpStream, token: u64) -> io::Result<()> {
-            self.interests
-                .lock()
-                .expect("poller interests poisoned")
-                .remove(&token);
-            Ok(())
+        pub fn remove(&self, _: &TcpStream, _: u64) -> io::Result<()> {
+            match *self {}
         }
 
-        pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            events.clear();
-            // Park briefly (or until woken), then claim every
-            // registered stream is ready per its interest: sockets are
-            // nonblocking, so a wrong claim costs one WouldBlock.
-            let park = timeout.map_or(SWEEP_PARK, |t| t.min(SWEEP_PARK));
-            {
-                let guard = self.flag.woken.lock().expect("wake flag poisoned");
-                let (mut guard, _timeout) = self
-                    .flag
-                    .cv
-                    .wait_timeout_while(guard, park, |woken| !*woken)
-                    .expect("wake flag poisoned");
-                *guard = false;
-            }
-            for (&token, &interest) in self
-                .interests
-                .lock()
-                .expect("poller interests poisoned")
-                .iter()
-            {
-                if interest.readable || interest.writable {
-                    events.push(Event {
-                        token,
-                        readable: interest.readable,
-                        writable: interest.writable,
-                    });
-                }
-            }
-            Ok(())
+        pub fn wait(&self, _: &mut Vec<Event>, _: Option<Duration>) -> io::Result<()> {
+            match *self {}
         }
     }
 
     impl Waker {
         pub fn wake(&self) {
-            *self.flag.woken.lock().expect("wake flag poisoned") = true;
-            self.flag.cv.notify_one();
+            match *self {}
         }
     }
 }
@@ -312,8 +242,8 @@ mod imp {
 // The public facade.
 // ---------------------------------------------------------------------------
 
-/// A readiness poller: epoll on Linux, the sweep fallback elsewhere.
-/// One per event-loop thread; `wait` blocks until a registered stream
+/// A readiness poller over epoll (Linux x86_64/aarch64; construction
+/// fails elsewhere). One per event-loop thread; `wait` blocks until a registered stream
 /// is ready or the [`Waker`] fires.
 pub struct Poller(imp::Poller);
 
@@ -340,8 +270,8 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// Propagates `epoll_create1`/`eventfd` failure (Linux); the
-    /// fallback cannot fail.
+    /// Propagates `epoll_create1`/`eventfd` failure;
+    /// [`io::ErrorKind::Unsupported`] off Linux x86_64/aarch64.
     pub fn new() -> io::Result<Poller> {
         imp::Poller::new().map(Poller)
     }

@@ -65,7 +65,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use sitm_obs::{AtomicHistogram, ForensicsSnapshot, History, MetricsRegistry};
+use sitm_obs::{AtomicHistogram, History, MetricsRegistry};
 use sitm_stm::{live_snapshots, Conflict, IsolationLevel, Stm, StmError, StmStats, TVar, Tx};
 
 use crate::conn::{Conn, OpKind};
@@ -102,9 +102,6 @@ pub struct ServerConfig {
     /// Size it above the total attempt count when the history will be
     /// oracle-certified — the oracle refuses truncated histories.
     pub history_capacity: usize,
-    /// Whether to attribute aborts per conflicting variable
-    /// (`ForensicCause` taxonomy via sitm-obs).
-    pub forensics: bool,
     /// Isolation level for every transaction the server runs.
     pub level: IsolationLevel,
 }
@@ -120,7 +117,6 @@ impl Default for ServerConfig {
             max_inflight: 1024,
             gc_interval: Duration::from_millis(25),
             history_capacity: 0,
-            forensics: false,
             level: IsolationLevel::Snapshot,
         }
     }
@@ -314,9 +310,6 @@ impl Server {
         if config.history_capacity > 0 {
             stm = stm.with_history(config.history_capacity);
         }
-        if config.forensics {
-            stm = stm.with_forensics();
-        }
         let shared = Arc::new(Shared {
             stm,
             store: Store::new(),
@@ -461,15 +454,11 @@ impl Server {
 
     /// Snapshot of the recorded transaction history (if
     /// [`ServerConfig::history_capacity`] was nonzero) — feed this to
-    /// the sitm-check oracle to certify the run.
+    /// the sitm-check oracle to certify the run, to `sitm-skew`, or
+    /// to `sitm_obs::ForensicsSnapshot::from_history` for per-variable
+    /// abort attribution.
     pub fn history(&self) -> Option<History> {
         self.shared.stm.history()
-    }
-
-    /// Per-variable abort attribution (if [`ServerConfig::forensics`]
-    /// was set).
-    pub fn forensics(&self) -> Option<ForensicsSnapshot> {
-        self.shared.stm.forensics()
     }
 
     /// Everything observable about the server: `stm.*` runtime metrics
@@ -763,9 +752,6 @@ fn touch(conns: &mut [Option<Conn>], touched: &mut Vec<usize>, token: usize) {
 }
 
 fn close_conn(shared: &Shared, poller: &Poller, mut conn: Conn, token: u64) {
-    // The epoll backend removes by fd, but the sweep fallback removes
-    // by token — passing the wrong one would deregister a *live*
-    // connection and leak this one's interest entry.
     let _ = poller.remove(&conn.stream, token);
     if let Some(tx) = conn.open.take() {
         shared.stm.abort(tx);

@@ -5,9 +5,8 @@
 //! issues the syscalls directly with inline assembly, on the two Linux
 //! architectures the project targets (x86_64 and aarch64). Everything
 //! here is `pub(crate)`: the only consumer is [`crate::reactor`], which
-//! wraps these fds in safe RAII types. On any other platform the
-//! reactor falls back to a portable std-only readiness sweep (see
-//! `reactor::fallback`) and this module is not compiled at all.
+//! wraps these fds in safe RAII types. On any other platform this module
+//! is not compiled at all and the reactor reports `Unsupported`.
 //!
 //! Safety perimeter: every function passes pointers to live, correctly
 //! sized stack or heap buffers owned by the caller for the duration of

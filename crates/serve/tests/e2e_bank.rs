@@ -8,6 +8,7 @@ use std::thread;
 use std::time::Duration;
 
 use sitm_check::{check, Discipline};
+use sitm_obs::{ForensicCause, ForensicsSnapshot, History};
 use sitm_serve::{Client, Server, ServerConfig, TxnOp};
 
 const ACCOUNTS: u64 = 8;
@@ -51,7 +52,6 @@ fn transfer_batch(client: &mut Client, from: u64, to: u64, amount: i64) {
 fn concurrent_transfers_conserve_and_certify() {
     let server = Server::start(ServerConfig {
         history_capacity: 1 << 17,
-        forensics: true,
         ..ServerConfig::default()
     })
     .expect("server start");
@@ -141,6 +141,19 @@ fn concurrent_transfers_conserve_and_certify() {
         "server history failed SI certification: {report}"
     );
     assert!(report.committed > CLIENTS * TRANSFERS);
+
+    // The same log attributes every conflict the runtime counted to a
+    // cause, a key's variable and the winning commit, and survives the
+    // JSONL export the offline tools (`skew_analyze`) read.
+    let forensics = ForensicsSnapshot::from_history(&history);
+    assert_eq!(forensics.total, server.stats().aborts());
+    assert_eq!(forensics.attributed, forensics.total);
+    assert_eq!(
+        forensics.count(ForensicCause::WriteWriteFcw),
+        server.stats().write_write_aborts()
+    );
+    let reread = History::from_jsonl(&history.to_jsonl()).expect("the export reads back");
+    assert_eq!(reread.records(), history.records());
 
     server.shutdown();
 }

@@ -333,7 +333,10 @@ mod tests {
             let i = cause.index();
             assert!(!seen[i], "duplicate index {i}");
             seen[i] = true;
-            assert!(!cause.label().is_empty());
+            assert!(
+                sitm_obs::ABORT_LABELS.contains(&cause.label()),
+                "{cause}: a recorded history with this cause would not read back"
+            );
         }
         assert!(seen.iter().all(|&s| s));
     }

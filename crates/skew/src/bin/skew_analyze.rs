@@ -1,9 +1,11 @@
-//! Command-line write-skew analyzer: reads a text trace (see
-//! `sitm_skew::parse_trace` for the format) from a file or stdin and
-//! prints the dependency-cycle findings and proposed read promotions.
+//! Command-line write-skew analyzer: reads a recorded transaction
+//! history (`sitm.txn.v1` JSONL, as written by
+//! `sitm_obs::History::to_jsonl` — the export of `Stm::history()` or
+//! `Server::history()`) from a file or stdin and prints the
+//! dependency-cycle findings and proposed read promotions.
 //!
 //! ```text
-//! skew_analyze trace.txt
+//! skew_analyze history.jsonl
 //! some-tool | skew_analyze -
 //! ```
 //!
@@ -33,14 +35,20 @@ fn main() -> ExitCode {
             }
         }
     };
-    let events = match sitm_skew::parse_trace(&text) {
-        Ok(events) => events,
+    let history = match sitm_obs::History::from_jsonl(&text) {
+        Ok(history) => history,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
     };
-    let report = sitm_skew::analyze(&events);
+    if history.dropped() > 0 {
+        eprintln!(
+            "warning: the history dropped {} record(s); skews among them go unreported",
+            history.dropped()
+        );
+    }
+    let report = sitm_skew::analyze(&history);
     println!("{report}");
     if report.is_clean() {
         ExitCode::SUCCESS

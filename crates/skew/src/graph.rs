@@ -9,18 +9,25 @@
 //! cycles is safe but may include false positives, exactly as the paper
 //! states.
 //!
+//! Both inputs come straight from the recorded [`History`]: a
+//! transaction's lifetime is its `begin_seq..end_seq` interval in the
+//! log's global sequence order, and its read/write/promote sets are
+//! folded from its `ops`. Aborted attempts publish nothing, so they are
+//! not vertices.
+//!
 //! Reads that the application already *promoted* are excluded — they
 //! would have forced a validation conflict, so the corresponding edge
 //! cannot materialize into an anomaly.
 
 use std::collections::BTreeSet;
 
-use crate::trace::Trace;
+use sitm_obs::{History, OpKind, TxnRecord};
 
 /// An rw-antidependency edge between two committed transactions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RwEdge {
-    /// Index (into [`Trace::committed`]) of the reader.
+    /// Index (into the history's committed records, in finish order) of
+    /// the reader.
     pub reader: usize,
     /// Index of the writer.
     pub writer: usize,
@@ -28,7 +35,7 @@ pub struct RwEdge {
     pub vars: BTreeSet<u64>,
 }
 
-/// The dependency graph over a trace's committed transactions.
+/// The dependency graph over a history's committed transactions.
 #[derive(Debug, Clone, Default)]
 pub struct DependencyGraph {
     /// Number of vertices (committed transactions).
@@ -37,21 +44,57 @@ pub struct DependencyGraph {
     pub edges: Vec<RwEdge>,
 }
 
+/// What a committed transaction contributes to the graph.
+struct Footprint {
+    /// Variables read but neither promoted (already protected) nor
+    /// written (a write is validated at commit, which subsumes the
+    /// read).
+    unprotected_reads: BTreeSet<u64>,
+    /// Variables written.
+    writes: BTreeSet<u64>,
+}
+
+impl Footprint {
+    fn of(record: &TxnRecord) -> Self {
+        let mut reads = BTreeSet::new();
+        let mut writes = BTreeSet::new();
+        let mut promoted = BTreeSet::new();
+        for op in &record.ops {
+            match op.kind {
+                OpKind::Read { line, .. } => reads.insert(line),
+                OpKind::Write { line } => writes.insert(line),
+                OpKind::Promote { line } => promoted.insert(line),
+            };
+        }
+        reads.retain(|v| !promoted.contains(v) && !writes.contains(v));
+        Footprint {
+            unprotected_reads: reads,
+            writes,
+        }
+    }
+}
+
+/// Whether two attempts' lifetimes overlap in the global sequence order.
+fn overlaps(a: &TxnRecord, b: &TxnRecord) -> bool {
+    a.begin_seq < b.end_seq && b.begin_seq < a.end_seq
+}
+
 impl DependencyGraph {
-    /// Builds the graph from a post-processed trace.
-    pub fn build(trace: &Trace) -> Self {
-        let txs = &trace.committed;
+    /// Builds the graph over `history`'s committed transactions.
+    pub fn build(history: &History) -> Self {
+        let txs: Vec<(&TxnRecord, Footprint)> = history
+            .committed()
+            .map(|record| (record, Footprint::of(record)))
+            .collect();
         let mut edges = Vec::new();
-        for (i, a) in txs.iter().enumerate() {
-            for (j, b) in txs.iter().enumerate() {
-                if i == j || !a.overlaps(b) {
+        for (i, (a, reader)) in txs.iter().enumerate() {
+            for (j, (b, writer)) in txs.iter().enumerate() {
+                if i == j || !overlaps(a, b) {
                     continue;
                 }
-                let vars: BTreeSet<u64> = a
-                    .reads
-                    .iter()
-                    .filter(|v| !a.promoted.contains(v) && !a.writes.contains(*v))
-                    .filter(|v| b.writes.contains(*v))
+                let vars: BTreeSet<u64> = reader
+                    .unprotected_reads
+                    .intersection(&writer.writes)
                     .copied()
                     .collect();
                 if !vars.is_empty() {
@@ -157,25 +200,46 @@ impl DependencyGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TxRecord;
-    use std::collections::BTreeSet;
+    use sitm_obs::TxnBuilder;
 
-    fn record(id: u64, range: (usize, usize), reads: &[u64], writes: &[u64]) -> TxRecord {
-        TxRecord {
-            id,
-            begin_index: range.0,
-            commit_index: range.1,
-            reads: reads.iter().copied().collect(),
-            writes: writes.iter().copied().collect(),
-            promoted: BTreeSet::new(),
+    /// An attempt alive over `range` of the global order that read
+    /// `reads`, promoted `promoted` and wrote `writes`.
+    fn attempt(
+        id: u64,
+        range: (u64, u64),
+        reads: &[u64],
+        promoted: &[u64],
+        writes: &[u64],
+    ) -> TxnBuilder {
+        let mut b = TxnBuilder::new(id, 0, 0, range.0, None);
+        for &line in reads {
+            b.op(
+                range.0,
+                OpKind::Read {
+                    line,
+                    observed: Some(0),
+                },
+            );
         }
+        for &line in promoted {
+            b.op(range.0, OpKind::Promote { line });
+        }
+        for &line in writes {
+            b.op(range.0, OpKind::Write { line });
+        }
+        b
     }
 
-    fn trace_of(records: Vec<TxRecord>) -> Trace {
-        Trace {
-            committed: records,
-            ..Trace::default()
+    fn record(id: u64, range: (u64, u64), reads: &[u64], writes: &[u64]) -> TxnRecord {
+        attempt(id, range, reads, &[], writes).commit(range.1, None)
+    }
+
+    fn history_of(records: Vec<TxnRecord>) -> History {
+        let mut h = History::default();
+        for r in records {
+            h.push(r);
         }
+        h
     }
 
     /// The Listing 1 withdraw skew: mutual rw edges form a 2-cycle.
@@ -183,11 +247,11 @@ mod tests {
     fn withdraw_skew_is_a_cycle() {
         let checking = 1;
         let saving = 2;
-        let trace = trace_of(vec![
+        let h = history_of(vec![
             record(1, (0, 10), &[checking, saving], &[checking]),
             record(2, (1, 11), &[checking, saving], &[saving]),
         ]);
-        let g = DependencyGraph::build(&trace);
+        let g = DependencyGraph::build(&h);
         assert_eq!(g.edges.len(), 2);
         let cycles = g.cycles();
         assert_eq!(cycles, vec![vec![0, 1]]);
@@ -201,34 +265,42 @@ mod tests {
     /// A one-directional conflict is not a cycle.
     #[test]
     fn single_antidependency_is_no_cycle() {
-        let trace = trace_of(vec![
+        let h = history_of(vec![
             record(1, (0, 10), &[5], &[]),
             record(2, (1, 11), &[], &[5]),
         ]);
-        let g = DependencyGraph::build(&trace);
+        let g = DependencyGraph::build(&h);
         assert_eq!(g.edges.len(), 1);
         assert!(g.cycles().is_empty());
+    }
+
+    /// Lifetimes are `begin_seq..end_seq` intervals: interleaved
+    /// attempts overlap both ways, back-to-back ones do not.
+    #[test]
+    fn overlap_follows_the_sequence_intervals() {
+        let (t1, t2) = (record(1, (0, 5), &[10], &[]), record(2, (1, 4), &[], &[10]));
+        assert!(overlaps(&t1, &t2) && overlaps(&t2, &t1));
+        let (t3, t4) = (record(3, (0, 1), &[], &[]), record(4, (2, 3), &[], &[]));
+        assert!(!overlaps(&t3, &t4) && !overlaps(&t4, &t3));
     }
 
     /// Non-overlapping transactions produce no edges.
     #[test]
     fn no_overlap_no_edges() {
-        let trace = trace_of(vec![
+        let h = history_of(vec![
             record(1, (0, 5), &[7], &[8]),
             record(2, (6, 9), &[8], &[7]),
         ]);
-        let g = DependencyGraph::build(&trace);
+        let g = DependencyGraph::build(&h);
         assert!(g.edges.is_empty());
     }
 
     /// Promoted reads do not form edges (they were protected).
     #[test]
     fn promoted_reads_are_excluded() {
-        let mut r1 = record(1, (0, 10), &[1, 2], &[1]);
-        r1.promoted.insert(2);
+        let r1 = attempt(1, (0, 10), &[1, 2], &[2], &[1]).commit(10, None);
         let r2 = record(2, (1, 11), &[1, 2], &[2]);
-        let trace = trace_of(vec![r1, r2]);
-        let g = DependencyGraph::build(&trace);
+        let g = DependencyGraph::build(&history_of(vec![r1, r2]));
         // Only the edge r2 --reads 1, r1 writes 1--> r1 remains.
         assert_eq!(g.edges.len(), 1);
         assert!(g.cycles().is_empty());
@@ -237,25 +309,47 @@ mod tests {
     /// A three-transaction cycle is detected as one component.
     #[test]
     fn three_cycle() {
-        let trace = trace_of(vec![
+        let h = history_of(vec![
             record(1, (0, 20), &[1], &[2]),
             record(2, (1, 21), &[2], &[3]),
             record(3, (2, 22), &[3], &[1]),
         ]);
-        let g = DependencyGraph::build(&trace);
+        let g = DependencyGraph::build(&h);
         assert_eq!(g.cycles(), vec![vec![0, 1, 2]]);
     }
 
     /// Reads of variables the same transaction also writes are not
     /// anti-dependencies (overlapping write-write cannot both commit
-    /// under SI; such traces are self-inconsistent anyway).
+    /// under SI; such histories are self-inconsistent anyway).
     #[test]
     fn own_writes_excluded_from_reads() {
-        let trace = trace_of(vec![
+        let h = history_of(vec![
             record(1, (0, 10), &[1], &[1]),
             record(2, (1, 11), &[2], &[1]),
         ]);
-        let g = DependencyGraph::build(&trace);
+        let g = DependencyGraph::build(&h);
         assert!(g.edges.is_empty());
+    }
+
+    /// An aborted attempt publishes nothing: it is not a vertex, so it
+    /// can neither close a cycle nor shift the committed indices.
+    #[test]
+    fn aborted_attempts_are_not_vertices() {
+        let h = history_of(vec![
+            attempt(1, (0, 10), &[1, 2], &[], &[1]).abort(10, "write-write"),
+            record(2, (1, 11), &[1, 2], &[2]),
+            record(3, (2, 12), &[], &[1]),
+        ]);
+        let g = DependencyGraph::build(&h);
+        assert_eq!(g.vertices, 2);
+        assert_eq!(
+            g.edges,
+            vec![RwEdge {
+                reader: 0,
+                writer: 1,
+                vars: BTreeSet::from([1]),
+            }]
+        );
+        assert!(g.cycles().is_empty(), "the skew's other half aborted");
     }
 }

@@ -8,9 +8,12 @@
 //!
 //! 1. record a globally ordered trace of transactional operations (the
 //!    paper instruments binaries with PIN; here the `sitm-stm` runtime
-//!    records through its [`sitm_stm::Recorder`] hook),
-//! 2. post-process the trace into committed transactions
-//!    ([`Trace::from_events`]),
+//!    records every attempt into a [`sitm_obs::History`] when
+//!    `Stm::with_history` is on — the same `sitm.txn.v1` stream the
+//!    isolation oracle certifies),
+//! 2. post-process: keep the committed transactions, take each one's
+//!    lifetime from its begin/end sequence numbers and its
+//!    read/write/promote sets from its operations,
 //! 3. build the read-write anti-dependency graph over overlapping
 //!    transactions and find its cycles — the necessary condition for a
 //!    write skew ([`DependencyGraph`]),
@@ -21,35 +24,31 @@
 //! The analysis is best-effort in the same sense as the paper's tool:
 //! it covers the schedules actually traced, flags false positives
 //! rather than missing true ones within those schedules, and its value
-//! grows with test coverage.
+//! grows with test coverage. Because the input is a plain `History`,
+//! it can also be captured in one process and analysed offline: the
+//! `skew_analyze` binary reads `History::to_jsonl` output.
 //!
 //! # Examples
 //!
 //! ```
-//! use sitm_stm::{Stm, TVar, VecRecorder};
-//! use std::sync::Arc;
+//! use sitm_stm::{Stm, TVar};
 //!
-//! let recorder = Arc::new(VecRecorder::new());
-//! let stm = Stm::snapshot().with_recorder(recorder.clone());
+//! let stm = Stm::snapshot().with_history(1024);
 //! let x = TVar::new_labeled("x", 1u64);
 //! stm.atomically(|tx| {
 //!     let v = tx.read(&x)?;
 //!     tx.write(&x, v + 1);
 //!     Ok(())
 //! });
-//! let report = sitm_skew::analyze(&recorder.take());
+//! let report = sitm_skew::analyze(&stm.history().expect("recording is on"));
 //! assert!(report.is_clean());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod format;
 mod graph;
 mod report;
-mod trace;
 
-pub use format::{parse_trace, write_trace, ParseTraceError};
 pub use graph::{DependencyGraph, RwEdge};
-pub use report::{analyze, analyze_trace, Promotion, SkewFinding, SkewPattern, WriteSkewReport};
-pub use trace::{Trace, TxRecord};
+pub use report::{analyze, Promotion, SkewFinding, SkewPattern, WriteSkewReport};

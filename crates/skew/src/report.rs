@@ -1,7 +1,7 @@
 //! Findings and read-promotion proposals.
 //!
 //! The analysis end of the tool: [`analyze`] runs the full pipeline
-//! (trace → dependency graph → cycles) and produces a
+//! (recorded history → dependency graph → cycles) and produces a
 //! [`WriteSkewReport`] listing each dangerous cycle, the variables
 //! involved, and the **read promotions** that remove the anomaly — "the
 //! tool applies read promotion for every transactional read that is part
@@ -10,10 +10,9 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use sitm_stm::TxEvent;
+use sitm_obs::{History, TxnRecord};
 
 use crate::graph::DependencyGraph;
-use crate::trace::Trace;
 
 /// One detected dangerous cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +60,7 @@ pub struct SkewPattern {
 }
 
 impl WriteSkewReport {
-    /// Whether the trace was free of dangerous structures.
+    /// Whether the history was free of dangerous structures.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
@@ -150,17 +149,23 @@ impl fmt::Display for WriteSkewReport {
     }
 }
 
-/// Runs the full analysis over a recorded event stream.
-pub fn analyze(events: &[TxEvent]) -> WriteSkewReport {
-    let trace = Trace::from_events(events);
-    analyze_trace(&trace)
+/// The display name of a variable: its label in the history, or
+/// `var<N>`.
+fn name_of(history: &History, var: u64) -> String {
+    match history.label(var) {
+        Some(label) => label.to_string(),
+        None => format!("var{var}"),
+    }
 }
 
-/// Runs the analysis over an already post-processed trace.
-pub fn analyze_trace(trace: &Trace) -> WriteSkewReport {
-    let graph = DependencyGraph::build(trace);
+/// Runs the full analysis over a recorded history. Only committed
+/// attempts take part: an aborted attempt publishes nothing, so it
+/// cannot participate in a skew.
+pub fn analyze(history: &History) -> WriteSkewReport {
+    let committed: Vec<&TxnRecord> = history.committed().collect();
+    let graph = DependencyGraph::build(history);
     let mut report = WriteSkewReport {
-        transactions_analyzed: trace.committed.len(),
+        transactions_analyzed: committed.len(),
         ..WriteSkewReport::default()
     };
     for component in graph.cycles() {
@@ -170,17 +175,17 @@ pub fn analyze_trace(trace: &Trace) -> WriteSkewReport {
             for &var in &edge.vars {
                 variables.insert(var);
                 promotions.insert(Promotion {
-                    tx: trace.committed[edge.reader].id,
+                    tx: committed[edge.reader].txn,
                     var,
-                    name: trace.name_of(var),
+                    name: name_of(history, var),
                 });
             }
         }
         report.findings.push(SkewFinding {
-            transactions: component.iter().map(|&i| trace.committed[i].id).collect(),
+            transactions: component.iter().map(|&i| committed[i].txn).collect(),
             variables: variables
                 .into_iter()
-                .map(|v| (v, trace.name_of(v)))
+                .map(|v| (v, name_of(history, v)))
                 .collect(),
         });
         report.promotions.extend(promotions);
@@ -193,48 +198,59 @@ pub fn analyze_trace(trace: &Trace) -> WriteSkewReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use sitm_obs::{OpKind, TxnBuilder};
 
-    fn begin(tx: u64) -> TxEvent {
-        TxEvent::Begin { tx, snapshot: 0 }
-    }
-
-    fn read(tx: u64, var: u64, label: &str) -> TxEvent {
-        TxEvent::Read {
-            tx,
-            var,
-            label: Some(Arc::from(label)),
+    /// Replays `(txn, op, var)` steps in global order into a history
+    /// (`b`egin, `r`ead, `w`rite, `c`ommit, `a`bort), labelling vars.
+    fn history_of(steps: &[(u64, char, u64)], labels: &[(u64, &str)]) -> History {
+        let mut h = History::default();
+        let mut open = std::collections::BTreeMap::new();
+        for (seq, &(txn, step, line)) in steps.iter().enumerate() {
+            let seq = seq as u64;
+            match step {
+                'b' => {
+                    open.insert(txn, TxnBuilder::new(txn, 0, 0, seq, Some(0)));
+                }
+                'r' | 'w' => {
+                    let kind = if step == 'r' {
+                        OpKind::Read {
+                            line,
+                            observed: Some(0),
+                        }
+                    } else {
+                        OpKind::Write { line }
+                    };
+                    open.get_mut(&txn).expect("begun").op(seq, kind);
+                }
+                'c' => h.push(open.remove(&txn).expect("begun").commit(seq, Some(seq))),
+                _ => h.push(open.remove(&txn).expect("begun").abort(seq, "explicit")),
+            }
         }
-    }
-
-    fn write(tx: u64, var: u64, label: &str) -> TxEvent {
-        TxEvent::Write {
-            tx,
-            var,
-            label: Some(Arc::from(label)),
+        for &(line, label) in labels {
+            h.set_label(line, label);
         }
+        h
     }
 
-    fn commit(tx: u64) -> TxEvent {
-        TxEvent::Commit { tx }
-    }
-
-    /// The Listing 1 banking trace end to end.
+    /// The Listing 1 banking history end to end.
     #[test]
     fn detects_withdraw_skew_with_names() {
-        let events = vec![
-            begin(1),
-            begin(2),
-            read(1, 10, "checking"),
-            read(1, 11, "saving"),
-            read(2, 10, "checking"),
-            read(2, 11, "saving"),
-            write(1, 10, "checking"),
-            write(2, 11, "saving"),
-            commit(1),
-            commit(2),
-        ];
-        let report = analyze(&events);
+        let h = history_of(
+            &[
+                (1, 'b', 0),
+                (2, 'b', 0),
+                (1, 'r', 10),
+                (1, 'r', 11),
+                (2, 'r', 10),
+                (2, 'r', 11),
+                (1, 'w', 10),
+                (2, 'w', 11),
+                (1, 'c', 0),
+                (2, 'c', 0),
+            ],
+            &[(10, "checking"), (11, "saving")],
+        );
+        let report = analyze(&h);
         assert!(!report.is_clean());
         assert_eq!(report.findings.len(), 1);
         assert_eq!(
@@ -262,18 +278,52 @@ mod tests {
     }
 
     #[test]
-    fn clean_trace_reports_clean() {
-        let events = vec![
-            begin(1),
-            read(1, 5, "x"),
-            write(1, 5, "x"),
-            commit(1),
-            begin(2),
-            read(2, 5, "x"),
-            commit(2),
-        ];
-        let report = analyze(&events);
+    fn clean_history_reports_clean() {
+        let h = history_of(
+            &[
+                (1, 'b', 0),
+                (1, 'r', 5),
+                (1, 'w', 5),
+                (1, 'c', 0),
+                (2, 'b', 0),
+                (2, 'r', 5),
+                (2, 'c', 0),
+            ],
+            &[(5, "x")],
+        );
+        let report = analyze(&h);
         assert!(report.is_clean());
         assert!(report.to_string().contains("no write-skew"));
+    }
+
+    /// Aborted attempts are dropped from the analysis, and unlabelled
+    /// variables fall back to `var<N>`.
+    #[test]
+    fn aborted_attempts_are_dropped_and_unlabelled_vars_are_numbered() {
+        let h = history_of(
+            &[
+                (1, 'b', 0),
+                (2, 'b', 0),
+                (3, 'b', 0),
+                (1, 'r', 7),
+                (1, 'r', 8),
+                (2, 'r', 7),
+                (2, 'r', 8),
+                (3, 'w', 7),
+                (1, 'w', 7),
+                (2, 'w', 8),
+                (3, 'a', 0),
+                (1, 'c', 0),
+                (2, 'c', 0),
+            ],
+            &[(7, "checking")],
+        );
+        let report = analyze(&h);
+        assert_eq!(report.transactions_analyzed, 2, "the abort is no vertex");
+        assert_eq!(report.findings[0].transactions, vec![1, 2]);
+        assert_eq!(
+            report.involved_names(),
+            BTreeSet::from(["checking".to_string(), "var8".to_string()])
+        );
     }
 }

@@ -83,6 +83,10 @@ mod tests {
         ] {
             assert!(!c.to_string().is_empty());
             assert!(!StmError::from(c).to_string().is_empty());
+            assert!(
+                sitm_obs::ABORT_LABELS.contains(&c.label()),
+                "{c}: a recorded history with this cause would not read back"
+            );
         }
     }
 }

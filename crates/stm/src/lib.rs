@@ -21,12 +21,13 @@
 //! * [`IsolationLevel::Serializable`] — opt-in serializability by
 //!   read-set validation, and [`Tx::promote`] for the paper's selective
 //!   *read promotion* remedy against write skew.
-//! * [`Recorder`] — trace hooks feeding the `sitm-skew` write-skew
-//!   detection tool.
 //! * [`Stm::with_history`] — optional recording of every finished
 //!   transaction attempt (snapshot, commit timestamp, read/write sets
-//!   with observed versions) as a [`sitm_obs::History`], the input the
-//!   `sitm-check` isolation oracle machine-checks SI axioms against.
+//!   with observed versions, and for an abort the conflicting variable
+//!   and winner) as a [`sitm_obs::History`]: the one record stream the
+//!   `sitm-check` isolation oracle, the `sitm-skew` write-skew
+//!   detection tool and the abort forensics ([`Stm::forensics`]) all
+//!   read offline.
 //!
 //! # Examples
 //!
@@ -62,7 +63,6 @@
 mod collections;
 mod epoch;
 mod error;
-mod recorder;
 mod stm;
 mod sync;
 mod tvar;
@@ -77,7 +77,6 @@ mod models;
 pub use collections::{TCounter, THashMap, TList};
 pub use epoch::{live_snapshots, refresh_watermark, watermark};
 pub use error::{Conflict, StmError};
-pub use recorder::{Recorder, TxEvent, VecRecorder};
 pub use stm::{Stm, StmStats};
 pub use tvar::{TVar, DEFAULT_HISTORY};
 pub use txn::{IsolationLevel, Tx};

@@ -62,5 +62,4 @@ pub fn break_commit_tick_floor(on: bool) {
 pub fn reset() {
     crate::epoch::model_reset();
     crate::tvar::model_reset();
-    crate::txn::model_reset();
 }

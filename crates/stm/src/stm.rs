@@ -9,12 +9,10 @@ use std::time::Duration;
 use std::time::Instant;
 
 use sitm_obs::{
-    AtomicHistogram, ForensicsSnapshot, Histogram, History, MetricsRegistry, Observable,
-    SharedForensics, SmallRng,
+    AtomicHistogram, ForensicsSnapshot, Histogram, History, MetricsRegistry, Observable, SmallRng,
 };
 
 use crate::error::{Conflict, StmError};
-use crate::recorder::Recorder;
 use crate::txn::{HistorySink, IsolationLevel, Tx};
 
 /// Commit/abort counters of an [`Stm`] runtime. Every field is a plain
@@ -133,7 +131,7 @@ impl Observable for StmStats {
 /// The software snapshot-isolation STM runtime.
 ///
 /// An `Stm` value holds the isolation level, abort statistics and the
-/// optional trace recorder; the version clock is process-global, so
+/// optional transaction history; the version clock is process-global, so
 /// [`crate::TVar`]s may be shared freely between runtimes (e.g. a
 /// snapshot-isolated fast path and a serializable administrative path
 /// over the same data, the paper's "for all or a subset of
@@ -157,9 +155,7 @@ impl Observable for StmStats {
 pub struct Stm {
     level: IsolationLevel,
     stats: StmStats,
-    recorder: Option<Arc<dyn Recorder>>,
     history: Option<Arc<HistorySink>>,
-    forensics: Option<Arc<SharedForensics>>,
 }
 
 impl std::fmt::Debug for Stm {
@@ -167,9 +163,7 @@ impl std::fmt::Debug for Stm {
         f.debug_struct("Stm")
             .field("level", &self.level)
             .field("stats", &self.stats)
-            .field("recorder", &self.recorder.is_some())
             .field("history", &self.history.is_some())
-            .field("forensics", &self.forensics.is_some())
             .finish()
     }
 }
@@ -192,24 +186,20 @@ impl Stm {
         Stm {
             level,
             stats: StmStats::default(),
-            recorder: None,
             history: None,
-            forensics: None,
         }
     }
 
-    /// Installs a trace recorder (see `sitm-skew`); replaces any
-    /// previous one. Returns `self` for builder-style use.
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
     /// Turns on transaction-history recording (the `sitm.txn.v1`
-    /// record stream consumed by the `sitm-check` oracle): every
-    /// finished attempt — committed or aborted — is appended to a
-    /// bounded in-memory [`History`] of at most `capacity` records.
-    /// Returns `self` for builder-style use.
+    /// record stream): every finished attempt — committed, aborted,
+    /// rolled back or dropped — is appended to a bounded in-memory
+    /// [`History`] of at most `capacity` records, with its snapshot
+    /// and commit timestamps, its reads (and the version each
+    /// observed), writes and promotions in one global sequence order,
+    /// and, for an abort, the conflicting variable and the winner's
+    /// timestamp. The `sitm-check` oracle, the `sitm-skew` analyser
+    /// and [`Stm::forensics`] all read that one log offline. Returns
+    /// `self` for builder-style use.
     pub fn with_history(mut self, capacity: usize) -> Self {
         self.history = Some(Arc::new(HistorySink::with_capacity(capacity)));
         self
@@ -218,25 +208,18 @@ impl Stm {
     /// A snapshot of the recorded transaction history, or `None` when
     /// recording was never enabled via [`Stm::with_history`].
     pub fn history(&self) -> Option<History> {
-        self.history.as_ref().map(|sink| sink.snapshot())
+        self.history.as_ref().map(|sink| sink.read(History::clone))
     }
 
-    /// Turns on abort forensics: every abort is attributed to a
-    /// [`sitm_obs::ForensicCause`] carrying the conflicting `TVar` id
-    /// and the winning commit timestamp. The recorder is lock-free
-    /// (per-thread sharded counters) and compiles out to a no-op unless
-    /// the `trace` feature is enabled. Returns `self` for builder-style
-    /// use.
-    pub fn with_forensics(mut self) -> Self {
-        self.forensics = Some(Arc::new(SharedForensics::new()));
-        self
-    }
-
-    /// A snapshot of the forensic abort attribution, or `None` when
-    /// forensics were never enabled via [`Stm::with_forensics`]. With
-    /// the `trace` feature disabled the snapshot is present but empty.
+    /// Abort attribution folded from the recorded history
+    /// ([`ForensicsSnapshot::from_history`]): per-cause counts, the
+    /// contended variables and how stale the losers' snapshots were.
+    /// `None` when recording was never enabled via
+    /// [`Stm::with_history`].
     pub fn forensics(&self) -> Option<ForensicsSnapshot> {
-        self.forensics.as_ref().map(|f| f.snapshot())
+        self.history
+            .as_ref()
+            .map(|sink| sink.read(ForensicsSnapshot::from_history))
     }
 
     /// The configured isolation level.
@@ -286,12 +269,7 @@ impl Stm {
     /// assert_eq!(v.load(), 2);
     /// ```
     pub fn begin(&self) -> Tx {
-        Tx::begin_recorded(
-            self.level,
-            self.recorder.clone(),
-            self.history.clone(),
-            self.forensics.clone(),
-        )
+        Tx::begin(self.level, self.history.as_ref())
     }
 
     /// Attempts to commit a transaction obtained from [`Stm::begin`],
@@ -322,11 +300,11 @@ impl Stm {
     /// committing: buffered writes are discarded, and when history
     /// recording is on the attempt is recorded as `aborted:explicit`
     /// (so oracle-certified histories account for every attempt a
-    /// client deliberately rolled back). Dropping a `Tx` instead is
-    /// also safe — it releases every resource — but leaves no history
-    /// record.
+    /// client deliberately rolled back) — or, if one of its reads had
+    /// already failed, as aborted by that conflict. Dropping a `Tx`
+    /// does exactly the same.
     pub fn abort(&self, tx: Tx) {
-        tx.record_explicit_abort();
+        drop(tx);
     }
 
     /// Folds a commit receipt's GC accounting into the runtime stats.
@@ -421,27 +399,13 @@ impl Stm {
         &self,
         body: &mut impl FnMut(&mut Tx) -> Result<T, StmError>,
     ) -> Result<T, Conflict> {
-        let mut tx = Tx::begin_recorded(
-            self.level,
-            self.recorder.clone(),
-            self.history.clone(),
-            self.forensics.clone(),
-        );
+        let mut tx = self.begin();
         match body(&mut tx) {
-            Ok(value) => match tx.commit() {
-                Ok(receipt) => {
-                    self.stats.commits.fetch_add(1, Ordering::Relaxed);
-                    self.absorb_receipt(&receipt);
-                    Ok(value)
-                }
-                Err(conflict) => {
-                    self.stats.count(conflict);
-                    Err(conflict)
-                }
-            },
+            Ok(value) => self.commit(tx).map(|_| value),
             Err(StmError::Conflict(conflict)) => {
+                // Dropping `tx` closes its history record with the
+                // conflict the failing read stamped.
                 self.stats.count(conflict);
-                tx.record_failure(conflict);
                 Err(conflict)
             }
         }
@@ -738,18 +702,17 @@ mod tests {
         stm.atomically(|_tx| Ok(()));
         assert!(stm.forensics().is_none());
 
-        let stm = Stm::snapshot().with_forensics();
+        let stm = Stm::snapshot().with_history(64);
         stm.atomically(|_tx| Ok(()));
         let snap = stm.forensics().expect("enabled");
         assert_eq!(snap.total, 0, "no aborts, nothing recorded");
         assert!((snap.attribution_rate() - 1.0).abs() < f64::EPSILON);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn forensics_attribute_every_conflict_kind() {
-        use sitm_obs::ForensicCause;
-        let stm = Arc::new(Stm::serializable().with_forensics());
+        use sitm_obs::{AbortDetail, ForensicCause};
+        let stm = Arc::new(Stm::serializable().with_history(64));
         let v = TVar::new(0u64);
         let other = TVar::new(0u64);
 
@@ -797,10 +760,63 @@ mod tests {
         assert_eq!(snap.count(ForensicCause::CapacityEviction), 1);
         assert_eq!(snap.total, stm.stats().aborts());
         assert!((snap.attribution_rate() - 1.0).abs() < f64::EPSILON);
-        assert!(
-            snap.hot_lines.iter().any(|&(line, _)| line == v.id()),
-            "the contended TVar shows up in the hot-line sketch"
+        assert_eq!(
+            snap.hot_lines,
+            vec![(v.id(), 2), (bounded.id(), 1)],
+            "each abort names the TVar it lost on"
         );
+
+        // Each loser's record names the variable and the winner: the
+        // conflicting version's timestamp is the commit timestamp of
+        // the competitor that committed inside the loser's lifetime.
+        let h = stm.history().expect("enabled");
+        let losers: Vec<_> = h.records().iter().filter(|r| !r.committed()).collect();
+        assert_eq!(losers.len(), 3);
+        for (loser, (cause, var)) in losers.iter().zip([
+            (ForensicCause::WriteWriteFcw, v.id()),
+            (ForensicCause::ReadValidation, v.id()),
+            (ForensicCause::CapacityEviction, bounded.id()),
+        ]) {
+            let winner = h
+                .records()
+                .iter()
+                .find(|r| r.committed() && r.end_seq < loser.end_seq && r.end_seq > loser.begin_seq)
+                .expect("the competitor committed inside the loser's lifetime");
+            assert_eq!(
+                loser.abort,
+                Some(AbortDetail {
+                    cause,
+                    line: var,
+                    winner_ts: winner.commit_ts.expect("the competitor wrote"),
+                })
+            );
+            assert!(loser.abort.unwrap().winner_ts > loser.begin_ts.unwrap());
+        }
+    }
+
+    #[test]
+    fn dropped_and_rolled_back_attempts_stay_in_the_history() {
+        use sitm_obs::TxnOutcome;
+        let stm = Stm::snapshot().with_history(64);
+        let v = TVar::new(0u64);
+        let mut tx = stm.begin();
+        tx.write(&v, 1);
+        stm.abort(tx);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stm.atomically(|tx| -> Result<(), StmError> {
+                tx.write(&v, 2);
+                panic!("body dies mid-transaction");
+            })
+        }));
+        assert!(panicked.is_err());
+        let h = stm.history().expect("enabled");
+        assert_eq!(h.len(), 2, "neither attempt vanished");
+        for r in h.records() {
+            assert_eq!(r.outcome, TxnOutcome::Aborted("explicit"));
+            assert_eq!(r.abort, None);
+            assert!(r.end_seq > r.ops[0].seq);
+        }
+        assert_eq!(v.load(), 0, "nothing was installed");
     }
 
     #[test]

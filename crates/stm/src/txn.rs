@@ -37,13 +37,10 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sitm_obs::{
-    ForensicCause, ForensicEvent, History, OpKind, SharedForensics, TxnBuilder, TxnRecord,
-};
+use sitm_obs::{AbortDetail, ForensicCause, History, OpKind, TxnBuilder, TxnRecord};
 
 use crate::epoch;
 use crate::error::{Conflict, StmError};
-use crate::recorder::{Recorder, TxEvent};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
 use crate::tvar::{lock_versions, TVar, VarOps};
@@ -72,13 +69,96 @@ impl HistorySink {
         self.seq.fetch_add(1, Ordering::SeqCst)
     }
 
-    fn push(&self, record: TxnRecord) {
-        lock_versions(&self.history).push(record);
+    /// Appends a finished record and names the labelled variables it
+    /// touched, under one acquisition of the log's lock.
+    fn push(&self, record: TxnRecord, labels: &[(u64, Arc<str>)]) {
+        let mut history = lock_versions(&self.history);
+        history.push(record);
+        for (var, label) in labels {
+            history.set_label(*var, label);
+        }
     }
 
-    /// A copy of the log collected so far.
-    pub(crate) fn snapshot(&self) -> History {
-        lock_versions(&self.history).clone()
+    /// Runs `reader` over the log collected so far.
+    pub(crate) fn read<R>(&self, reader: impl FnOnce(&History) -> R) -> R {
+        reader(&lock_versions(&self.history))
+    }
+}
+
+/// The recording half of a [`Tx`]: the one per-attempt record of the
+/// runtime, present only when [`crate::Stm::with_history`] is on. Every
+/// reader of the stream — the isolation oracle, the write-skew
+/// analyser, the abort-forensics fold — works offline on the
+/// [`History`] these records land in.
+struct TxLog {
+    sink: Arc<HistorySink>,
+    /// The open record; `None` once the attempt's outcome is recorded.
+    open: Option<TxnBuilder>,
+    /// Cause label the record closes with if the attempt never reaches
+    /// a commit verdict: `explicit` (a rollback, a panicking body, a
+    /// torn-down connection) until a failing operation stamps its
+    /// conflict.
+    cause: &'static str,
+    /// Labelled variables this attempt touched, for the log's
+    /// `line → label` table.
+    labels: Vec<(u64, Arc<str>)>,
+}
+
+impl TxLog {
+    /// Appends `kind` to the open record; `label` is the touched
+    /// variable's, if it has one.
+    fn op(&mut self, kind: OpKind, label: Option<Arc<str>>) {
+        let seq = self.sink.next_seq();
+        if let Some(open) = &mut self.open {
+            open.op(seq, kind);
+        }
+        if let Some(label) = label {
+            self.labels.push((kind.line(), label));
+        }
+    }
+
+    /// Stamps the conflict that dooms this attempt: its cause in the
+    /// forensic taxonomy, the variable it lost on and the commit
+    /// timestamp of the winning version.
+    fn doom(&mut self, conflict: Conflict, var: u64, winner_ts: u64) {
+        self.cause = conflict.label();
+        let cause = match conflict {
+            Conflict::WriteWrite => ForensicCause::WriteWriteFcw,
+            Conflict::ReadValidation => ForensicCause::ReadValidation,
+            // The snapshot's version fell off a bounded history.
+            Conflict::SnapshotTooOld => ForensicCause::CapacityEviction,
+        };
+        if let Some(open) = &mut self.open {
+            open.detail(AbortDetail {
+                cause,
+                line: var,
+                winner_ts,
+            });
+        }
+    }
+
+    /// Closes the record — the one finish routine of every attempt —
+    /// as committed at `Ok(commit_ts)` or aborted with `Err(cause)`.
+    /// A second call is a no-op.
+    fn finish(&mut self, outcome: Result<Option<u64>, &'static str>) {
+        let Some(open) = self.open.take() else {
+            return;
+        };
+        let seq = self.sink.next_seq();
+        let record = match outcome {
+            Ok(commit_ts) => open.commit(seq, commit_ts),
+            Err(cause) => open.abort(seq, cause),
+        };
+        self.sink.push(record, &self.labels);
+    }
+}
+
+impl Drop for TxLog {
+    /// A `Tx` that never reached [`Tx::commit`] — rolled back, failed in
+    /// its body, dropped by a panic or with its connection — still
+    /// leaves its record, so the history accounts for every attempt.
+    fn drop(&mut self) {
+        self.finish(Err(self.cause));
     }
 }
 
@@ -157,15 +237,9 @@ pub struct Tx {
     /// Explicitly promoted reads (validated even in read-only
     /// transactions; never create versions).
     promoted: BTreeMap<u64, Arc<dyn VarOps>>,
-    recorder: Option<Arc<dyn Recorder>>,
-    /// Monotone id of this attempt (for tracing).
-    attempt_id: u64,
-    /// History sink plus the open record of this attempt, when the
-    /// runtime records histories for the isolation oracle.
-    history: Option<(Arc<HistorySink>, TxnBuilder)>,
-    /// Shared abort-forensics recorder (a no-op unless the `trace`
-    /// feature is enabled), when the runtime collects forensics.
-    forensics: Option<Arc<SharedForensics>>,
+    /// The open record of this attempt, when the runtime records
+    /// histories.
+    log: Option<Box<TxLog>>,
     /// This transaction's registration in the live-snapshot registry.
     /// Held for the whole transaction (released on drop, on every exit
     /// path), so epoch GC can never reclaim a version this snapshot
@@ -181,15 +255,6 @@ impl std::fmt::Debug for Tx {
             .field("writes", &self.writes.len())
             .finish_non_exhaustive()
     }
-}
-
-static NEXT_ATTEMPT: AtomicU64 = AtomicU64::new(1);
-
-/// Reset the attempt-id source (model executions reuse one process;
-/// see `epoch::model_reset`).
-#[cfg(loom)]
-pub(crate) fn model_reset() {
-    NEXT_ATTEMPT.store(1, Ordering::SeqCst);
 }
 
 /// Whether the `MUTATE_SKIP_FCW_VALIDATION` mutation knob is on (model
@@ -223,38 +288,28 @@ fn mutate_unfloored_tick() -> bool {
 }
 
 impl Tx {
-    #[cfg(test)]
-    pub(crate) fn begin(level: IsolationLevel, recorder: Option<Arc<dyn Recorder>>) -> Self {
-        Self::begin_recorded(level, recorder, None, None)
-    }
-
-    pub(crate) fn begin_recorded(
-        level: IsolationLevel,
-        recorder: Option<Arc<dyn Recorder>>,
-        sink: Option<Arc<HistorySink>>,
-        forensics: Option<Arc<SharedForensics>>,
-    ) -> Self {
+    pub(crate) fn begin(level: IsolationLevel, sink: Option<&Arc<HistorySink>>) -> Self {
         // Register in the epoch registry *and* draw the snapshot in
         // one step: the registration is published before the clock is
         // read, which is what keeps the GC watermark at or below this
         // snapshot for as long as the guard lives.
         let (snapshot, guard) = epoch::enter();
-        let attempt_id = NEXT_ATTEMPT.fetch_add(1, Ordering::Relaxed);
-        if let Some(r) = &recorder {
-            r.record(TxEvent::Begin {
-                tx: attempt_id,
-                snapshot,
-            });
-        }
-        let history = sink.map(|h| {
-            let builder = TxnBuilder::new(
-                attempt_id,
-                epoch::thread_index(),
-                0, // the 64-bit software clock never overflows
-                h.next_seq(),
-                Some(snapshot),
-            );
-            (h, builder)
+        let log = sink.map(|sink| {
+            // The begin sequence number is unique within the sink, so
+            // it doubles as the attempt id.
+            let begin_seq = sink.next_seq();
+            Box::new(TxLog {
+                sink: Arc::clone(sink),
+                open: Some(TxnBuilder::new(
+                    begin_seq,
+                    epoch::thread_index(),
+                    0, // the 64-bit software clock never overflows
+                    begin_seq,
+                    Some(snapshot),
+                )),
+                cause: "explicit",
+                labels: Vec::new(),
+            })
         });
         Tx {
             snapshot,
@@ -262,36 +317,8 @@ impl Tx {
             writes: BTreeMap::new(),
             read_log: BTreeMap::new(),
             promoted: BTreeMap::new(),
-            recorder,
-            attempt_id,
-            history,
-            forensics,
+            log,
             _epoch: guard,
-        }
-    }
-
-    /// Attributes an abort to `cause` at `var_id` in the shared
-    /// forensics recorder, if one is installed. `winner_ts` is the
-    /// commit timestamp of the conflicting version, when known.
-    fn record_forensic(&self, cause: ForensicCause, var_id: u64, winner_ts: Option<u64>) {
-        if let Some(f) = &self.forensics {
-            f.record(
-                epoch::thread_index(),
-                cause,
-                ForensicEvent {
-                    line: Some(var_id),
-                    winner_ts,
-                    snapshot_ts: Some(self.snapshot),
-                },
-            );
-        }
-    }
-
-    /// Appends `kind` to this attempt's open history record, if any.
-    fn record_op(&mut self, kind: OpKind) {
-        if let Some((sink, builder)) = &mut self.history {
-            let seq = sink.next_seq();
-            builder.op(seq, kind);
         }
     }
 
@@ -329,13 +356,6 @@ impl Tx {
     /// assert_eq!(product, 6);
     /// ```
     pub fn read<T: Clone + Send + Sync + 'static>(&mut self, var: &TVar<T>) -> Result<T, StmError> {
-        if let Some(r) = &self.recorder {
-            r.record(TxEvent::Read {
-                tx: self.attempt_id,
-                var: var.id(),
-                label: var.label(),
-            });
-        }
         // Serve self-reads straight from the write buffer: the value
         // never touched shared state, so it needs no read logging (the
         // write itself is validated at commit, which subsumes any
@@ -346,10 +366,16 @@ impl Tx {
                 .downcast_ref::<T>()
                 .expect("buffered value type matches its TVar")
                 .clone();
-            self.record_op(OpKind::Read {
-                line: var.id(),
-                observed: None,
-            });
+            if let Some(log) = &mut self.log {
+                let observed = None; // served from the write buffer
+                log.op(
+                    OpKind::Read {
+                        line: var.id(),
+                        observed,
+                    },
+                    var.label(),
+                );
+            }
             return Ok(value);
         }
         if self.level == IsolationLevel::Serializable {
@@ -360,20 +386,22 @@ impl Tx {
         let (value, ts) = match var.read_versioned_at(self.snapshot) {
             Ok(read) => read,
             Err(err) => {
-                // The snapshot's version fell off the bounded history:
-                // a capacity eviction in the forensic taxonomy.
-                self.record_forensic(
-                    ForensicCause::CapacityEviction,
-                    var.id(),
-                    Some(var.inner.newest_ts()),
-                );
+                if let Some(log) = &mut self.log {
+                    log.doom(err, var.id(), var.inner.newest_ts());
+                }
                 return Err(err.into());
             }
         };
-        self.record_op(OpKind::Read {
-            line: var.id(),
-            observed: Some(ts),
-        });
+        if let Some(log) = &mut self.log {
+            let observed = Some(ts);
+            log.op(
+                OpKind::Read {
+                    line: var.id(),
+                    observed,
+                },
+                var.label(),
+            );
+        }
         Ok(value)
     }
 
@@ -381,14 +409,9 @@ impl Tx {
     /// transaction's subsequent reads and published atomically at
     /// commit.
     pub fn write<T: Clone + Send + Sync + 'static>(&mut self, var: &TVar<T>, value: T) {
-        if let Some(r) = &self.recorder {
-            r.record(TxEvent::Write {
-                tx: self.attempt_id,
-                var: var.id(),
-                label: var.label(),
-            });
+        if let Some(log) = &mut self.log {
+            log.op(OpKind::Write { line: var.id() }, var.label());
         }
-        self.record_op(OpKind::Write { line: var.id() });
         self.writes.insert(
             var.id(),
             PendingWrite {
@@ -404,14 +427,9 @@ impl Tx {
     /// trigger an abort in the case of a write skew. However, a promoted
     /// read ... does not create new data versions").
     pub fn promote<T: Clone + Send + Sync + 'static>(&mut self, var: &TVar<T>) {
-        if let Some(r) = &self.recorder {
-            r.record(TxEvent::Promote {
-                tx: self.attempt_id,
-                var: var.id(),
-                label: var.label(),
-            });
+        if let Some(log) = &mut self.log {
+            log.op(OpKind::Promote { line: var.id() }, var.label());
         }
-        self.record_op(OpKind::Promote { line: var.id() });
         self.promoted
             .entry(var.id())
             .or_insert_with(|| var.inner.clone() as Arc<dyn VarOps>);
@@ -424,53 +442,21 @@ impl Tx {
 
     /// Attempts to commit. Consumes the transaction.
     pub(crate) fn commit(mut self) -> Result<CommitReceipt, Conflict> {
-        let recorder = self.recorder.clone();
-        let attempt_id = self.attempt_id;
-        let history = self.history.take();
         let result = self.commit_inner();
-        if let Some(r) = &recorder {
-            r.record(match result {
-                Ok(_) => TxEvent::Commit { tx: attempt_id },
-                Err(_) => TxEvent::Abort { tx: attempt_id },
-            });
-        }
-        if let Some((sink, builder)) = history {
-            let seq = sink.next_seq();
-            sink.push(match result {
-                Ok(receipt) => builder.commit(seq, receipt.end),
-                Err(conflict) => builder.abort(seq, conflict.label()),
+        if let Some(log) = &mut self.log {
+            log.finish(match &result {
+                Ok(receipt) => Ok(receipt.end),
+                Err(conflict) => Err(conflict.label()),
             });
         }
         result
-    }
-
-    /// Records a deliberate client rollback ([`crate::Stm::abort`]) in
-    /// the history, as `aborted:explicit`. Installs nothing and frees
-    /// every resource the transaction held (the epoch-registry slot is
-    /// released by the drop at the end of this call).
-    pub(crate) fn record_explicit_abort(mut self) {
-        if let Some((sink, builder)) = self.history.take() {
-            let seq = sink.next_seq();
-            sink.push(builder.abort(seq, "explicit"));
-        }
-    }
-
-    /// Records the abort of a transaction whose *body* hit a conflict
-    /// (e.g. [`Conflict::SnapshotTooOld`] on a read), so `commit` never
-    /// runs. Without this the attempt would silently vanish from the
-    /// history and the oracle would refuse to certify it.
-    pub(crate) fn record_failure(mut self, conflict: Conflict) {
-        if let Some((sink, builder)) = self.history.take() {
-            let seq = sink.next_seq();
-            sink.push(builder.abort(seq, conflict.label()));
-        }
     }
 
     /// On success returns the commit receipt: the timestamp the writes
     /// were installed at (`None` for read-only / promotion-only
     /// commits, which publish nothing and take no clock tick) plus the
     /// epoch-GC accounting of the install pass.
-    fn commit_inner(self) -> Result<CommitReceipt, Conflict> {
+    fn commit_inner(&mut self) -> Result<CommitReceipt, Conflict> {
         // Read-only transactions validate only explicit promotions: a
         // pure snapshot reader is consistent as-of its snapshot and
         // commits free of charge even under `Serializable` (it
@@ -510,7 +496,9 @@ impl Tx {
             if newest > self.snapshot && !mutate_skip_fcw() {
                 // First-committer-wins: the winner's install stamped
                 // `newest`, which names it for forensics.
-                self.record_forensic(ForensicCause::WriteWriteFcw, w.var.id(), Some(newest));
+                if let Some(log) = &mut self.log {
+                    log.doom(Conflict::WriteWrite, w.var.id(), newest);
+                }
                 return Err(Conflict::WriteWrite);
             }
         }
@@ -520,7 +508,9 @@ impl Tx {
             }
             let newest = var.newest_ts();
             if newest > self.snapshot {
-                self.record_forensic(ForensicCause::ReadValidation, *id, Some(newest));
+                if let Some(log) = &mut self.log {
+                    log.doom(Conflict::ReadValidation, *id, newest);
+                }
                 return Err(Conflict::ReadValidation);
             }
         }
@@ -552,7 +542,7 @@ impl Tx {
         let end = epoch::commit_tick(floor);
         let watermark = epoch::gc_watermark(end);
         let mut retired = 0;
-        for (_, w) in self.writes {
+        for (_, w) in std::mem::take(&mut self.writes) {
             retired += w.var.install(end, w.value, watermark);
         }
         Ok(CommitReceipt {

@@ -112,6 +112,83 @@ fn dst_same_seed_replays_byte_identical() {
     }
 }
 
+/// One seeded interleaving of [`THREADS`] hand-driven transfer
+/// transactions (`Stm::begin` .. `Stm::commit`, stepped one operation
+/// at a time in an order drawn from `seed`), with history recording on
+/// or off. Returns the final balances and the runtime's commit and
+/// per-kind abort counts.
+fn stepped_run(seed: u64, record: bool) -> (Vec<i64>, [u64; 4]) {
+    model_support::reset();
+    model_support::break_fcw_validation(false);
+    model_support::break_commit_tick_floor(false);
+    let stm = if record {
+        Stm::snapshot().with_history(4096)
+    } else {
+        Stm::snapshot()
+    };
+    let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(BALANCE)).collect();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    // Per lane: the open transaction, how many operations it has
+    // issued, and the transfer it performs.
+    let mut lanes: Vec<Option<(sitm_stm::Tx, usize, usize, usize)>> =
+        (0..THREADS).map(|_| None).collect();
+    for _ in 0..THREADS * TRANSFERS * 8 {
+        let lane = rng.gen_range(0..THREADS);
+        lanes[lane] = match lanes[lane].take() {
+            None => {
+                let from = rng.gen_range(0..ACCOUNTS);
+                let to = (from + rng.gen_range(1..ACCOUNTS)) % ACCOUNTS;
+                Some((stm.begin(), 0, from, to))
+            }
+            Some((mut tx, step, from, to)) => match step {
+                0 | 1 => {
+                    let (account, delta) = if step == 0 { (from, -7) } else { (to, 7) };
+                    let balance = tx.read(&accounts[account]).expect("dynamic retention");
+                    tx.write(&accounts[account], balance + delta);
+                    Some((tx, step + 1, from, to))
+                }
+                _ => {
+                    let _ = stm.commit(tx); // a conflict is counted, not retried
+                    None
+                }
+            },
+        };
+    }
+    drop(lanes); // open transactions roll back
+    let stats = stm.stats();
+    (
+        accounts.iter().map(TVar::load).collect(),
+        [
+            stats.commits(),
+            stats.write_write_aborts(),
+            stats.read_validation_aborts(),
+            stats.snapshot_too_old_aborts(),
+        ],
+    )
+}
+
+#[test]
+fn dst_recording_does_not_change_what_is_observed() {
+    // Turning the history on must not alter the execution it records:
+    // the same seeded schedule ends in the same balances and the same
+    // commit and abort counts either way.
+    let mut aborts = 0;
+    for seed in [0x0B5E_0001u64, 0x0B5E_0002, 0x0B5E_0003] {
+        let run = |record: bool| {
+            dst::run_seeded(seed, FaultPlan::default(), move || {
+                stepped_run(seed, record)
+            })
+            .0
+        };
+        let (plain, recorded) = (run(false), run(true));
+        assert_eq!(plain, recorded, "seed {seed:#x}: recording changed the run");
+        assert_eq!(plain.0.iter().sum::<i64>(), ACCOUNTS as i64 * BALANCE);
+        assert!(plain.1[0] > 0, "seed {seed:#x} committed nothing");
+        aborts += plain.1[1];
+    }
+    assert!(aborts > 0, "no schedule made two transfers collide");
+}
+
 #[test]
 fn dst_fault_plan_injects_stalls() {
     // Across a small seed sweep the default plan (8% stall chance per

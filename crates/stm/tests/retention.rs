@@ -215,6 +215,7 @@ fn gc_bounds_spill_growth_under_write_heavy_load() {
 /// inconsistencies.
 #[test]
 fn long_scan_readers_never_abort_under_churn() {
+    let _guard = serial();
     const CELLS: usize = 128;
     const SCANS: usize = 100;
     const WRITES_PER_WRITER: u64 = 2_000;

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread;
 
 use sitm_skew::analyze;
-use sitm_stm::{Stm, TVar, VecRecorder};
+use sitm_stm::{Stm, TVar};
 
 /// A transactional FIFO-ish queue built from TVars: producers append to
 /// a grow-only log, consumers claim indices. All effects must be exactly
@@ -84,19 +84,15 @@ fn serializable_preserves_invariant_under_contention() {
     }
 }
 
-/// The recorder + analyzer pipeline on a trace produced by real
-/// threads: a skew-prone workload is flagged; a promotion-fixed one is
-/// clean of *unprotected* cycles.
+/// The history + analyzer pipeline on a history recorded from real
+/// threads: a skew-prone workload is flagged, with both variables
+/// named.
 #[test]
 fn skew_pipeline_on_real_traces() {
-    // Produce an overlapping trace deterministically using two
-    // hand-interleaved transactions through the internal begin API is
-    // not public; instead run the two withdrawals with a barrier that
-    // maximizes overlap and retry until the trace contains an actual
-    // overlap.
+    // Run the two withdrawals behind a barrier that maximizes overlap
+    // and retry until the recorded history contains an actual overlap.
     for _ in 0..500 {
-        let recorder = Arc::new(VecRecorder::new());
-        let stm = Arc::new(Stm::snapshot().with_recorder(recorder.clone()));
+        let stm = Arc::new(Stm::snapshot().with_history(64));
         let checking = TVar::new_labeled("checking", 60i64);
         let saving = TVar::new_labeled("saving", 60i64);
         let barrier = Arc::new(std::sync::Barrier::new(2));
@@ -124,7 +120,7 @@ fn skew_pipeline_on_real_traces() {
                 });
             }
         });
-        let report = analyze(&recorder.take());
+        let report = analyze(&stm.history().expect("recording is on"));
         if !report.is_clean() {
             // Found an overlapping schedule: the analyzer must name both
             // variables and propose promotions.
