@@ -193,11 +193,17 @@ impl AtomicHistogram {
     }
 
     /// Records one sample. Lock-free; safe to call from any thread
-    /// through a shared reference.
+    /// through a shared reference. A sample that cannot change `sum`
+    /// (zero) or `max` (not above it) writes neither: the bucket count
+    /// is then the only line the call dirties.
     pub fn record(&self, value: u64) {
         self.counts[Histogram::bucket_of(value) as usize].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        if value != 0 {
+            self.sum.fetch_add(value, Ordering::Relaxed);
+        }
+        if self.max.load(Ordering::Relaxed) < value {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Number of samples recorded (sum of all bucket counts).
@@ -459,7 +465,9 @@ mod tests {
     fn atomic_histogram_matches_sequential_histogram() {
         let atomic = AtomicHistogram::new();
         let mut plain = Histogram::new();
-        for v in [0, 1, 2, 3, 7, 100, 1 << 40] {
+        // Zeros, repeats and samples below the running maximum take
+        // the paths that skip the `sum` / `max` writes.
+        for v in [0, 1, 2, 3, 7, 100, 1 << 40, 5, 0, 100, 1 << 40] {
             atomic.record(v);
             plain.record(v);
         }

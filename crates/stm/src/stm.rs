@@ -12,15 +12,29 @@ use sitm_obs::{
     AtomicHistogram, ForensicsSnapshot, Histogram, History, MetricsRegistry, Observable, SmallRng,
 };
 
+use crate::epoch;
 use crate::error::{Conflict, StmError};
-use crate::txn::{HistorySink, IsolationLevel, Tx};
+use crate::txn::{CommitReceipt, HistorySink, IsolationLevel, Tx};
 
-/// Commit/abort counters of an [`Stm`] runtime. Every field is a plain
-/// atomic (including the retry distribution, an
-/// [`AtomicHistogram`]), so recording from the commit path never takes
-/// a lock and scales with committing threads.
-#[derive(Debug, Default)]
+/// Commit/abort counters of an [`Stm`] runtime, sharded by thread: a
+/// committing thread counts into the cache-line-aligned cell its
+/// thread index selects — the index that already picks its commit-clock
+/// shard — with plain relaxed atomics, so recording from the commit
+/// path takes no lock and writes no line another thread's transactions
+/// write (until more threads than cells are committing, when indices
+/// wrap and two threads share one). Every getter folds the cells: sums
+/// for the counters and the retry distribution, the maximum for the
+/// watermark lag. A fold taken while threads are committing is a lower
+/// bound, not an atomic cut; it is exact once they quiesce.
+#[derive(Default)]
 pub struct StmStats {
+    cells: [StatsCell; epoch::SHARDS],
+}
+
+/// One thread group's share of the [`StmStats`] counters.
+#[derive(Default)]
+#[repr(align(128))]
+struct StatsCell {
     commits: AtomicU64,
     write_write_aborts: AtomicU64,
     snapshot_too_old_aborts: AtomicU64,
@@ -42,26 +56,53 @@ pub struct StmStats {
     watermark_lag_max: AtomicU64,
 }
 
+impl std::fmt::Debug for StmStats {
+    /// The folded totals, not the cells.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StmStats")
+            .field("commits", &self.commits())
+            .field("write_write_aborts", &self.write_write_aborts())
+            .field("snapshot_too_old_aborts", &self.snapshot_too_old_aborts())
+            .field("read_validation_aborts", &self.read_validation_aborts())
+            .field("backoffs", &self.backoffs())
+            .field("backoff_ns", &self.backoff_ns())
+            .field("versions_retired", &self.versions_retired())
+            .field("watermark_lag_max", &self.watermark_lag_max())
+            .finish_non_exhaustive()
+    }
+}
+
 impl StmStats {
+    /// The calling thread's cell.
+    fn cell(&self) -> &StatsCell {
+        &self.cells[epoch::thread_index() % epoch::SHARDS]
+    }
+
+    /// Sum of one counter over every cell.
+    fn sum(&self, counter: impl Fn(&StatsCell) -> &AtomicU64) -> u64 {
+        let load = |cell| counter(cell).load(Ordering::Relaxed);
+        self.cells.iter().map(load).sum()
+    }
+
     /// Committed transactions.
     pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
+        self.sum(|cell| &cell.commits)
     }
 
     /// Aborts due to write-write conflicts.
     pub fn write_write_aborts(&self) -> u64 {
-        self.write_write_aborts.load(Ordering::Relaxed)
+        self.sum(|cell| &cell.write_write_aborts)
     }
 
     /// Aborts because a snapshot outlived the bounded version history.
     pub fn snapshot_too_old_aborts(&self) -> u64 {
-        self.snapshot_too_old_aborts.load(Ordering::Relaxed)
+        self.sum(|cell| &cell.snapshot_too_old_aborts)
     }
 
     /// Aborts due to read/promotion validation (serializable mode and
     /// promoted reads).
     pub fn read_validation_aborts(&self) -> u64 {
-        self.read_validation_aborts.load(Ordering::Relaxed)
+        self.sum(|cell| &cell.read_validation_aborts)
     }
 
     /// All aborts.
@@ -72,25 +113,29 @@ impl StmStats {
     /// A copy of the retry distribution (aborted attempts per committed
     /// transaction, log2 buckets).
     pub fn retry_histogram(&self) -> Histogram {
-        self.retries.snapshot()
+        let mut retries = Histogram::new();
+        for cell in &self.cells {
+            retries.merge(&cell.retries.snapshot());
+        }
+        retries
     }
 
     /// Backoff waits performed (one per aborted [`Stm::atomically`]
     /// attempt).
     pub fn backoffs(&self) -> u64 {
-        self.backoffs.load(Ordering::Relaxed)
+        self.sum(|cell| &cell.backoffs)
     }
 
     /// Total host nanoseconds spent waiting in contention backoff.
     pub fn backoff_ns(&self) -> u64 {
-        self.backoff_ns.load(Ordering::Relaxed)
+        self.sum(|cell| &cell.backoff_ns)
     }
 
     /// Versions reclaimed (epoch GC on dynamically retained `TVar`s,
     /// discard-oldest eviction on capped ones) by this runtime's
     /// commits.
     pub fn versions_retired(&self) -> u64 {
-        self.versions_retired.load(Ordering::Relaxed)
+        self.sum(|cell| &cell.versions_retired)
     }
 
     /// Largest observed gap between a commit timestamp and the GC
@@ -98,14 +143,33 @@ impl StmStats {
     /// overhang long-lived snapshots imposed at their worst. Zero until
     /// the first write commit.
     pub fn watermark_lag_max(&self) -> u64 {
-        self.watermark_lag_max.load(Ordering::Relaxed)
+        let lag = |cell: &StatsCell| cell.watermark_lag_max.load(Ordering::Relaxed);
+        self.cells.iter().map(lag).max().unwrap_or(0)
+    }
+
+    /// Counts one committed transaction and its receipt's GC
+    /// accounting.
+    fn count_commit(&self, receipt: &CommitReceipt) {
+        let cell = self.cell();
+        cell.commits.fetch_add(1, Ordering::Relaxed);
+        if receipt.versions_retired > 0 {
+            cell.versions_retired
+                .fetch_add(receipt.versions_retired, Ordering::Relaxed);
+        }
+        if let Some(lag) = receipt.watermark_lag {
+            // The maximum rarely moves: look before writing.
+            if cell.watermark_lag_max.load(Ordering::Relaxed) < lag {
+                cell.watermark_lag_max.fetch_max(lag, Ordering::Relaxed);
+            }
+        }
     }
 
     fn count(&self, conflict: Conflict) {
+        let cell = self.cell();
         let counter = match conflict {
-            Conflict::WriteWrite => &self.write_write_aborts,
-            Conflict::SnapshotTooOld => &self.snapshot_too_old_aborts,
-            Conflict::ReadValidation => &self.read_validation_aborts,
+            Conflict::WriteWrite => &cell.write_write_aborts,
+            Conflict::SnapshotTooOld => &cell.snapshot_too_old_aborts,
+            Conflict::ReadValidation => &cell.read_validation_aborts,
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
@@ -124,7 +188,7 @@ impl Observable for StmStats {
         reg.count("stm.backoff_ns", self.backoff_ns());
         reg.count("stm.versions_retired", self.versions_retired());
         reg.gauge("stm.watermark_lag_max", self.watermark_lag_max() as f64);
-        reg.merge_histogram("stm.retries", &self.retries.snapshot());
+        reg.merge_histogram("stm.retries", &self.retry_histogram());
     }
 }
 
@@ -285,8 +349,7 @@ impl Stm {
     pub fn commit(&self, tx: Tx) -> Result<Option<u64>, Conflict> {
         match tx.commit() {
             Ok(receipt) => {
-                self.stats.commits.fetch_add(1, Ordering::Relaxed);
-                self.absorb_receipt(&receipt);
+                self.stats.count_commit(&receipt);
                 Ok(receipt.end)
             }
             Err(conflict) => {
@@ -305,20 +368,6 @@ impl Stm {
     /// does exactly the same.
     pub fn abort(&self, tx: Tx) {
         drop(tx);
-    }
-
-    /// Folds a commit receipt's GC accounting into the runtime stats.
-    fn absorb_receipt(&self, receipt: &crate::txn::CommitReceipt) {
-        if receipt.versions_retired > 0 {
-            self.stats
-                .versions_retired
-                .fetch_add(receipt.versions_retired, Ordering::Relaxed);
-        }
-        if let Some(lag) = receipt.watermark_lag {
-            self.stats
-                .watermark_lag_max
-                .fetch_max(lag, Ordering::Relaxed);
-        }
     }
 
     /// Runs `body` transactionally, retrying on conflicts until it
@@ -371,16 +420,16 @@ impl Stm {
         loop {
             match self.try_atomically(&mut body) {
                 Ok(value) => {
-                    self.stats.retries.record(attempt as u64);
+                    self.stats.cell().retries.record(attempt as u64);
                     return value;
                 }
                 Err(conflict) => {
                     let _ = conflict;
                     let waited = Instant::now();
                     BACKOFF_RNG.with(|rng| backoff(attempt, &mut rng.borrow_mut()));
-                    self.stats.backoffs.fetch_add(1, Ordering::Relaxed);
-                    self.stats
-                        .backoff_ns
+                    let cell = self.stats.cell();
+                    cell.backoffs.fetch_add(1, Ordering::Relaxed);
+                    cell.backoff_ns
                         .fetch_add(waited.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     attempt = attempt.saturating_add(1);
                 }

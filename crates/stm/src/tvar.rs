@@ -161,6 +161,55 @@ impl<T> VarInner<T> {
             }
         }
     }
+
+    /// Installs `value` at `ts`, then garbage-collects the chain
+    /// against `watermark` — the live-snapshot lower bound from
+    /// `epoch::gc_watermark` — and returns the number of versions
+    /// reclaimed. The caller must hold the commit lock; the new write
+    /// stamp is published into the lock word (still locked) so it
+    /// becomes the validation timestamp the instant the lock is
+    /// released.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ts` is not newer than the newest version or the
+    /// commit lock is not held.
+    pub(crate) fn install(&self, ts: u64, value: T, watermark: u64) -> u64 {
+        assert!(
+            self.stamp.load(Ordering::Relaxed) & LOCK_BIT != 0,
+            "install requires the commit lock"
+        );
+        let mut chain = lock_versions(&self.chain);
+        assert!(
+            ts > chain.newest_ts,
+            "install out of order: {ts} <= {}",
+            chain.newest_ts
+        );
+        // Spill the superseded newest behind the inline slot, then
+        // trim whatever this install made unreachable.
+        let prev_ts = std::mem::replace(&mut chain.newest_ts, ts);
+        let prev = std::mem::replace(&mut chain.newest, value);
+        chain.older.push_back((prev_ts, prev));
+        let dropped = if self.cap == DYNAMIC {
+            chain.trim(watermark)
+        } else {
+            // Discard-oldest within the version cap.
+            let mut dead = 0;
+            while 1 + chain.older.len() > self.cap {
+                chain.older.pop_front();
+                dead += 1;
+            }
+            dead
+        };
+        if dropped > 0 {
+            chain.truncated = true;
+            self.retired.fetch_add(dropped, Ordering::Relaxed);
+        }
+        // Publish the new write stamp while still holding the lock:
+        // validators that acquire this lock next see `ts` immediately.
+        self.stamp.store((ts << 1) | LOCK_BIT, Ordering::Release);
+        dropped
+    }
 }
 
 /// A transactional variable holding multiversioned values of type `T`.
@@ -398,11 +447,10 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
 /// every written *and* validated variable in ascending id order (the
 /// global order that makes concurrent commits deadlock-free), then
 /// [`VarOps::newest_ts`] to validate first-committer-wins, then
-/// [`VarOps::install`] for its writes, and finally
+/// [`PendingWrite::install`] for its writes, and finally
 /// [`VarOps::unlock_commit`] on everything. Transactions with disjoint
 /// lock sets never touch a shared lock.
 pub(crate) trait VarOps: Send + Sync {
-    fn id(&self) -> u64;
     /// Timestamp of the newest fully installed version (from the
     /// stamp word; never blocks).
     fn newest_ts(&self) -> u64;
@@ -411,27 +459,9 @@ pub(crate) trait VarOps: Send + Sync {
     fn lock_commit(&self);
     /// Releases the commit lock, preserving the write stamp.
     fn unlock_commit(&self);
-    /// Installs `value` (of the variable's concrete type) at `ts`,
-    /// then garbage-collects the chain against `watermark` — the
-    /// live-snapshot lower bound from `epoch::gc_watermark` — and
-    /// returns the number of versions reclaimed. The caller must hold
-    /// the commit lock; the new write stamp is published into the lock
-    /// word (still locked) so it becomes the validation timestamp the
-    /// instant the lock is released.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` has the wrong type (unreachable through the
-    /// typed API), `ts` is not newer than the newest version, or the
-    /// commit lock is not held.
-    fn install(&self, ts: u64, value: Box<dyn Any + Send>, watermark: u64) -> u64;
 }
 
 impl<T: Clone + Send + Sync + 'static> VarOps for VarInner<T> {
-    fn id(&self) -> u64 {
-        self.id
-    }
-
     fn newest_ts(&self) -> u64 {
         self.stamp.load(Ordering::Acquire) >> 1
     }
@@ -460,45 +490,46 @@ impl<T: Clone + Send + Sync + 'static> VarOps for VarInner<T> {
     fn unlock_commit(&self) {
         self.stamp.fetch_and(!LOCK_BIT, Ordering::Release);
     }
+}
 
-    fn install(&self, ts: u64, value: Box<dyn Any + Send>, watermark: u64) -> u64 {
-        assert!(
-            self.stamp.load(Ordering::Relaxed) & LOCK_BIT != 0,
-            "install requires the commit lock"
-        );
-        let value = *value
-            .downcast::<T>()
-            .expect("pending write type matches its TVar");
-        let mut chain = lock_versions(&self.chain);
-        assert!(
-            ts > chain.newest_ts,
-            "install out of order: {ts} <= {}",
-            chain.newest_ts
-        );
-        // Spill the superseded newest behind the inline slot, then
-        // trim whatever this install made unreachable.
-        let prev_ts = std::mem::replace(&mut chain.newest_ts, ts);
-        let prev = std::mem::replace(&mut chain.newest, value);
-        chain.older.push_back((prev_ts, prev));
-        let dropped = if self.cap == DYNAMIC {
-            chain.trim(watermark)
-        } else {
-            // Discard-oldest within the version cap.
-            let mut dead = 0;
-            while 1 + chain.older.len() > self.cap {
-                chain.older.pop_front();
-                dead += 1;
-            }
-            dead
-        };
-        if dropped > 0 {
-            chain.truncated = true;
-            self.retired.fetch_add(dropped, Ordering::Relaxed);
+/// One buffered write of a transaction, type-erased: the single heap
+/// allocation a [`crate::Tx::write`] makes. It owns the typed variable
+/// handle and the value, so it can install itself at commit without a
+/// downcast, and it keeps the handle afterwards so the commit can
+/// still release the variable's lock.
+pub(crate) trait PendingWrite: Send {
+    /// The written variable (id, stamp, commit lock).
+    fn var(&self) -> &dyn VarOps;
+    /// The concrete [`Buffered<T>`], for reads of the transaction's
+    /// own write.
+    fn as_any(&self) -> &dyn Any;
+    /// Installs the buffered value at `ts` ([`VarInner::install`]) and
+    /// returns the number of versions reclaimed; a second call
+    /// installs nothing.
+    fn install(&mut self, ts: u64, watermark: u64) -> u64;
+}
+
+/// The concrete [`PendingWrite`] of a `TVar<T>`.
+pub(crate) struct Buffered<T> {
+    pub(crate) var: Arc<VarInner<T>>,
+    /// `None` once installed.
+    pub(crate) value: Option<T>,
+}
+
+impl<T: Clone + Send + Sync + 'static> PendingWrite for Buffered<T> {
+    fn var(&self) -> &dyn VarOps {
+        &*self.var
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn install(&mut self, ts: u64, watermark: u64) -> u64 {
+        match self.value.take() {
+            Some(value) => self.var.install(ts, value, watermark),
+            None => 0,
         }
-        // Publish the new write stamp while still holding the lock:
-        // validators that acquire this lock next see `ts` immediately.
-        self.stamp.store((ts << 1) | LOCK_BIT, Ordering::Release);
-        dropped
     }
 }
 
@@ -515,7 +546,7 @@ mod tests {
         wm: u64,
     ) -> u64 {
         v.inner.lock_commit();
-        let dropped = v.inner.install(ts, Box::new(value), wm);
+        let dropped = v.inner.install(ts, value, wm);
         v.inner.unlock_commit();
         dropped
     }
@@ -631,7 +662,7 @@ mod tests {
         };
         // The reader spins against the held lock; install the pending
         // version, then release — the reader must observe it.
-        v.inner.install(5, Box::new(42u32), 0);
+        v.inner.install(5, 42u32, 0);
         std::thread::sleep(std::time::Duration::from_millis(10));
         v.inner.unlock_commit();
         assert_eq!(reader.join().unwrap(), Ok(42));
@@ -662,6 +693,6 @@ mod tests {
     #[should_panic(expected = "requires the commit lock")]
     fn unlocked_install_panics() {
         let v = TVar::new(0u32);
-        v.inner.install(5, Box::new(1u32), 0);
+        v.inner.install(5, 1u32, 0);
     }
 }

@@ -12,7 +12,10 @@
 //!    locked variable has a version newer than the snapshot
 //!    (write-write conflicts; plus read/promoted-set validation under
 //!    the serializable level), obtain an end timestamp from the global
-//!    clock, install the new versions, and unlock.
+//!    clock, install the new versions, and unlock. The write set is
+//!    kept in lock order as it is built, so the lock pass walks it
+//!    where it lies (merged with the validation set when there is
+//!    one).
 //!
 //! Because validation and installation happen while holding the locks
 //! of every variable involved, the commit point is atomic with respect
@@ -33,7 +36,6 @@
 //! registry's watermark is what lets commits garbage-collect versions
 //! no live snapshot can reach (DESIGN.md §14).
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -43,7 +45,7 @@ use crate::epoch;
 use crate::error::{Conflict, StmError};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
-use crate::tvar::{lock_versions, TVar, VarOps};
+use crate::tvar::{lock_versions, Buffered, PendingWrite, TVar, VarOps};
 
 /// Thread-safe collector of finished transaction records plus the
 /// global operation sequence counter, shared by every [`Tx`] an
@@ -162,34 +164,93 @@ impl Drop for TxLog {
     }
 }
 
-/// RAII holder of a commit's per-variable locks: acquired in ascending
-/// `var_id` order, released (in any order — release order cannot
-/// deadlock) when dropped, including on validation failure and on
-/// panic, so a dying commit can never strand a variable locked.
-struct CommitLocks {
-    vars: Vec<Arc<dyn VarOps>>,
+/// One entry of a transaction's write set: the written variable's id
+/// (inline, so searching the set touches no other allocation) and the
+/// boxed write itself.
+struct WriteEntry {
+    id: u64,
+    write: Box<dyn PendingWrite>,
 }
 
-impl CommitLocks {
-    /// Locks every variable yielded by `vars`, which must arrive in
-    /// ascending id order (callers iterate a `BTreeMap` keyed by id).
-    fn acquire<'a>(vars: impl Iterator<Item = &'a Arc<dyn VarOps>>) -> Self {
-        let mut locked: Vec<Arc<dyn VarOps>> = Vec::with_capacity(vars.size_hint().0);
-        for var in vars {
+/// A variable of a commit's lock set, with its id alongside.
+type VarRef<'v> = (u64, &'v dyn VarOps);
+
+/// Merges two id-ascending sequences into one. Where both hold an id,
+/// `a`'s item is kept and `b`'s dropped.
+fn merge_by_id<'v>(
+    a: impl Iterator<Item = VarRef<'v>>,
+    b: impl Iterator<Item = VarRef<'v>>,
+) -> impl Iterator<Item = VarRef<'v>> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(&(x, _)), Some(&(y, _))) if y < x => b.next(),
+        (Some(&(x, _)), Some(&(y, _))) if x == y => {
+            b.next();
+            a.next()
+        }
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
+/// The order a commit locks its variables in.
+fn lock_order<'s>(
+    writes: &'s [WriteEntry],
+    validate: &'s [VarRef<'s>],
+) -> impl Iterator<Item = VarRef<'s>> {
+    merge_by_id(
+        writes.iter().map(|w| (w.id, w.write.var())),
+        validate.iter().copied(),
+    )
+}
+
+/// RAII holder of a commit's per-variable locks. It borrows the
+/// transaction's write set and validation set — both ascending by
+/// `var_id` and disjoint, so their merge is the lock order — and
+/// counts how many variables of that order it has locked; dropping it
+/// releases exactly those (release order cannot deadlock), including
+/// on validation failure and on panic, so a dying commit can never
+/// strand a variable locked.
+struct CommitLocks<'a> {
+    writes: &'a mut [WriteEntry],
+    validate: &'a [VarRef<'a>],
+    locked: usize,
+}
+
+impl<'a> CommitLocks<'a> {
+    /// Locks every written and validated variable in ascending id
+    /// order (the global order that makes commits deadlock-free).
+    fn acquire(writes: &'a mut [WriteEntry], validate: &'a [VarRef<'a>]) -> Self {
+        let mut locks = CommitLocks {
+            writes,
+            validate,
+            locked: 0,
+        };
+        let mut prev = None;
+        for (id, var) in lock_order(locks.writes, locks.validate) {
             debug_assert!(
-                locked.last().is_none_or(|prev| prev.id() < var.id()),
+                prev.replace(id) < Some(id),
                 "commit locks must be acquired in ascending id order"
             );
             var.lock_commit();
-            locked.push(Arc::clone(var));
+            locks.locked += 1;
         }
-        CommitLocks { vars: locked }
+        locks
+    }
+
+    /// Installs every buffered write at `end`, trimming each chain
+    /// against `watermark`; returns the number of versions reclaimed.
+    fn install(&mut self, end: u64, watermark: u64) -> u64 {
+        self.writes
+            .iter_mut()
+            .map(|w| w.write.install(end, watermark))
+            .sum()
     }
 }
 
-impl Drop for CommitLocks {
+impl Drop for CommitLocks<'_> {
     fn drop(&mut self) {
-        for var in &self.vars {
+        for (_, var) in lock_order(self.writes, self.validate).take(self.locked) {
             var.unlock_commit();
         }
     }
@@ -214,23 +275,20 @@ pub enum IsolationLevel {
     Serializable,
 }
 
-/// A pending buffered write.
-struct PendingWrite {
-    var: Arc<dyn VarOps>,
-    value: Box<dyn Any + Send>,
-}
-
-impl std::fmt::Debug for PendingWrite {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PendingWrite(var {})", self.var.id())
-    }
-}
-
-/// An in-flight transaction. Obtained from [`crate::Stm::atomically`].
+/// An in-flight transaction. Obtained from [`crate::Stm::atomically`]
+/// or [`crate::Stm::begin`].
+///
+/// Reads go to the snapshot drawn at begin; writes are buffered — one
+/// heap allocation each, in a set kept sorted by variable id — and
+/// published together at commit. A `Snapshot`-level transaction that
+/// promotes nothing keeps no other per-access state, and its commit
+/// locks exactly that set, in the order it already lies in.
 pub struct Tx {
     snapshot: u64,
     level: IsolationLevel,
-    writes: BTreeMap<u64, PendingWrite>,
+    /// The write set: one entry per written variable, ascending by
+    /// `var_id` — which makes it the commit's lock order as it stands.
+    writes: Vec<WriteEntry>,
     /// The read log kept under `Serializable` for commit-time
     /// validation of update transactions.
     read_log: BTreeMap<u64, Arc<dyn VarOps>>,
@@ -314,7 +372,7 @@ impl Tx {
         Tx {
             snapshot,
             level,
-            writes: BTreeMap::new(),
+            writes: Vec::new(),
             read_log: BTreeMap::new(),
             promoted: BTreeMap::new(),
             log,
@@ -360,12 +418,7 @@ impl Tx {
         // never touched shared state, so it needs no read logging (the
         // write itself is validated at commit, which subsumes any
         // read-set check) and costs no validation work.
-        if let Some(pending) = self.writes.get(&var.id()) {
-            let value = pending
-                .value
-                .downcast_ref::<T>()
-                .expect("buffered value type matches its TVar")
-                .clone();
+        if let Some(value) = self.buffered(var).cloned() {
             if let Some(log) = &mut self.log {
                 let observed = None; // served from the write buffer
                 log.op(
@@ -412,13 +465,38 @@ impl Tx {
         if let Some(log) = &mut self.log {
             log.op(OpKind::Write { line: var.id() }, var.label());
         }
-        self.writes.insert(
-            var.id(),
-            PendingWrite {
-                var: var.inner.clone() as Arc<dyn VarOps>,
-                value: Box::new(value),
-            },
-        );
+        let id = var.id();
+        let write: Box<dyn PendingWrite> = Box::new(Buffered {
+            var: Arc::clone(&var.inner),
+            value: Some(value),
+        });
+        // Keep the set ascending by id: most bodies write in ascending
+        // order anyway, so try the end first. A second write to one
+        // variable replaces the first in place.
+        if self.writes.last().is_none_or(|last| last.id < id) {
+            self.writes.push(WriteEntry { id, write });
+        } else {
+            match self.writes.binary_search_by_key(&id, |w| w.id) {
+                Ok(at) => self.writes[at].write = write,
+                Err(at) => self.writes.insert(at, WriteEntry { id, write }),
+            }
+        }
+    }
+
+    /// This transaction's buffered value for `var`, if it wrote one.
+    fn buffered<T: Clone + Send + Sync + 'static>(&self, var: &TVar<T>) -> Option<&T> {
+        let id = var.id();
+        if self.writes.last().is_none_or(|last| last.id < id) {
+            // Nothing written (every read of a read-only transaction),
+            // or nothing this high.
+            return None;
+        }
+        let at = self.writes.binary_search_by_key(&id, |w| w.id).ok()?;
+        let write = self.writes[at].write.as_any().downcast_ref::<Buffered<T>>();
+        write
+            .expect("a variable id names one TVar<T>")
+            .value
+            .as_ref()
     }
 
     /// Promotes a read: the variable is validated at commit as if
@@ -460,61 +538,59 @@ impl Tx {
         // Read-only transactions validate only explicit promotions: a
         // pure snapshot reader is consistent as-of its snapshot and
         // commits free of charge even under `Serializable` (it
-        // serializes at its snapshot point).
+        // serializes at its snapshot point). Update transactions
+        // validate promotions plus (under `Serializable`) the full read
+        // log. A written variable is validated as a write, so it is
+        // left out here. Every `Snapshot`-level transaction that never
+        // promoted gets the empty set, which allocates nothing.
         let read_only = self.writes.is_empty();
-        let validate: Vec<(&u64, &Arc<dyn VarOps>)> = if read_only {
-            self.promoted.iter().collect()
-        } else {
-            // Update transactions validate promotions plus (under
-            // Serializable) the full read log.
-            self.promoted.iter().chain(self.read_log.iter()).collect()
-        };
+        let read_log = (!read_only).then_some(&self.read_log);
+        let writes = &self.writes;
+        let validate: Vec<VarRef<'_>> = merge_by_id(
+            self.promoted.iter().map(|(&id, var)| (id, &**var)),
+            read_log
+                .into_iter()
+                .flatten()
+                .map(|(&id, var)| (id, &**var)),
+        )
+        .filter(|(id, _)| writes.binary_search_by_key(id, |w| w.id).is_err())
+        .collect();
         if read_only && validate.is_empty() {
             return Ok(CommitReceipt::UNPUBLISHED);
         }
         // Acquire the commit locks of exactly this transaction's write
-        // + validation sets, in ascending var-id order (BTreeMap
-        // iteration order), deduplicated. Disjoint transactions touch
+        // + validation sets in ascending var-id order, in one pass over
+        // the two sets where they lie. Disjoint transactions touch
         // disjoint locks; the guard releases everything on every exit
         // path, including panics.
-        let mut lock_set: BTreeMap<u64, &Arc<dyn VarOps>> = BTreeMap::new();
-        for (&id, w) in &self.writes {
-            lock_set.insert(id, &w.var);
-        }
-        for &(&id, var) in &validate {
-            lock_set.entry(id).or_insert(var);
-        }
-        let _locks = CommitLocks::acquire(lock_set.into_values());
+        let mut locks = CommitLocks::acquire(&mut self.writes, &validate);
 
         // Validation (first-committer-wins): written and
         // promoted/read-validated variables must not have versions
         // newer than the snapshot. Holding their locks pins their write
         // stamps, so a concurrent commit can neither slip a version in
         // under us nor observe ours until we release.
-        for w in self.writes.values() {
-            let newest = w.var.newest_ts();
+        for w in locks.writes.iter() {
+            let newest = w.write.var().newest_ts();
             if newest > self.snapshot && !mutate_skip_fcw() {
                 // First-committer-wins: the winner's install stamped
                 // `newest`, which names it for forensics.
                 if let Some(log) = &mut self.log {
-                    log.doom(Conflict::WriteWrite, w.var.id(), newest);
+                    log.doom(Conflict::WriteWrite, w.id, newest);
                 }
                 return Err(Conflict::WriteWrite);
             }
         }
-        for (id, var) in validate {
-            if self.writes.contains_key(id) {
-                continue; // already checked as a write
-            }
+        for &(id, var) in &validate {
             let newest = var.newest_ts();
             if newest > self.snapshot {
                 if let Some(log) = &mut self.log {
-                    log.doom(Conflict::ReadValidation, *id, newest);
+                    log.doom(Conflict::ReadValidation, id, newest);
                 }
                 return Err(Conflict::ReadValidation);
             }
         }
-        if self.writes.is_empty() {
+        if read_only {
             // Promotion-only transaction: validation passed, nothing to
             // install.
             return Ok(CommitReceipt::UNPUBLISHED);
@@ -541,10 +617,7 @@ impl Tx {
         };
         let end = epoch::commit_tick(floor);
         let watermark = epoch::gc_watermark(end);
-        let mut retired = 0;
-        for (_, w) in std::mem::take(&mut self.writes) {
-            retired += w.var.install(end, w.value, watermark);
-        }
+        let retired = locks.install(end, watermark);
         Ok(CommitReceipt {
             end: Some(end),
             versions_retired: retired,
@@ -744,6 +817,146 @@ mod tests {
             tx.commit().unwrap();
             assert_eq!(v.load(), val);
         }
+    }
+
+    /// The ids of `tx`'s write set, in the order it holds them.
+    fn write_ids(tx: &Tx) -> Vec<u64> {
+        tx.writes.iter().map(|w| w.id).collect()
+    }
+
+    /// Every variable's commit lock is free: a fresh write to each
+    /// commits without blocking.
+    fn assert_unlocked(vars: &[TVar<u32>]) {
+        for var in vars {
+            let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+            tx.write(var, 77);
+            tx.commit().unwrap();
+        }
+    }
+
+    #[test]
+    fn writes_in_any_order_lock_ascending_and_commit() {
+        let vars: Vec<TVar<u32>> = (0..8).map(|_| TVar::new(0)).collect();
+        let ascending: Vec<u64> = vars.iter().map(TVar::id).collect();
+        // Descending, then a fixed shuffle; `CommitLocks::acquire`
+        // asserts the order it locks in.
+        for order in [[7, 6, 5, 4, 3, 2, 1, 0], [3, 7, 0, 5, 1, 6, 2, 4]] {
+            let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+            for (n, &i) in order.iter().enumerate() {
+                tx.write(&vars[i], n as u32 + 1);
+            }
+            assert_eq!(write_ids(&tx), ascending);
+            tx.commit().unwrap();
+            for (n, &i) in order.iter().enumerate() {
+                assert_eq!(vars[i].load(), n as u32 + 1);
+            }
+        }
+        assert_unlocked(&vars);
+    }
+
+    #[test]
+    fn a_second_write_replaces_the_first_and_installs_one_version() {
+        let low = TVar::new(0u32);
+        let var = TVar::new(0u32);
+        let high = TVar::new(0u32);
+        let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+        tx.write(&high, 1);
+        tx.write(&var, 1);
+        tx.write(&low, 1);
+        tx.write(&var, 2);
+        assert_eq!(write_ids(&tx), [low.id(), var.id(), high.id()]);
+        assert_eq!(tx.read(&var).unwrap(), 2);
+        let before = var.version_count() as u64 + var.retired_total();
+        tx.commit().unwrap();
+        assert_eq!(var.load(), 2);
+        assert_eq!(
+            var.version_count() as u64 + var.retired_total(),
+            before + 1,
+            "one version per written variable, however often it was written"
+        );
+    }
+
+    #[test]
+    fn self_reads_of_two_value_types() {
+        let count = TVar::new(1u64);
+        let name = TVar::new(String::from("old"));
+        let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+        tx.write(&name, String::from("new"));
+        tx.write(&count, 2);
+        assert_eq!(tx.read(&name).unwrap(), "new");
+        assert_eq!(tx.read(&count).unwrap(), 2);
+        tx.commit().unwrap();
+        assert_eq!((count.load(), name.load()), (2, String::from("new")));
+    }
+
+    #[test]
+    fn a_64_variable_commit_installs_at_one_timestamp() {
+        let vars: Vec<TVar<u32>> = (0..64).map(|_| TVar::new(0)).collect();
+        let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+        // Odd indices descending, then even ascending: neither end of
+        // the set is always the insertion point.
+        for i in (1..64).step_by(2).rev().chain((0..64).step_by(2)) {
+            tx.write(&vars[i], i as u32 + 1);
+        }
+        let end = tx.commit().unwrap().end.expect("a writer takes a tick");
+        for (i, var) in vars.iter().enumerate() {
+            assert_eq!(var.load(), i as u32 + 1);
+            assert_eq!(var.inner.newest_ts(), end);
+        }
+        assert_unlocked(&vars);
+    }
+
+    #[test]
+    fn a_promotion_between_two_writes_is_locked_in_merged_order() {
+        let vars: Vec<TVar<u32>> = (0..3).map(|_| TVar::new(0)).collect();
+        let [low, mid, high] = [&vars[0], &vars[1], &vars[2]];
+        // Unchallenged, the merged lock pass commits and releases all
+        // three.
+        let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+        tx.write(high, 1);
+        tx.promote(mid);
+        tx.write(low, 1);
+        tx.commit().unwrap();
+        assert_eq!(mid.load(), 0, "a promotion installs nothing");
+        assert_unlocked(&vars);
+
+        // A competitor that commits the promoted variable first wins.
+        let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+        let _ = tx.read(mid).unwrap();
+        tx.promote(mid);
+        tx.write(high, 2);
+        tx.write(low, 2);
+        let mut competitor = Tx::begin(IsolationLevel::Snapshot, None);
+        competitor.write(mid, 9);
+        competitor.commit().unwrap();
+        assert_eq!(tx.commit(), Err(Conflict::ReadValidation));
+        assert_eq!((low.load(), mid.load(), high.load()), (77, 9, 77));
+        assert_unlocked(&vars);
+    }
+
+    #[test]
+    fn opposite_write_orders_never_deadlock() {
+        let stm = crate::Stm::snapshot();
+        let (x, y) = (TVar::new(0u64), TVar::new(0u64));
+        const ROUNDS: u64 = 10_000;
+        std::thread::scope(|s| {
+            for flip in [false, true] {
+                let (stm, x, y) = (&stm, &x, &y);
+                s.spawn(move || {
+                    let (first, second) = if flip { (y, x) } else { (x, y) };
+                    for _ in 0..ROUNDS {
+                        stm.atomically(|tx| {
+                            let a = tx.read(first)?;
+                            tx.write(first, a + 1);
+                            let b = tx.read(second)?;
+                            tx.write(second, b + 1);
+                            Ok(())
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!((x.load(), y.load()), (2 * ROUNDS, 2 * ROUNDS));
     }
 
     #[test]

@@ -316,3 +316,125 @@ fn tlist_survives_adjacent_structural_churn() {
     );
     assert_eq!(len, 0);
 }
+
+/// The folded `StmStats` getters as `export_metrics` must name them.
+fn assert_export_matches_getters(stm: &Stm) {
+    let stats = stm.stats();
+    let mut reg = sitm_obs::MetricsRegistry::new();
+    stm.export_metrics(&mut reg);
+    let counters: Vec<(&str, u64)> = reg.counters().collect();
+    assert_eq!(
+        counters,
+        [
+            ("stm.aborts.read_validation", stats.read_validation_aborts()),
+            (
+                "stm.aborts.snapshot_too_old",
+                stats.snapshot_too_old_aborts()
+            ),
+            ("stm.aborts.write_write", stats.write_write_aborts()),
+            ("stm.backoff_ns", stats.backoff_ns()),
+            ("stm.backoffs", stats.backoffs()),
+            ("stm.commits", stats.commits()),
+            ("stm.versions_retired", stats.versions_retired()),
+        ]
+    );
+    let gauges: Vec<(&str, f64)> = reg.gauges().collect();
+    assert_eq!(
+        gauges,
+        [("stm.watermark_lag_max", stats.watermark_lag_max() as f64)]
+    );
+    let histograms: Vec<(&str, &sitm_obs::Histogram)> = reg.histograms().collect();
+    assert_eq!(histograms, [("stm.retries", &stats.retry_histogram())]);
+}
+
+#[test]
+fn sharded_stats_stay_exact_when_thread_indices_wrap() {
+    // More threads than statistics cells (16), so at least four cells
+    // are counted into by two threads at once: the fold must still be
+    // exact, not merely close.
+    const THREADS: u64 = 20;
+    let per_thread = ops(150) as u64;
+    let stm = Stm::snapshot();
+    let shared = TVar::new(0u64);
+    let body_runs = std::sync::atomic::AtomicU64::new(0);
+    let start = Barrier::new(THREADS as usize);
+    thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                let own = TVar::new(0u64);
+                start.wait();
+                for _ in 0..per_thread {
+                    stm.atomically(|tx| {
+                        body_runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let (mine, all) = (tx.read(&own)?, tx.read(&shared)?);
+                        tx.write(&own, mine + 1);
+                        tx.write(&shared, all + 1);
+                        Ok(())
+                    });
+                }
+                assert_eq!(own.load(), per_thread);
+            });
+        }
+    });
+    let committed = THREADS * per_thread;
+    assert_eq!(shared.load(), committed);
+    let stats = stm.stats();
+    assert_eq!(stats.commits(), committed);
+    let retries = stats.retry_histogram();
+    assert_eq!(retries.total(), committed, "one sample per committed txn");
+    assert_eq!(
+        stats.aborts(),
+        stats.write_write_aborts()
+            + stats.snapshot_too_old_aborts()
+            + stats.read_validation_aborts()
+    );
+    // Every run of the body ended in a commit or in an abort that
+    // waited exactly once.
+    let aborted = body_runs.into_inner() - committed;
+    assert_eq!(stats.aborts(), aborted);
+    assert_eq!(stats.write_write_aborts(), aborted, "only writers collide");
+    assert_eq!(stats.backoffs(), aborted);
+    assert_eq!(
+        stats.backoff_ns() > 0,
+        aborted > 0,
+        "waiting takes time, and only waiting does"
+    );
+    assert!(
+        stats.watermark_lag_max() > 0,
+        "a write commit lands above the watermark"
+    );
+    assert_export_matches_getters(&stm);
+}
+
+#[test]
+fn a_loser_on_another_thread_is_counted_once() {
+    let stm = Stm::snapshot();
+    let v = TVar::new(0u64);
+    let (in_body, winner_done) = (Barrier::new(2), Barrier::new(2));
+    thread::scope(|s| {
+        let loser = s.spawn(|| {
+            stm.try_atomically(&mut |tx| {
+                let cur = tx.read(&v)?;
+                tx.write(&v, cur + 1);
+                in_body.wait();
+                winner_done.wait();
+                Ok(())
+            })
+        });
+        in_body.wait();
+        stm.atomically(|tx| {
+            tx.write(&v, 10);
+            Ok(())
+        });
+        winner_done.wait();
+        assert_eq!(loser.join().unwrap(), Err(Conflict::WriteWrite));
+    });
+    assert_eq!(v.load(), 10);
+    let stats = stm.stats();
+    assert_eq!(stats.commits(), 1);
+    assert_eq!(stats.write_write_aborts(), 1);
+    assert_eq!(stats.aborts(), 1);
+    assert_eq!(stats.backoffs(), 0, "try_atomically does not wait");
+    assert_eq!(stats.retry_histogram().total(), 1);
+    assert_export_matches_getters(&stm);
+}
