@@ -31,6 +31,8 @@
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
+use std::fs::File;
+use std::io::Write;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -524,40 +526,54 @@ impl Default for HarnessOpts {
     }
 }
 
+/// The flags [`HarnessOpts::parse`] knows, printed after a parse error.
+const USAGE: &str =
+    "usage: [--quick] [--seeds N] [--threads N] [--jobs N] [--json PATH|-]  (N a positive integer)";
+
+/// The value following `flag`, parsed as a positive integer.
+fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{flag} needs a positive integer, got {value:?}")),
+    }
+}
+
 impl HarnessOpts {
     /// Parses `--quick` (tiny instances), `--seeds N`, `--threads N`,
-    /// `--jobs N` and `--json PATH` from the command line; everything
-    /// else is ignored.
-    pub fn from_args() -> Self {
+    /// `--jobs N` and `--json PATH` from `args` (the command line
+    /// without the program name). A known flag whose value is missing,
+    /// unparsable or zero is an error naming the flag; anything else is
+    /// ignored, because some binaries parse extra flags of their own
+    /// from the same arguments.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
         let mut opts = HarnessOpts::default();
-        let args: Vec<String> = std::env::args().collect();
-        for (i, arg) in args.iter().enumerate() {
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--quick" => opts.scale = Scale::Quick,
-                "--seeds" => {
-                    if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.seeds = n;
-                    }
-                }
-                "--threads" => {
-                    if let Some(n) = args.get(i + 1).and_then(|s| s.parse().ok()) {
-                        opts.threads = Some(n);
-                    }
-                }
-                "--jobs" => {
-                    if let Some(n) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                        opts.jobs = n.max(1);
-                    }
-                }
+                "--seeds" => opts.seeds = positive(arg, it.next())? as u64,
+                "--threads" => opts.threads = Some(positive(arg, it.next())?),
+                "--jobs" => opts.jobs = positive(arg, it.next())?,
                 "--json" => {
-                    if let Some(p) = args.get(i + 1) {
-                        opts.json = Some(p.clone());
-                    }
+                    let path = it.next().ok_or("--json needs a path (or `-` for stdout)")?;
+                    opts.json = Some(path.clone());
                 }
                 _ => {}
             }
         }
-        opts
+        Ok(opts)
+    }
+
+    /// [`HarnessOpts::parse`] over the process's command line; a parse
+    /// error prints the message and the usage line to stderr and exits
+    /// with status 2.
+    pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args).unwrap_or_else(|msg| {
+            eprintln!("{msg}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
     /// The `--threads` override, or the experiment's default.
@@ -690,22 +706,52 @@ pub fn report_from_grid(bench: &str, workload: &str, seeds: u64, out: &GridOutco
 /// narrative text in that mode).
 #[derive(Debug, Default)]
 pub struct ReportSink {
-    path: Option<String>,
+    /// `None` without `--json`, in which case pushes are dropped.
+    dest: Option<Dest>,
     sink: JsonlSink,
 }
 
+/// Where [`ReportSink::finish`] writes the document.
+#[derive(Debug)]
+enum Dest {
+    Stdout,
+    File { path: String, file: File },
+}
+
 impl ReportSink {
-    /// A sink honoring `opts.json`.
+    /// A sink honoring `opts.json`. The output file is created (and
+    /// truncated) here, so an unwritable path costs no computed
+    /// results: it is a one-line error on stderr and exit status 2
+    /// before the sweep starts.
     pub fn new(opts: &HarnessOpts) -> Self {
-        ReportSink {
-            path: opts.json.clone(),
+        Self::open(opts).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        })
+    }
+
+    fn open(opts: &HarnessOpts) -> Result<Self, String> {
+        let dest = match opts.json.as_deref() {
+            None => None,
+            Some("-") => Some(Dest::Stdout),
+            Some(path) => {
+                let file =
+                    File::create(path).map_err(|e| format!("cannot write --json {path}: {e}"))?;
+                Some(Dest::File {
+                    path: path.to_string(),
+                    file,
+                })
+            }
+        };
+        Ok(ReportSink {
+            dest,
             sink: JsonlSink::new(),
-        }
+        })
     }
 
     /// Records one report (serialized eagerly) at the next position.
     pub fn push(&self, report: &RunReport) {
-        if self.path.is_some() {
+        if self.dest.is_some() {
             self.sink.push(report);
         }
     }
@@ -713,7 +759,7 @@ impl ReportSink {
     /// Records one report at the deterministic position `order`
     /// (for pushes racing from sweep workers).
     pub fn push_ordered(&self, order: u64, report: &RunReport) {
-        if self.path.is_some() {
+        if self.dest.is_some() {
             self.sink.push_ordered(order, report);
         }
     }
@@ -723,18 +769,20 @@ impl ReportSink {
     ///
     /// # Panics
     ///
-    /// Panics if the file cannot be written: a figure binary asked for
-    /// `--json` has no useful way to continue without its output.
+    /// Panics if the write to the already-open file fails: a figure
+    /// binary asked for `--json` has no useful way to continue without
+    /// its output.
     pub fn finish(self) {
-        let Some(path) = self.path else { return };
+        let Some(dest) = self.dest else { return };
         let count = self.sink.len();
         let text = self.sink.into_jsonl();
-        if path == "-" {
-            print!("{text}");
-        } else {
-            std::fs::write(&path, text)
-                .unwrap_or_else(|e| panic!("failed to write --json {path}: {e}"));
-            eprintln!("wrote {count} report(s) to {path}");
+        match dest {
+            Dest::Stdout => print!("{text}"),
+            Dest::File { path, mut file } => {
+                file.write_all(text.as_bytes())
+                    .unwrap_or_else(|e| panic!("failed to write --json {path}: {e}"));
+                eprintln!("wrote {count} report(s) to {path}");
+            }
         }
     }
 }
@@ -861,5 +909,73 @@ mod tests {
     #[test]
     fn jobs_clamp_to_at_least_one() {
         assert_eq!(SweepRunner::new(0).jobs(), 1);
+    }
+
+    /// Parses a whitespace-separated command line.
+    fn parse(line: &str) -> Result<HarnessOpts, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        HarnessOpts::parse(&args)
+    }
+
+    #[test]
+    fn parse_defaults_and_well_formed_flags() {
+        let d = parse("").unwrap();
+        assert_eq!(d.scale, Scale::Default);
+        assert_eq!((d.seeds, d.threads, d.json), (3, None, None));
+        assert!(d.jobs >= 1);
+
+        let o = parse("--quick --seeds 5 --threads 8 --jobs 2 --json -").unwrap();
+        assert_eq!(o.scale, Scale::Quick);
+        assert_eq!((o.seeds, o.threads, o.jobs), (5, Some(8), 2));
+        assert!(o.json_to_stdout());
+    }
+
+    #[test]
+    fn parse_rejects_missing_unparsable_and_zero_values() {
+        for flag in ["--seeds", "--threads", "--jobs"] {
+            // Last argument, not a number, zero, negative, and a flag
+            // where the value belongs.
+            for value in ["", "abc", "0", "-1", "--quick"] {
+                let line = format!("--quick {flag} {value}");
+                let err = parse(&line).expect_err("malformed value must not parse");
+                assert!(err.contains(flag), "{line:?}: {err}");
+            }
+        }
+        assert!(parse("--quick --json").unwrap_err().contains("--json"));
+    }
+
+    #[test]
+    fn parse_ignores_flags_it_does_not_know() {
+        let o = parse("--workload long-scan --ops 0 --seeds 2 --chrome t.json extra").unwrap();
+        assert_eq!(o.seeds, 2);
+        assert_eq!((o.scale, o.threads, o.json), (Scale::Default, None, None));
+    }
+
+    #[test]
+    fn report_sink_refuses_an_unwritable_path_up_front() {
+        let opts = HarnessOpts {
+            json: Some("/nonexistent-dir/x.jsonl".into()),
+            ..HarnessOpts::default()
+        };
+        let err = ReportSink::open(&opts).expect_err("no cell has run yet");
+        assert!(err.contains("/nonexistent-dir/x.jsonl"), "{err}");
+    }
+
+    #[test]
+    fn report_sink_writes_what_was_pushed() {
+        let path =
+            std::env::temp_dir().join(format!("sitm-bench-sink-{}.jsonl", std::process::id()));
+        let opts = HarnessOpts {
+            json: Some(path.to_str().unwrap().into()),
+            ..HarnessOpts::default()
+        };
+        let sink = ReportSink::open(&opts).unwrap();
+        assert!(path.exists(), "created before the first push");
+        sink.push(&RunReport::new("b", "p", "w"));
+        sink.finish();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(text.lines().count(), 1);
+        assert!(text.contains("\"bench\":\"b\""), "{text}");
     }
 }

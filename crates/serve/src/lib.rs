@@ -35,8 +35,7 @@
 //!   send/receive halves for pipelined use.
 //! - [`loadgen`] — seeded load generation (the bank workload:
 //!   conserved transfers + audits) in both closed-loop and pipelined
-//!   open-loop modes, used by the `serve_bench` harness and the
-//!   determinism tests.
+//!   open-loop modes, used by the serve crate's determinism tests.
 //!
 //! # Example
 //!

@@ -1,11 +1,12 @@
-//! Seeded determinism of the `serve_bench` loopback mode: the same
-//! seed must produce the same op sequence (request-stream checksum)
-//! and the same conserved invariants, run after run — so a bench
-//! number or a failure always reproduces from its printed seed.
+//! Seeded determinism of `loadgen`'s loopback mode: the same seed
+//! must produce the same op sequence (request-stream checksum) and the
+//! same conserved invariants, run after run, closed-loop or pipelined
+//! — so a failure always reproduces from its printed seed.
 //!
 //! Follows the PR 8 convention: `sitm_obs::run_seeded_cases` prints
 //! the failing seed, and `SITM_PROPTEST_CASES` scales the case count.
 
+use sitm_check::{check, Discipline};
 use sitm_obs::run_seeded_cases;
 use sitm_serve::loadgen::{run_against, run_loopback, LoadConfig, FUND_PER_KEY};
 use sitm_serve::ServerConfig;
@@ -85,15 +86,32 @@ fn same_seed_same_ops_same_invariants() {
 
         // The pipelined mode issues the *same* stream: the window
         // changes pacing, never which frames are sent or their order,
-        // so the checksum must match the closed loop's — and the bank
-        // stays conserved under out-of-order completion.
+        // so the checksum must match the closed loop's — and under
+        // out-of-order completion the bank stays conserved and the
+        // recorded server history still certifies as snapshot-isolated
+        // (`e2e_bank` certifies closed-loop runs only).
         let piped = LoadConfig {
             pipeline: 8,
             ..cfg.clone()
         };
-        let (server_p, report_p) =
-            run_loopback(ServerConfig::default(), &piped).expect("pipelined");
+        let recording = ServerConfig {
+            // Far above 120 requests plus funding and retries: the
+            // oracle refuses a truncated history.
+            history_capacity: 1 << 14,
+            ..ServerConfig::default()
+        };
+        let (server_p, report_p) = run_loopback(recording, &piped).expect("pipelined");
+        let history = server_p.history().expect("history recording was on");
         server_p.shutdown();
+        let certified = check(Discipline::for_protocol("STM"), &history);
+        assert!(
+            certified.is_ok(),
+            "pipelined history failed SI certification (seed {:#x}): {certified}",
+            cfg.seed
+        );
+        // Group commit folds several requests into one transaction,
+        // so the count is below `ops_total`; it must not be empty.
+        assert!(certified.committed > 0);
         assert_eq!(
             report_a.checksum, report_p.checksum,
             "pipelining must not change the request stream (seed {:#x})",
