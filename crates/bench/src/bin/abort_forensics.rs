@@ -1,8 +1,9 @@
 //! Abort forensics: where do aborts come from, per protocol and
 //! workload?
 //!
-//! Sweeps protocol x workload at one thread count with the forensic
-//! abort recorder enabled and renders, per cell:
+//! Sweeps protocol x workload at one thread count with history
+//! recording on, folds each cell's `History` with
+//! `ForensicsSnapshot::from_history`, and renders, per cell:
 //!
 //! * the per-cause abort table (the `ForensicCause` taxonomy:
 //!   write-write first-committer-wins, read validation, SSI pivots,
@@ -11,22 +12,25 @@
 //! * the hottest conflicting cache lines (top-K sketch).
 //!
 //! `--json PATH` writes one `sitm.abort_forensics.v1` JSONL record per
-//! (protocol, workload) cell. `--chrome PATH` additionally re-runs one
-//! representative cell (first workload under SI-TM, seed 0) and writes
-//! its transaction-lifecycle trace as a `chrome://tracing` /
-//! [Perfetto](https://ui.perfetto.dev) JSON array. With the `trace`
-//! feature disabled the recorder and tracer compile out and every
-//! snapshot is empty; the binary warns and the tables show zero
-//! attribution.
+//! (protocol, workload) cell. `--chrome PATH` additionally writes the
+//! history of one representative cell (first workload under SI-TM,
+//! seed 0) as a `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)
+//! JSON array. Both destinations are opened before the sweep starts.
+//! The run fails if fewer than 99% of aborts are attributed, or if any
+//! cell's history dropped records.
 //!
-//! Usage: `cargo run --release -p sitm-bench --features trace --bin
-//! abort_forensics [--quick] [--seeds N] [--threads N] [--json PATH]
+//! Usage: `cargo run --release -p sitm-bench --bin abort_forensics --
+//! [--quick] [--seeds N] [--threads N] [--jobs N] [--json PATH]
 //! [--chrome PATH]`
 
+use std::fs::File;
+use std::io::Write;
+
 use sitm_bench::{
-    machine, run_once_forensic, seed_for, Console, HarnessOpts, Protocol, SweepRunner,
+    machine, run_once_with_history, seed_for, Console, HarnessOpts, Protocol, SweepRunner,
 };
-use sitm_obs::{chrome_trace, ForensicCause, Forensics, ForensicsReport, ForensicsSnapshot};
+use sitm_obs::history::DEFAULT_HISTORY_CAPACITY;
+use sitm_obs::{chrome_trace, ForensicCause, ForensicsReport, ForensicsSnapshot};
 use sitm_workloads::all_workloads;
 
 const PROTOCOLS: [Protocol; 4] = [
@@ -36,18 +40,58 @@ const PROTOCOLS: [Protocol; 4] = [
     Protocol::SsiTm,
 ];
 
-/// Parses the binary's own `--chrome PATH` flag (everything
-/// [`HarnessOpts`] knows is handled there).
+/// What one (workload, protocol, seed) cell hands back to the tables.
+struct CellOutcome {
+    /// The engine's own abort count.
+    aborts: u64,
+    /// The fold of the cell's recorded history.
+    snapshot: ForensicsSnapshot,
+    /// Records the history dropped over its capacity bound.
+    dropped: u64,
+    /// The Chrome rendering, for the one `--chrome` cell.
+    timeline: Option<String>,
+}
+
+/// One line on stderr and exit status 2: a bad command line costs no
+/// computed results.
+fn usage_error(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// The binary's own `--chrome PATH` flag (everything [`HarnessOpts`]
+/// knows is handled there).
 fn chrome_arg() -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--chrome")
-        .and_then(|i| args.get(i + 1).cloned())
+    let flag = args.iter().position(|a| a == "--chrome")?;
+    match args.get(flag + 1) {
+        Some(path) => Some(path.clone()),
+        None => usage_error("--chrome needs a path".to_string()),
+    }
+}
+
+/// Creates (and truncates) the file `flag` names.
+fn create(flag: &str, path: &str) -> File {
+    File::create(path).unwrap_or_else(|e| usage_error(format!("cannot write {flag} {path}: {e}")))
+}
+
+/// Writes `text` to the file opened for `flag`.
+fn write_out(flag: &str, path: &str, file: &mut File, text: &str) {
+    file.write_all(text.as_bytes())
+        .unwrap_or_else(|e| panic!("failed to write {flag} {path}: {e}"));
 }
 
 fn main() {
     let opts = HarnessOpts::from_args();
-    let chrome = chrome_arg();
+    let mut json = opts
+        .json
+        .as_deref()
+        .filter(|path| *path != "-")
+        .map(|path| (path, create("--json", path)));
+    let chrome_path = chrome_arg();
+    let mut chrome = chrome_path
+        .as_deref()
+        .map(|path| (path, create("--chrome", path)));
     let runner = SweepRunner::from_opts(&opts);
     let con = Console::new(&opts);
     let threads = opts.threads_or(16);
@@ -55,9 +99,6 @@ fn main() {
         "Abort forensics: per-cause attribution at {threads} threads, {} seed(s)",
         opts.seeds
     ));
-    if !Forensics::enabled() {
-        con.line("warning: built without --features trace; the recorder is compiled out");
-    }
     con.blank();
 
     let names: Vec<String> = all_workloads(opts.scale)
@@ -66,24 +107,63 @@ fn main() {
         .collect();
 
     // Flatten the (workload, protocol, seed) grid into cells; each cell
-    // runs one forensic simulation and returns its merged-ready pieces.
+    // records one simulation's history and returns its folded pieces.
     let mut cells = Vec::new();
     for index in 0..names.len() {
         for proto in PROTOCOLS {
             for s in 0..opts.seeds {
-                cells.push((index, proto, seed_for(s)));
+                cells.push((index, proto, s));
             }
         }
     }
     let scale = opts.scale;
-    let outcomes = runner.run(cells, |(index, proto, seed)| {
+    let want_chrome = chrome.is_some();
+    let mut outcomes = runner.run(cells.clone(), |(index, proto, s)| {
         let cfg = machine(threads);
         let mut workloads = all_workloads(scale);
-        let stats = run_once_forensic(proto, workloads[index].as_mut(), &cfg, seed);
-        let aborts = stats.aborts();
-        let snapshot = stats.forensics.expect("forensic runs always snapshot");
-        (aborts, snapshot)
+        let stats = run_once_with_history(
+            proto,
+            workloads[index].as_mut(),
+            &cfg,
+            seed_for(s),
+            DEFAULT_HISTORY_CAPACITY,
+        );
+        let history = stats.history.as_ref().expect("history was enabled");
+        // One representative timeline: the first workload under SI-TM at
+        // seed 0 — deterministic, so the export is stable.
+        let timeline = (want_chrome && index == 0 && proto == Protocol::SiTm && s == 0)
+            .then(|| chrome_trace(history));
+        CellOutcome {
+            aborts: stats.aborts(),
+            snapshot: ForensicsSnapshot::from_history(history),
+            dropped: history.dropped(),
+            timeline,
+        }
     });
+
+    // A truncated history would make the fold under-count its cell.
+    for (&(index, proto, s), outcome) in cells.iter().zip(&outcomes) {
+        if outcome.dropped > 0 {
+            eprintln!(
+                "abort_forensics: {} on {}, seed {s}: history dropped {} record(s) over its \
+                 {DEFAULT_HISTORY_CAPACITY}-record capacity — failing",
+                proto.name(),
+                names[index],
+                outcome.dropped
+            );
+            std::process::exit(1);
+        }
+    }
+    if let Some((path, file)) = chrome.as_mut() {
+        let timeline = outcomes.iter_mut().find_map(|o| o.timeline.take());
+        write_out(
+            "--chrome",
+            path,
+            file,
+            &timeline.expect("the --chrome cell ran"),
+        );
+        eprintln!("wrote chrome://tracing JSON to {path}");
+    }
 
     let mut jsonl = String::new();
     let mut grand_aborts = 0u64;
@@ -98,9 +178,9 @@ fn main() {
             let mut aborts = 0u64;
             let mut merged = ForensicsSnapshot::default();
             for _ in 0..opts.seeds {
-                let (cell_aborts, snapshot) = it.next().expect("grid matches display loops");
-                aborts += cell_aborts;
-                merged.merge(&snapshot);
+                let cell = it.next().expect("grid matches display loops");
+                aborts += cell.aborts;
+                merged.merge(&cell.snapshot);
             }
             grand_aborts += aborts;
             grand.merge(&merged);
@@ -144,7 +224,7 @@ fn main() {
     } else {
         1.0
     };
-    if Forensics::enabled() && grand_aborts > 0 {
+    if grand_aborts > 0 {
         con.line(format!(
             "overall: {grand_aborts} aborts, {} recorded, {:.2}% attributed to a concrete cause",
             grand.total,
@@ -152,34 +232,17 @@ fn main() {
         ));
     }
 
-    if let Some(path) = &opts.json {
-        if path == "-" {
-            print!("{jsonl}");
-        } else {
-            std::fs::write(path, &jsonl)
-                .unwrap_or_else(|e| panic!("failed to write --json {path}: {e}"));
-            eprintln!("wrote forensics JSONL to {path}");
-        }
+    if opts.json_to_stdout() {
+        print!("{jsonl}");
+    } else if let Some((path, file)) = json.as_mut() {
+        write_out("--json", path, file, &jsonl);
+        eprintln!("wrote forensics JSONL to {path}");
     }
 
-    if let Some(path) = &chrome {
-        // One representative lifecycle trace: the first workload under
-        // SI-TM at seed 0 — deterministic, so the export is stable.
-        let cfg = machine(threads);
-        let mut workloads = all_workloads(scale);
-        let stats = run_once_forensic(Protocol::SiTm, workloads[0].as_mut(), &cfg, seed_for(0));
-        if stats.trace.is_empty() {
-            con.line("warning: --chrome trace is empty (built without --features trace?)");
-        }
-        std::fs::write(path, chrome_trace(&stats.trace))
-            .unwrap_or_else(|e| panic!("failed to write --chrome {path}: {e}"));
-        eprintln!("wrote chrome://tracing JSON to {path}");
-    }
-
-    // Attribution gate (only meaningful with the recorder compiled in):
-    // every abort site must hand the recorder a concrete cause + line,
-    // so anything under 99% means a site regressed to anonymous aborts.
-    if Forensics::enabled() && overall < 0.99 {
+    // Attribution gate: every abort site must hand the record a concrete
+    // cause + line, so anything under 99% means a site regressed to
+    // anonymous aborts.
+    if overall < 0.99 {
         eprintln!(
             "abort_forensics: only {:.2}% of aborts attributed (< 99%) — failing",
             overall * 100.0

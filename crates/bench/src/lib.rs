@@ -88,7 +88,7 @@ pub fn run_once(
 /// Runs `workload` under `protocol` once with history recording enabled
 /// (bounded at `capacity` finished attempts) and returns the statistics.
 /// `RunStats::history` is always `Some`; the `check_fuzz` harness feeds
-/// it to the [`sitm_check`] oracle.
+/// it to the [`sitm_check`] oracle and `abort_forensics` folds it.
 pub fn run_once_with_history(
     protocol: Protocol,
     workload: &mut dyn Workload,
@@ -118,44 +118,6 @@ pub fn run_once_with_history(
         Protocol::SsiTm => {
             Engine::new(SsiTm::new(cfg), workload, cfg, seed)
                 .record_history(capacity)
-                .run()
-                .0
-        }
-    }
-}
-
-/// Runs `workload` under `protocol` once with abort forensics enabled
-/// and returns the statistics. `RunStats::forensics` is always `Some`;
-/// its snapshot is empty unless the `trace` feature compiled the
-/// recorder in (check [`sitm_obs::Forensics::enabled`]).
-pub fn run_once_forensic(
-    protocol: Protocol,
-    workload: &mut dyn Workload,
-    cfg: &MachineConfig,
-    seed: u64,
-) -> RunStats {
-    match protocol {
-        Protocol::TwoPl => {
-            Engine::new(TwoPl::new(cfg), workload, cfg, seed)
-                .record_forensics()
-                .run()
-                .0
-        }
-        Protocol::Sontm => {
-            Engine::new(Sontm::new(cfg), workload, cfg, seed)
-                .record_forensics()
-                .run()
-                .0
-        }
-        Protocol::SiTm => {
-            Engine::new(SiTm::new(cfg), workload, cfg, seed)
-                .record_forensics()
-                .run()
-                .0
-        }
-        Protocol::SsiTm => {
-            Engine::new(SsiTm::new(cfg), workload, cfg, seed)
-                .record_forensics()
                 .run()
                 .0
         }
@@ -855,6 +817,34 @@ mod tests {
         let b = run_avg(Protocol::SiTm, Scale::Quick, 0, &cfg, 2);
         assert_eq!(a.commits, b.commits);
         assert_eq!(a.aborts, b.aborts);
+    }
+
+    #[test]
+    fn history_recording_does_not_perturb_results() {
+        // The acceptance bar for the one record stream: turning it on
+        // must leave every other observable output identical, under
+        // every real protocol (their abort sites are what gets stamped).
+        let cfg = machine(4);
+        for protocol in [
+            Protocol::TwoPl,
+            Protocol::Sontm,
+            Protocol::SiTm,
+            Protocol::SsiTm,
+        ] {
+            let mut workloads = all_workloads(Scale::Quick);
+            let plain = run_once(protocol, workloads[0].as_mut(), &cfg, 21);
+            let mut workloads = all_workloads(Scale::Quick);
+            let mut recorded =
+                run_once_with_history(protocol, workloads[0].as_mut(), &cfg, 21, 1 << 16);
+            let history = recorded.history.take().expect("history was enabled");
+            assert_eq!(recorded, plain, "{}", protocol.name());
+            assert_eq!(history.dropped(), 0);
+            assert_eq!(history.len() as u64, plain.commits() + plain.aborts());
+            assert_eq!(history.committed().count() as u64, plain.commits());
+            // The simulator writes nothing the reader rejects.
+            let back = sitm_obs::History::from_jsonl(&history.to_jsonl()).expect("reads back");
+            assert_eq!(back.records(), history.records());
+        }
     }
 
     #[test]

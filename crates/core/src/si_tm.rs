@@ -28,10 +28,10 @@
 //!   on a write-write conflict.
 
 use sitm_mvm::{Addr, GlobalClock, LineAddr, MvmConfig, MvmStore, ThreadId, Timestamp, Word};
-use sitm_obs::ForensicCause;
+use sitm_obs::{AbortDetail, ForensicCause};
 use sitm_sim::{
-    AbortCause, AbortDetail, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome,
-    TmProtocol, Victims, WriteOutcome,
+    AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
+    Victims, WriteOutcome,
 };
 
 use crate::base::{LineSet, ProtocolBase, TouchedLines, WriteBuffer};
@@ -87,9 +87,9 @@ pub struct SiTm {
     /// recorder.
     last_commits: Vec<Option<u64>>,
     /// Per-thread detail of the most recent abort site, reported to the
-    /// engine's forensics recorder. Overwritten at every abort; survives
+    /// history recorder. Overwritten at every abort; survives
     /// rollback (victim details are read at the victim's next step).
-    last_aborts: Vec<AbortDetail>,
+    last_aborts: Vec<Option<AbortDetail>>,
 }
 
 impl SiTm {
@@ -119,7 +119,7 @@ impl SiTm {
             spill_threshold: machine.version_buffer_lines(),
             last_reads: vec![None; machine.cores],
             last_commits: vec![None; machine.cores],
-            last_aborts: vec![AbortDetail::default(); machine.cores],
+            last_aborts: vec![None; machine.cores],
         }
     }
 
@@ -159,10 +159,11 @@ impl SiTm {
             .map(|(i, _)| (ThreadId(i), AbortCause::ClockOverflow))
             .collect();
         for &(victim, _) in &victims {
-            self.last_aborts[victim.0] = AbortDetail {
-                cause: Some(ForensicCause::Explicit),
-                ..AbortDetail::default()
-            };
+            self.last_aborts[victim.0] = Some(AbortDetail {
+                cause: ForensicCause::Explicit,
+                line: None,
+                winner_ts: None,
+            });
         }
         // The interrupt handler aborts every active transaction, clears
         // their registrations and transient versions, re-bases committed
@@ -262,12 +263,11 @@ impl TmProtocol for SiTm {
             None => {
                 // The snapshot's version was discarded (discard-oldest
                 // policy): the reader aborts.
-                self.last_aborts[tid.0] = AbortDetail {
-                    cause: Some(ForensicCause::CapacityEviction),
+                self.last_aborts[tid.0] = Some(AbortDetail {
+                    cause: ForensicCause::CapacityEviction,
                     line: Some(line.0),
                     winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-                    snapshot_ts: Some(start.0),
-                };
+                });
                 let cycles = self.rollback(tid);
                 return ReadOutcome::Abort {
                     cause: AbortCause::VersionOverflow,
@@ -355,12 +355,11 @@ impl TmProtocol for SiTm {
             for &line in &promoted {
                 cycles += self.base.per_line_validate_cost;
                 if self.base.store.newer_than(line, start) {
-                    self.last_aborts[tid.0] = AbortDetail {
-                        cause: Some(ForensicCause::WriteWriteFcw),
+                    self.last_aborts[tid.0] = Some(AbortDetail {
+                        cause: ForensicCause::WriteWriteFcw,
                         line: Some(line.0),
                         winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-                        snapshot_ts: Some(start.0),
-                    };
+                    });
                     let rollback = self.rollback(tid);
                     return CommitOutcome::Abort {
                         cause: AbortCause::WriteWrite,
@@ -381,10 +380,11 @@ impl TmProtocol for SiTm {
             Ok(end) => end,
             Err(_) => {
                 // Clock overflow during commit: abort everything.
-                self.last_aborts[tid.0] = AbortDetail {
-                    cause: Some(ForensicCause::Explicit),
-                    ..AbortDetail::default()
-                };
+                self.last_aborts[tid.0] = Some(AbortDetail {
+                    cause: ForensicCause::Explicit,
+                    line: None,
+                    winner_ts: None,
+                });
                 let mut victims = self.overflow_reset(tid);
                 let cycles = self.rollback(tid);
                 victims.retain(|(v, _)| *v != tid);
@@ -443,12 +443,11 @@ impl TmProtocol for SiTm {
         }
 
         if let Some(line) = conflict {
-            self.last_aborts[tid.0] = AbortDetail {
-                cause: Some(ForensicCause::WriteWriteFcw),
+            self.last_aborts[tid.0] = Some(AbortDetail {
+                cause: ForensicCause::WriteWriteFcw,
                 line: Some(line.0),
                 winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-                snapshot_ts: Some(start.0),
-            };
+            });
             let rollback = self.rollback(tid);
             self.clock.finish_commit(end);
             return CommitOutcome::Abort {
@@ -488,12 +487,11 @@ impl TmProtocol for SiTm {
             }
         }
         if let Some(line) = overflow {
-            self.last_aborts[tid.0] = AbortDetail {
-                cause: Some(ForensicCause::CapacityEviction),
+            self.last_aborts[tid.0] = Some(AbortDetail {
+                cause: ForensicCause::CapacityEviction,
                 line: Some(line.0),
                 winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-                snapshot_ts: Some(start.0),
-            };
+            });
             for line in installed {
                 self.base.store.remove_installed(line, end);
             }
@@ -546,7 +544,7 @@ impl TmProtocol for SiTm {
         self.clock.overflows()
     }
 
-    fn last_abort_detail(&self, tid: ThreadId) -> AbortDetail {
+    fn last_abort_detail(&self, tid: ThreadId) -> Option<AbortDetail> {
         self.last_aborts[tid.0]
     }
 }
@@ -852,13 +850,14 @@ mod tests {
         let winner_ts = p.last_commit_ts(ThreadId(0)).expect("writer committed");
         let loser_start = p.begin_ts(ThreadId(1)).expect("loser in flight");
         assert_eq!(commit_err(&mut p, 1), AbortCause::WriteWrite);
-        let d = p.last_abort_detail(ThreadId(1));
-        assert_eq!(d.cause, Some(ForensicCause::WriteWriteFcw));
+        let d = p
+            .last_abort_detail(ThreadId(1))
+            .expect("abort site stamps a detail");
+        assert_eq!(d.cause, ForensicCause::WriteWriteFcw);
         assert_eq!(d.line, Some(a.line().0));
         assert_eq!(d.winner_ts, Some(winner_ts));
-        assert_eq!(d.snapshot_ts, Some(loser_start));
         assert!(
-            d.winner_ts > d.snapshot_ts,
+            winner_ts > loser_start,
             "winner committed after the loser began"
         );
     }

@@ -38,10 +38,10 @@
 use std::collections::HashMap;
 
 use sitm_mvm::{Addr, LineAddr, MvmStore, ThreadId, Word};
-use sitm_obs::ForensicCause;
+use sitm_obs::{AbortDetail, ForensicCause};
 use sitm_sim::{
-    AbortCause, AbortDetail, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome,
-    TmProtocol, WriteOutcome,
+    AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
+    WriteOutcome,
 };
 
 use crate::base::{LineSet, ProtocolBase, TouchedLines, WriteBuffer};
@@ -94,7 +94,7 @@ pub struct Sontm {
     token_busy_until: Cycles,
     cores: usize,
     /// Per-thread detail of the most recent abort site.
-    last_aborts: Vec<AbortDetail>,
+    last_aborts: Vec<Option<AbortDetail>>,
 }
 
 impl Sontm {
@@ -108,7 +108,7 @@ impl Sontm {
             hash_cost: machine.sontm_hash_cost,
             token_busy_until: 0,
             cores: machine.cores,
-            last_aborts: vec![AbortDetail::default(); machine.cores],
+            last_aborts: vec![None; machine.cores],
         }
     }
 
@@ -231,12 +231,11 @@ impl TmProtocol for Sontm {
         if lo > hi {
             // An empty SON range is a validation failure of the read/write
             // order; the pinch names the line and committed SON at fault.
-            self.last_aborts[tid.0] = AbortDetail {
-                cause: Some(ForensicCause::ReadValidation),
+            self.last_aborts[tid.0] = Some(AbortDetail {
+                cause: ForensicCause::ReadValidation,
                 line: pinch.map(|(l, _)| l.0),
                 winner_ts: pinch.map(|(_, son)| son),
-                snapshot_ts: None,
-            };
+            });
             let rollback = self.rollback(tid);
             return CommitOutcome::Abort {
                 cause: AbortCause::Order,
@@ -335,7 +334,7 @@ impl TmProtocol for Sontm {
         &mut self.base.store
     }
 
-    fn last_abort_detail(&self, tid: ThreadId) -> AbortDetail {
+    fn last_abort_detail(&self, tid: ThreadId) -> Option<AbortDetail> {
         self.last_aborts[tid.0]
     }
 }
@@ -437,8 +436,10 @@ mod tests {
         assert_eq!(commit(&mut p, 1), Ok(()));
         assert_eq!(read(&mut p, 0, d), 1); // flow dep raises lo past hi
         assert_eq!(commit(&mut p, 0), Err(AbortCause::Order));
-        let detail = p.last_abort_detail(ThreadId(0));
-        assert_eq!(detail.cause, Some(ForensicCause::ReadValidation));
+        let detail = p
+            .last_abort_detail(ThreadId(0))
+            .expect("abort site stamps a detail");
+        assert_eq!(detail.cause, ForensicCause::ReadValidation);
         assert_eq!(
             detail.line,
             Some(d.line().0),

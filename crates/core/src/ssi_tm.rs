@@ -38,10 +38,10 @@
 //! Write-write conflicts abort exactly as in SI-TM.
 
 use sitm_mvm::{Addr, GlobalClock, LineAddr, MvmStore, ThreadId, Timestamp, Word};
-use sitm_obs::ForensicCause;
+use sitm_obs::{AbortDetail, ForensicCause};
 use sitm_sim::{
-    AbortCause, AbortDetail, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome,
-    TmProtocol, Victims, WriteOutcome,
+    AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
+    Victims, WriteOutcome,
 };
 
 use crate::base::{LineSet, ProtocolBase, TouchedLines, WriteBuffer};
@@ -96,7 +96,7 @@ pub struct SsiTm {
     /// recorder.
     last_commits: Vec<Option<u64>>,
     /// Per-thread detail of the most recent abort site.
-    last_aborts: Vec<AbortDetail>,
+    last_aborts: Vec<Option<AbortDetail>>,
 }
 
 impl SsiTm {
@@ -109,7 +109,7 @@ impl SsiTm {
             committed_window: Vec::new(),
             last_reads: vec![None; machine.cores],
             last_commits: vec![None; machine.cores],
-            last_aborts: vec![AbortDetail::default(); machine.cores],
+            last_aborts: vec![None; machine.cores],
         }
     }
 
@@ -211,12 +211,11 @@ impl TmProtocol for SsiTm {
                 // Dangerous structure: both flag kinds on one
                 // transaction (this one, or a committed writer it read
                 // around).
-                self.last_aborts[tid.0] = AbortDetail {
-                    cause: Some(ForensicCause::SsiPivot),
+                self.last_aborts[tid.0] = Some(AbortDetail {
+                    cause: ForensicCause::SsiPivot,
                     line: Some(line.0),
                     winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-                    snapshot_ts: Some(start.0),
-                };
+                });
                 let cycles = self.rollback(tid);
                 return ReadOutcome::Abort {
                     cause: AbortCause::Order,
@@ -302,12 +301,11 @@ impl TmProtocol for SsiTm {
             }
         }
         if let Some(line) = ww_conflict {
-            self.last_aborts[tid.0] = AbortDetail {
-                cause: Some(ForensicCause::WriteWriteFcw),
+            self.last_aborts[tid.0] = Some(AbortDetail {
+                cause: ForensicCause::WriteWriteFcw,
                 line: Some(line.0),
                 winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-                snapshot_ts: Some(start.0),
-            };
+            });
             let rollback = self.rollback(tid);
             self.clock.finish_commit(end);
             return CommitOutcome::Abort {
@@ -340,12 +338,11 @@ impl TmProtocol for SsiTm {
                 // party, it forms a dangerous structure and aborts.
                 other.reader_conflict = true;
                 if other.writer_conflict {
-                    self.last_aborts[i] = AbortDetail {
-                        cause: Some(ForensicCause::SsiPivot),
+                    self.last_aborts[i] = Some(AbortDetail {
+                        cause: ForensicCause::SsiPivot,
                         line: Some(overlap.0),
                         winner_ts: Some(end.0),
-                        snapshot_ts: Some(other.start.0),
-                    };
+                    });
                     victims.push((ThreadId(i), AbortCause::Order));
                 }
             }
@@ -369,12 +366,11 @@ impl TmProtocol for SsiTm {
         }
         let reader_conflict = self.txs[tid.0].as_ref().unwrap().reader_conflict;
         if (writer_conflict && reader_conflict) || committed_pivot {
-            self.last_aborts[tid.0] = AbortDetail {
-                cause: Some(ForensicCause::SsiPivot),
+            self.last_aborts[tid.0] = Some(AbortDetail {
+                cause: ForensicCause::SsiPivot,
                 line: danger_line.map(|l| l.0),
                 winner_ts: None,
-                snapshot_ts: Some(start.0),
-            };
+            });
             let rollback = self.rollback(tid);
             self.clock.finish_commit(end);
             return CommitOutcome::Abort {
@@ -403,12 +399,11 @@ impl TmProtocol for SsiTm {
                 for &l in &installed {
                     self.base.store.remove_installed(l, end);
                 }
-                self.last_aborts[tid.0] = AbortDetail {
-                    cause: Some(ForensicCause::CapacityEviction),
+                self.last_aborts[tid.0] = Some(AbortDetail {
+                    cause: ForensicCause::CapacityEviction,
                     line: Some(line.0),
                     winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-                    snapshot_ts: Some(start.0),
-                };
+                });
                 let rollback = self.rollback(tid);
                 self.clock.finish_commit(end);
                 return CommitOutcome::Abort {
@@ -467,7 +462,7 @@ impl TmProtocol for SsiTm {
         self.clock.overflows()
     }
 
-    fn last_abort_detail(&self, tid: ThreadId) -> AbortDetail {
+    fn last_abort_detail(&self, tid: ThreadId) -> Option<AbortDetail> {
         self.last_aborts[tid.0]
     }
 }
@@ -700,11 +695,14 @@ mod tests {
         write(&mut p, 0, a, 1);
         write(&mut p, 1, a, 2);
         assert_eq!(commit(&mut p, 0), Ok(vec![]));
+        let loser_start = p.begin_ts(ThreadId(1)).expect("loser in flight");
         assert_eq!(commit(&mut p, 1), Err(AbortCause::WriteWrite));
-        let detail = p.last_abort_detail(ThreadId(1));
-        assert_eq!(detail.cause, Some(ForensicCause::WriteWriteFcw));
+        let detail = p
+            .last_abort_detail(ThreadId(1))
+            .expect("abort site stamps a detail");
+        assert_eq!(detail.cause, ForensicCause::WriteWriteFcw);
         assert_eq!(detail.line, Some(a.line().0));
-        assert!(detail.winner_ts.unwrap() > detail.snapshot_ts.unwrap());
+        assert!(detail.winner_ts.unwrap() > loser_start);
 
         // Write skew: the losing side's abort is an SSI pivot.
         let checking = p.store_mut().alloc_lines(1).word(0);
@@ -721,8 +719,10 @@ mod tests {
         let second = commit(&mut p, 1);
         let loser = if first.is_err() { 0 } else { 1 };
         assert!(first.is_err() || second.is_err());
-        let detail = p.last_abort_detail(ThreadId(loser));
-        assert_eq!(detail.cause, Some(ForensicCause::SsiPivot));
+        let detail = p
+            .last_abort_detail(ThreadId(loser))
+            .expect("abort site stamps a detail");
+        assert_eq!(detail.cause, ForensicCause::SsiPivot);
         assert!(detail.line.is_some(), "pivot names the overlapping line");
     }
 

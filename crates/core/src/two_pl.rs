@@ -25,10 +25,10 @@
 //! *write-write*.
 
 use sitm_mvm::{Addr, LineAddr, MvmStore, ThreadId, Word};
-use sitm_obs::ForensicCause;
+use sitm_obs::{AbortDetail, ForensicCause};
 use sitm_sim::{
-    AbortCause, AbortDetail, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome,
-    TmProtocol, Victims, WriteOutcome,
+    AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
+    Victims, WriteOutcome,
 };
 
 use crate::base::{LineSet, ProtocolBase, TouchedLines, WriteBuffer};
@@ -53,7 +53,7 @@ pub struct TwoPl {
     token_busy_until: Cycles,
     /// Per-thread detail of the most recent abort site (set when this
     /// thread is doomed by a broadcast, or self-aborts on capacity).
-    last_aborts: Vec<AbortDetail>,
+    last_aborts: Vec<Option<AbortDetail>>,
 }
 
 impl TwoPl {
@@ -64,7 +64,7 @@ impl TwoPl {
             txs: (0..machine.cores).map(|_| None).collect(),
             capacity_lines: machine.version_buffer_lines(),
             token_busy_until: 0,
-            last_aborts: vec![AbortDetail::default(); machine.cores],
+            last_aborts: vec![None; machine.cores],
         }
     }
 
@@ -150,11 +150,11 @@ impl TmProtocol for TwoPl {
         // which the forensics taxonomy classifies as a lock timeout (2PL
         // has no clock, so no timestamps are attached).
         for &(victim, _) in &victims {
-            self.last_aborts[victim.0] = AbortDetail {
-                cause: Some(ForensicCause::LockTimeout),
+            self.last_aborts[victim.0] = Some(AbortDetail {
+                cause: ForensicCause::LockTimeout,
                 line: Some(line.0),
-                ..AbortDetail::default()
-            };
+                winner_ts: None,
+            });
         }
         let (mut cycles, served) = self.base.mem.access(tid.0, line);
         // A get-shared broadcast rides on the miss; L1 hits stay silent.
@@ -182,11 +182,11 @@ impl TmProtocol for TwoPl {
         // Version-buffer capacity: the L1 cannot hold another
         // transactional line.
         if first_touch && self.tx(tid).writes.line_count() >= self.capacity_lines {
-            self.last_aborts[tid.0] = AbortDetail {
-                cause: Some(ForensicCause::CapacityEviction),
+            self.last_aborts[tid.0] = Some(AbortDetail {
+                cause: ForensicCause::CapacityEviction,
                 line: Some(line.0),
-                ..AbortDetail::default()
-            };
+                winner_ts: None,
+            });
             let cycles = self.rollback(tid);
             return WriteOutcome::Abort {
                 cause: AbortCause::Capacity,
@@ -202,11 +202,11 @@ impl TmProtocol for TwoPl {
             vec![]
         };
         for &(victim, _) in &victims {
-            self.last_aborts[victim.0] = AbortDetail {
-                cause: Some(ForensicCause::LockTimeout),
+            self.last_aborts[victim.0] = Some(AbortDetail {
+                cause: ForensicCause::LockTimeout,
                 line: Some(line.0),
-                ..AbortDetail::default()
-            };
+                winner_ts: None,
+            });
         }
         let tx = self.tx(tid);
         tx.writes.insert(addr, value);
@@ -284,7 +284,7 @@ impl TmProtocol for TwoPl {
         &mut self.base.store
     }
 
-    fn last_abort_detail(&self, tid: ThreadId) -> AbortDetail {
+    fn last_abort_detail(&self, tid: ThreadId) -> Option<AbortDetail> {
         self.last_aborts[tid.0]
     }
 }
@@ -382,8 +382,10 @@ mod tests {
         assert!(write(&mut p, 0, a, 9).is_empty());
         let (_, victims) = read(&mut p, 1, a);
         assert_eq!(victims.len(), 1);
-        let detail = p.last_abort_detail(ThreadId(0));
-        assert_eq!(detail.cause, Some(ForensicCause::LockTimeout));
+        let detail = p
+            .last_abort_detail(ThreadId(0))
+            .expect("abort site stamps a detail");
+        assert_eq!(detail.cause, ForensicCause::LockTimeout);
         assert_eq!(detail.line, Some(a.line().0));
         assert_eq!(detail.winner_ts, None, "2PL has no commit clock");
     }

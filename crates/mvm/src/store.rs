@@ -15,7 +15,7 @@
 //! from zero, the lists live in a dense paged [`LineTable`] rather than
 //! a hash map: lookups index directly by line address.
 
-use sitm_obs::{EventKind, MetricsRegistry, Observable, TraceRecord, Tracer};
+use sitm_obs::{MetricsRegistry, Observable};
 
 use crate::active::ActiveTransactions;
 use crate::line_table::LineTable;
@@ -73,9 +73,6 @@ pub struct MvmStore {
     gc_reclaimed: u64,
     /// Install attempts rejected by the abort-writer overflow policy.
     overflow_aborts: u64,
-    /// Internal-event tracer (GC, coalescing, overflow). Zero-sized and
-    /// inert unless the `trace` cargo feature is on.
-    tracer: Tracer,
 }
 
 impl MvmStore {
@@ -308,32 +305,13 @@ impl MvmStore {
                 self.config.overflow_policy,
             )
         };
-        // GC runs inside install; attribute what it reclaimed. The store
-        // has no cycle clock, so events are stamped with the commit
-        // timestamp that triggered them.
-        let reclaimed = vl.gc_reclaimed_total() - gc_before;
-        if reclaimed > 0 {
-            self.gc_reclaimed += reclaimed;
-            self.tracer
-                .record(end.0, TraceRecord::NO_THREAD, EventKind::MvmGc(reclaimed));
-        }
+        // GC runs inside install; attribute what it reclaimed.
+        self.gc_reclaimed += vl.gc_reclaimed_total() - gc_before;
         match result {
             Ok(true) => self.installs_created += 1,
-            Ok(false) => {
-                self.installs_coalesced += 1;
-                self.tracer.record(
-                    end.0,
-                    TraceRecord::NO_THREAD,
-                    EventKind::MvmCoalesce(line.0),
-                );
-            }
+            Ok(false) => self.installs_coalesced += 1,
             Err(overflow) => {
                 self.overflow_aborts += 1;
-                self.tracer.record(
-                    end.0,
-                    TraceRecord::NO_THREAD,
-                    EventKind::MvmVersionOverflow(line.0),
-                );
                 return Err(overflow);
             }
         }
@@ -434,13 +412,6 @@ impl MvmStore {
     /// Install attempts rejected by the abort-writer overflow policy.
     pub fn overflow_aborts(&self) -> u64 {
         self.overflow_aborts
-    }
-
-    /// Drains buffered internal trace events (GC, coalescing, overflow),
-    /// stamped with the commit timestamp that triggered them and
-    /// [`TraceRecord::NO_THREAD`]. Empty unless the `trace` feature is on.
-    pub fn drain_trace(&mut self) -> Vec<TraceRecord> {
-        self.tracer.drain()
     }
 }
 
@@ -635,22 +606,5 @@ mod tests {
         assert_eq!(reg.counter("mvm.installs.created"), created);
         assert_eq!(reg.counter("mvm.installs.coalesced"), coalesced);
         assert_eq!(reg.counter("mvm.lines"), 1);
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn trace_records_gc_and_coalesce_events() {
-        use sitm_obs::EventKind;
-        let mut m = MvmStore::new();
-        let a = m.alloc_words(1);
-        // No live snapshot between these installs => the second coalesces.
-        m.install(a.line(), Timestamp(2), ZERO_LINE).unwrap();
-        m.install(a.line(), Timestamp(3), ZERO_LINE).unwrap();
-        let events = m.drain_trace();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::MvmCoalesce(_))));
-        assert!(events.iter().all(|e| e.thread == TraceRecord::NO_THREAD));
-        assert!(m.drain_trace().is_empty(), "drain empties the buffer");
     }
 }

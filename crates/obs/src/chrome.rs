@@ -1,110 +1,75 @@
-//! A `chrome://tracing` exporter for merged trace streams.
+//! A `chrome://tracing` exporter for recorded histories.
 //!
 //! Chrome's trace-event profiling format (also read by Perfetto and
 //! `ui.perfetto.dev`) is a JSON array of event objects. This exporter
-//! renders a merged [`TraceRecord`] stream (see
-//! [`crate::trace::merge_traces`]) into that format:
+//! renders a [`History`] — from the simulator, the software STM or
+//! `sitm-serve`, they all record the same thing — into that format, one
+//! lane per thread:
 //!
-//! - every record becomes an *instant* event (`"ph": "i"`, thread
-//!   scope) named by its [`EventKind::label`], with the payload decoded
-//!   into a readable argument (`addr`, `cause`, `start_ts`, ...);
-//! - in addition, each transaction attempt — the span from a `Begin` to
-//!   the next `Commit` or `Abort` on the same thread — is reconstructed
-//!   into a *complete* duration event (`"ph": "X"`, name `"txn"`)
-//!   carrying the outcome, so the timeline shows attempt bars with the
-//!   lifecycle instants layered on top.
+//! - every attempt becomes a *complete* duration event (`"ph": "X"`)
+//!   spanning `begin_seq..end_seq`, named by its outcome (`committed`,
+//!   `aborted:write-write`, ...) and carrying the attempt id, the
+//!   begin/commit timestamps and, on an attributed abort, the
+//!   [`crate::AbortDetail`] cause, line and winner as arguments;
+//! - every recorded operation becomes an *instant* event (`"ph": "i"`,
+//!   thread scope) named `read` / `write` / `promote`, with the line
+//!   (and its label, if the history names it) and the observed version.
 //!
-//! Timestamps are virtual cycles reported as microseconds (`"ts"`),
-//! which Chrome only uses for relative placement. Output is
-//! deterministic: events appear in input order, duration events are
-//! emitted at their closing instant, and all JSON comes from the
+//! The time axis is the history's global operation sequence, reported
+//! as microseconds (`"ts"`), which Chrome only uses for relative
+//! placement. Output is deterministic: records appear in finish order,
+//! each span followed by its own instants, and all JSON comes from the
 //! deterministic in-tree [`crate::json::Json`] writer.
 
-use std::collections::BTreeMap;
-
-use crate::event::{EventKind, TraceRecord};
+use crate::history::{History, TxnRecord};
 use crate::json::Json;
 
-/// Decodes a record's payload into a `(key, value)` argument for the
-/// instant event, or `None` for payload-free kinds.
-fn event_arg(kind: &EventKind) -> Option<(&'static str, u64)> {
-    match *kind {
-        EventKind::Begin(ts) => Some(("start_ts", ts)),
-        EventKind::Read(addr) | EventKind::Write(addr) | EventKind::Promote(addr) => {
-            Some(("addr", addr))
-        }
-        EventKind::Abort(cause) => Some(("cause", cause as u64)),
-        EventKind::Commit => None,
-        EventKind::CommitReservationStall(cycles) => Some(("cycles", cycles)),
-        EventKind::MvmGc(reclaimed) => Some(("reclaimed", reclaimed)),
-        EventKind::MvmCoalesce(line) | EventKind::MvmVersionOverflow(line) => Some(("line", line)),
-        EventKind::ReadSetGrowth(size) => Some(("size", size)),
-        EventKind::CommitAcquire(accesses) => Some(("accesses", accesses)),
-        EventKind::Validate(cycles) => Some(("cycles", cycles)),
-        EventKind::Install(commit_ts) => Some(("commit_ts", commit_ts)),
-        EventKind::AbortLine(line) => Some(("line", line)),
-    }
+fn num(v: u64) -> Json {
+    Json::Num(v as f64)
 }
 
-fn instant_event(r: &TraceRecord) -> Json {
-    let mut pairs = vec![
-        ("name", Json::Str(r.kind.label().to_string())),
-        ("ph", Json::Str("i".to_string())),
-        ("ts", Json::Num(r.at as f64)),
-        ("pid", Json::Num(0.0)),
-        ("tid", Json::Num(r.thread as f64)),
-        ("s", Json::Str("t".to_string())),
-    ];
-    if let Some((key, value)) = event_arg(&r.kind) {
-        pairs.push(("args", Json::obj([(key, Json::Num(value as f64))])));
-    }
-    Json::obj(pairs)
-}
-
-fn span_event(thread: u32, begin_at: u64, end: &TraceRecord) -> Json {
-    let outcome = match end.kind {
-        EventKind::Commit => "commit",
-        _ => "abort",
-    };
-    let mut args = vec![("outcome", Json::Str(outcome.to_string()))];
-    if let EventKind::Abort(cause) = end.kind {
-        args.push(("cause", Json::Num(cause as f64)));
+fn span_event(r: &TxnRecord) -> Json {
+    let mut args = vec![("txn", num(r.txn))];
+    args.extend(r.begin_ts.map(|ts| ("begin_ts", num(ts))));
+    args.extend(r.commit_ts.map(|ts| ("commit_ts", num(ts))));
+    if let Some(detail) = r.abort {
+        args.extend(detail.json_pairs());
     }
     Json::obj([
-        ("name", Json::Str("txn".to_string())),
+        ("name", Json::Str(r.outcome.to_string())),
         ("ph", Json::Str("X".to_string())),
-        ("ts", Json::Num(begin_at as f64)),
-        ("dur", Json::Num((end.at - begin_at) as f64)),
-        ("pid", Json::Num(0.0)),
-        ("tid", Json::Num(thread as f64)),
+        ("ts", num(r.begin_seq)),
+        ("dur", num(r.end_seq - r.begin_seq)),
+        ("pid", num(0)),
+        ("tid", num(r.thread as u64)),
         ("args", Json::obj(args)),
     ])
 }
 
-/// Renders merged trace records as a Chrome trace-event JSON array.
-///
-/// The input should already be in global time order (as produced by
-/// [`crate::trace::merge_traces`]); open attempts with no closing
-/// `Commit`/`Abort` (in-flight when the trace was drained, or whose
-/// `Begin` was overwritten by ring wraparound) produce no duration
-/// event, only their instants.
-pub fn chrome_trace(records: &[TraceRecord]) -> String {
-    let mut events = Vec::with_capacity(records.len());
-    // Open attempt per thread: the `at` of its Begin.
-    let mut open: BTreeMap<u32, u64> = BTreeMap::new();
-    for r in records {
-        match r.kind {
-            EventKind::Begin(_) => {
-                open.insert(r.thread, r.at);
-            }
-            EventKind::Commit | EventKind::Abort(_) => {
-                if let Some(begin_at) = open.remove(&r.thread) {
-                    events.push(span_event(r.thread, begin_at, r));
-                }
-            }
-            _ => {}
+/// Renders a recorded history as a Chrome trace-event JSON array.
+pub fn chrome_trace(history: &History) -> String {
+    let mut events = Vec::new();
+    for r in history.records() {
+        events.push(span_event(r));
+        for op in &r.ops {
+            let (name, line, observed) = op.kind.parts();
+            let mut args = vec![("line", num(line))];
+            args.extend(
+                history
+                    .label(line)
+                    .map(|label| ("label", Json::Str(label.to_string()))),
+            );
+            args.extend(observed.map(|ts| ("observed", num(ts))));
+            events.push(Json::obj([
+                ("name", Json::Str(name.to_string())),
+                ("ph", Json::Str("i".to_string())),
+                ("ts", num(op.seq)),
+                ("pid", num(0)),
+                ("tid", num(r.thread as u64)),
+                ("s", Json::Str("t".to_string())),
+                ("args", Json::obj(args)),
+            ]));
         }
-        events.push(instant_event(r));
     }
     Json::Arr(events).to_line()
 }
@@ -112,101 +77,121 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forensics::ForensicCause;
+    use crate::history::{AbortDetail, OpKind, TxnBuilder};
 
-    fn rec(at: u64, thread: u32, kind: EventKind) -> TraceRecord {
-        TraceRecord { at, thread, kind }
+    fn events(history: &History) -> Vec<Json> {
+        let doc = Json::parse(&chrome_trace(history)).expect("exporter emits valid JSON");
+        doc.as_arr().expect("top level is an array").to_vec()
+    }
+
+    fn spans(events: &[Json]) -> Vec<&Json> {
+        events
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .collect()
     }
 
     #[test]
     fn exports_spans_and_instants() {
-        let records = vec![
-            rec(10, 0, EventKind::Begin(7)),
-            rec(12, 0, EventKind::Read(64)),
-            rec(12, 0, EventKind::ReadSetGrowth(1)),
-            rec(20, 0, EventKind::CommitAcquire(1)),
-            rec(25, 0, EventKind::Install(9)),
-            rec(25, 0, EventKind::Commit),
-        ];
-        let out = chrome_trace(&records);
-        let doc = Json::parse(&out).expect("exporter emits valid JSON");
-        let events = doc.as_arr().expect("top level is an array");
-        // 6 instants + 1 duration span.
-        assert_eq!(events.len(), 7);
-        let span = events
-            .iter()
-            .find(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .expect("one duration event");
-        assert_eq!(span.get("name").unwrap().as_str(), Some("txn"));
+        let mut h = History::default();
+        let mut b = TxnBuilder::new(4, 0, 0, 10, Some(7));
+        b.op(
+            12,
+            OpKind::Read {
+                line: 64,
+                observed: Some(3),
+            },
+        );
+        b.op(13, OpKind::Write { line: 64 });
+        b.op(14, OpKind::Promote { line: 128 });
+        h.push(b.commit(25, Some(9)));
+        h.set_label(128, "saving");
+        let events = events(&h);
+        // 1 duration span + 3 instants, the span first.
+        assert_eq!(events.len(), 4);
+        let span = &events[0];
+        assert_eq!(span.get("ph").unwrap().as_str(), Some("X"));
+        assert_eq!(span.get("name").unwrap().as_str(), Some("committed"));
         assert_eq!(span.get("ts").unwrap().as_u64(), Some(10));
         assert_eq!(span.get("dur").unwrap().as_u64(), Some(15));
-        assert_eq!(
-            span.get("args").unwrap().get("outcome").unwrap().as_str(),
-            Some("commit")
-        );
-        // The span is emitted before its closing instant.
-        let span_idx = events.iter().position(|e| e == span).unwrap();
-        let commit_idx = events
+        let args = span.get("args").unwrap();
+        assert_eq!(args.get("txn").unwrap().as_u64(), Some(4));
+        assert_eq!(args.get("begin_ts").unwrap().as_u64(), Some(7));
+        assert_eq!(args.get("commit_ts").unwrap().as_u64(), Some(9));
+        let names: Vec<_> = events[1..]
             .iter()
-            .position(|e| e.get("name").and_then(Json::as_str) == Some("commit"))
-            .unwrap();
-        assert!(span_idx < commit_idx);
+            .map(|e| e.get("name").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(names, ["read", "write", "promote"]);
+        let read = events[1].get("args").unwrap();
+        assert_eq!(read.get("line").unwrap().as_u64(), Some(64));
+        assert_eq!(read.get("observed").unwrap().as_u64(), Some(3));
+        assert_eq!(read.get("label"), None);
+        assert_eq!(events[1].get("ts").unwrap().as_u64(), Some(12));
+        let promote = events[3].get("args").unwrap();
+        assert_eq!(promote.get("label").unwrap().as_str(), Some("saving"));
+        assert_eq!(promote.get("observed"), None);
     }
 
     #[test]
     fn abort_spans_carry_the_cause() {
-        let records = vec![
-            rec(5, 3, EventKind::Begin(1)),
-            rec(9, 3, EventKind::Validate(4)),
-            rec(9, 3, EventKind::Abort(1)),
-            rec(9, 3, EventKind::AbortLine(192)),
-        ];
-        let out = chrome_trace(&records);
-        let doc = Json::parse(&out).unwrap();
-        let events = doc.as_arr().unwrap();
-        let span = events
-            .iter()
-            .find(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .unwrap();
+        let mut h = History::default();
+        let mut full = TxnBuilder::new(1, 3, 0, 5, Some(1));
+        full.detail(AbortDetail {
+            cause: ForensicCause::WriteWriteFcw,
+            line: Some(192),
+            winner_ts: Some(6),
+        });
+        h.push(full.abort(9, "write-write"));
+        // A 2PL lock conflict knows the line but no winner.
+        let mut partial = TxnBuilder::new(2, 3, 0, 10, None);
+        partial.detail(AbortDetail {
+            cause: ForensicCause::LockTimeout,
+            line: Some(64),
+            winner_ts: None,
+        });
+        h.push(partial.abort(11, "read-write"));
+        // A deliberate rollback carries no detail at all.
+        h.push(TxnBuilder::new(3, 3, 0, 12, None).abort(13, "explicit"));
+        let events = events(&h);
+        let spans = spans(&events);
+        assert_eq!(spans.len(), 3);
         assert_eq!(
-            span.get("args").unwrap().get("outcome").unwrap().as_str(),
-            Some("abort")
+            spans[0].get("name").unwrap().as_str(),
+            Some("aborted:write-write")
         );
+        assert_eq!(spans[0].get("tid").unwrap().as_u64(), Some(3));
+        let args = spans[0].get("args").unwrap();
         assert_eq!(
-            span.get("args").unwrap().get("cause").unwrap().as_u64(),
-            Some(1)
+            args.get("abort_cause").unwrap().as_str(),
+            Some("write-write-fcw")
         );
-        assert_eq!(span.get("tid").unwrap().as_u64(), Some(3));
-        let line_instant = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("abort-line"))
-            .unwrap();
+        assert_eq!(args.get("abort_line").unwrap().as_u64(), Some(192));
+        assert_eq!(args.get("abort_winner_ts").unwrap().as_u64(), Some(6));
+        assert_eq!(args.get("commit_ts"), None);
+        let args = spans[1].get("args").unwrap();
         assert_eq!(
-            line_instant
-                .get("args")
-                .unwrap()
-                .get("line")
-                .unwrap()
-                .as_u64(),
-            Some(192)
+            args.get("abort_cause").unwrap().as_str(),
+            Some("lock-timeout")
         );
+        assert_eq!(args.get("abort_line").unwrap().as_u64(), Some(64));
+        assert_eq!(args.get("abort_winner_ts"), None);
+        assert_eq!(args.get("begin_ts"), None);
+        let args = spans[2].get("args").unwrap();
+        assert_eq!(args.get("abort_cause"), None);
+        assert_eq!(args.get("txn").unwrap().as_u64(), Some(3));
     }
 
     #[test]
     fn interleaved_threads_get_independent_spans() {
-        let records = vec![
-            rec(1, 0, EventKind::Begin(1)),
-            rec(2, 1, EventKind::Begin(2)),
-            rec(3, 1, EventKind::Commit),
-            rec(4, 0, EventKind::Abort(0)),
-        ];
-        let out = chrome_trace(&records);
-        let doc = Json::parse(&out).unwrap();
-        let spans: Vec<&Json> = doc
-            .as_arr()
-            .unwrap()
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
-            .collect();
+        // Thread 1's attempt nests inside thread 0's in sequence order;
+        // records arrive in finish order.
+        let mut h = History::default();
+        h.push(TxnBuilder::new(1, 1, 0, 2, None).commit(3, None));
+        h.push(TxnBuilder::new(0, 0, 0, 1, None).abort(4, "read-write"));
+        let events = events(&h);
+        let spans = spans(&events);
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].get("tid").unwrap().as_u64(), Some(1));
         assert_eq!(spans[0].get("dur").unwrap().as_u64(), Some(1));
@@ -215,20 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn unclosed_or_unopened_attempts_do_not_produce_spans() {
-        // A Commit with no Begin (wraparound dropped it) and a Begin
-        // with no close (in flight at drain) both degrade gracefully.
-        let records = vec![rec(1, 0, EventKind::Commit), rec(2, 0, EventKind::Begin(5))];
-        let doc = Json::parse(&chrome_trace(&records)).unwrap();
-        assert!(doc
-            .as_arr()
-            .unwrap()
-            .iter()
-            .all(|e| e.get("ph").and_then(Json::as_str) == Some("i")));
-    }
-
-    #[test]
     fn empty_input_is_an_empty_array() {
-        assert_eq!(chrome_trace(&[]), "[]");
+        assert_eq!(chrome_trace(&History::default()), "[]");
     }
 }

@@ -8,27 +8,17 @@
 //! `TVar` id in the software STM), the winning transaction's commit
 //! timestamp, and the loser's snapshot timestamp.
 //!
-//! The two runtimes get there differently:
+//! No runtime keeps a forensic recorder of its own: abort sites (the
+//! simulator's protocol models via the engine, the software STM's
+//! commit path) stamp a [`crate::AbortDetail`] on the attempt's
+//! [`crate::TxnRecord`], and [`ForensicsSnapshot::from_history`] folds a
+//! recorded [`History`] offline.
 //!
-//! - [`Forensics`] — an *owned* recorder for the deterministic
-//!   discrete-event engine. "Lock-free" by ownership (exactly like the
-//!   per-thread tracers): one engine, one recorder, no atomics, fully
-//!   deterministic output. It follows the compile-out discipline of
-//!   [`crate::trace::Tracer`]: with the `trace` cargo feature
-//!   **disabled** (the default) it is zero-sized and every `record`
-//!   call is an empty inline function the optimizer deletes, so the
-//!   simulator hot path stays allocation-free.
-//! - The real-thread software STM keeps no recorder of its own: its
-//!   abort sites stamp an [`crate::AbortDetail`] on the attempt's
-//!   [`crate::TxnRecord`], and [`ForensicsSnapshot::from_history`]
-//!   folds a recorded [`History`] offline, in every build.
-//!
-//! Both fold into a [`ForensicsSnapshot`], which is always compiled
-//! (plain data): per-cause counts, the top-K hot-line sketch, and a
-//! log2 histogram of *conflict age* (winner commit timestamp minus
-//! loser snapshot timestamp — how stale the loser's snapshot was when
-//! it lost). Snapshots serialize as `sitm.abort_forensics.v1` JSONL via
-//! [`ForensicsReport`].
+//! The fold yields a [`ForensicsSnapshot`] (plain data): per-cause
+//! counts, the top-K hot-line sketch, and a log2 histogram of *conflict
+//! age* (winner commit timestamp minus loser snapshot timestamp — how
+//! stale the loser's snapshot was when it lost). Snapshots serialize as
+//! `sitm.abort_forensics.v1` JSONL via [`ForensicsReport`].
 
 use crate::history::History;
 use crate::json::Json;
@@ -171,19 +161,7 @@ impl TopK {
     }
 }
 
-/// Everything an abort site knows about one abort, folded into
-/// recorders and exported by snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ForensicEvent {
-    /// The conflicting line (or `TVar` id), when the site knows it.
-    pub line: Option<u64>,
-    /// Commit timestamp of the conflicting winner, when known.
-    pub winner_ts: Option<u64>,
-    /// Snapshot (begin) timestamp of the aborted loser, when known.
-    pub snapshot_ts: Option<u64>,
-}
-
-/// The folded, always-compiled result of forensic recording: per-cause
+/// The folded result of forensic recording: per-cause
 /// abort counts, attribution coverage, the hot-line sketch, and the
 /// conflict-age histogram.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -204,25 +182,30 @@ pub struct ForensicsSnapshot {
 impl ForensicsSnapshot {
     /// Folds every aborted attempt of a recorded history. An abort
     /// whose site stamped an [`crate::AbortDetail`] is attributed to
-    /// that cause, line and winner; one without (a deliberate rollback,
-    /// an attempt dropped unfinished, a recorder that keeps no detail)
-    /// counts as [`ForensicCause::Explicit`] with no line.
+    /// that cause and whatever line and winner it names; one without (a
+    /// deliberate rollback, an attempt dropped unfinished, a recorder
+    /// that keeps no detail) counts as [`ForensicCause::Explicit`] with
+    /// no line.
     pub fn from_history(history: &History) -> ForensicsSnapshot {
-        let mut state = imp::State::default();
+        let mut snap = ForensicsSnapshot::default();
+        let mut hot_lines = TopK::default();
         for record in history.records().iter().filter(|r| !r.committed()) {
-            match record.abort {
-                Some(detail) => state.record(
-                    detail.cause,
-                    ForensicEvent {
-                        line: Some(detail.line),
-                        winner_ts: Some(detail.winner_ts),
-                        snapshot_ts: record.begin_ts,
-                    },
-                ),
-                None => state.record(ForensicCause::Explicit, ForensicEvent::default()),
+            let detail = record.abort;
+            let cause = detail.map_or(ForensicCause::Explicit, |d| d.cause);
+            snap.by_cause[cause.index()] += 1;
+            snap.total += 1;
+            if let Some(line) = detail.and_then(|d| d.line) {
+                snap.attributed += 1;
+                hot_lines.record(line);
+            }
+            if let (Some(winner), Some(snapshot)) =
+                (detail.and_then(|d| d.winner_ts), record.begin_ts)
+            {
+                snap.conflict_age.record(winner.saturating_sub(snapshot));
             }
         }
-        state.snapshot()
+        snap.hot_lines = hot_lines.entries();
+        snap
     }
 
     /// Fraction of recorded aborts that carried a concrete line
@@ -360,88 +343,6 @@ impl ForensicsReport {
     }
 }
 
-/// The owned, deterministic forensic recorder used by the simulator
-/// engine. Zero-sized and inert unless the `trace` cargo feature is
-/// enabled; [`Forensics::snapshot`] then returns an empty snapshot.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Forensics {
-    #[cfg(feature = "trace")]
-    inner: imp::State,
-}
-
-impl Forensics {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether forensic recording is compiled in at all.
-    pub const fn enabled() -> bool {
-        cfg!(feature = "trace")
-    }
-
-    /// Records one abort. A no-op (inlined away) when the `trace`
-    /// feature is off.
-    #[inline(always)]
-    #[allow(unused_variables)]
-    pub fn record(&mut self, cause: ForensicCause, event: ForensicEvent) {
-        #[cfg(feature = "trace")]
-        self.inner.record(cause, event);
-    }
-
-    /// Folds the recording into a snapshot (empty with the feature off).
-    pub fn snapshot(&self) -> ForensicsSnapshot {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.snapshot()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            ForensicsSnapshot::default()
-        }
-    }
-}
-
-mod imp {
-    use super::{ForensicCause, ForensicEvent, ForensicsSnapshot, TopK};
-    use crate::metrics::Histogram;
-
-    /// The fold behind both [`super::Forensics`] (which holds one only
-    /// under `trace`) and [`ForensicsSnapshot::from_history`].
-    #[derive(Debug, Clone, Default, PartialEq)]
-    pub(super) struct State {
-        by_cause: [u64; ForensicCause::ALL.len()],
-        total: u64,
-        attributed: u64,
-        hot_lines: TopK,
-        conflict_age: Histogram,
-    }
-
-    impl State {
-        pub(super) fn record(&mut self, cause: ForensicCause, event: ForensicEvent) {
-            self.by_cause[cause.index()] += 1;
-            self.total += 1;
-            if let Some(line) = event.line {
-                self.attributed += 1;
-                self.hot_lines.record(line);
-            }
-            if let (Some(winner), Some(snapshot)) = (event.winner_ts, event.snapshot_ts) {
-                self.conflict_age.record(winner.saturating_sub(snapshot));
-            }
-        }
-
-        pub(super) fn snapshot(&self) -> ForensicsSnapshot {
-            ForensicsSnapshot {
-                by_cause: self.by_cause,
-                total: self.total,
-                attributed: self.attributed,
-                hot_lines: self.hot_lines.entries(),
-                conflict_age: self.conflict_age.clone(),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,32 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn owned_recorder_is_inert_or_exact() {
-        let mut f = Forensics::new();
-        f.record(
-            ForensicCause::WriteWriteFcw,
-            ForensicEvent {
-                line: Some(64),
-                winner_ts: Some(9),
-                snapshot_ts: Some(5),
-            },
-        );
-        f.record(ForensicCause::Explicit, ForensicEvent::default());
-        let snap = f.snapshot();
-        if Forensics::enabled() {
-            assert_eq!(snap.total, 2);
-            assert_eq!(snap.attributed, 1);
-            assert_eq!(snap.count(ForensicCause::WriteWriteFcw), 1);
-            assert_eq!(snap.hot_lines, vec![(64, 1)]);
-            assert_eq!(snap.conflict_age.total(), 1);
-            assert_eq!(snap.conflict_age.max(), 4);
-        } else {
-            assert_eq!(snap, ForensicsSnapshot::default());
-            assert_eq!(std::mem::size_of::<Forensics>(), 0, "must be a ZST");
-        }
-    }
-
-    #[test]
     fn history_fold_attributes_stamped_aborts_and_counts_the_rest() {
         use crate::history::{AbortDetail, TxnBuilder};
         let mut h = History::default();
@@ -592,8 +467,8 @@ mod tests {
         let mut loser = TxnBuilder::new(2, 1, 0, 3, Some(5));
         loser.detail(AbortDetail {
             cause: ForensicCause::WriteWriteFcw,
-            line: 64,
-            winner_ts: 9,
+            line: Some(64),
+            winner_ts: Some(9),
         });
         h.push(loser.abort(4, "write-write"));
         h.push(TxnBuilder::new(3, 1, 0, 5, Some(9)).abort(6, "explicit"));

@@ -10,12 +10,13 @@
 //! `sitm-check` replays the log and machine-checks the isolation-level
 //! axioms against it.
 //!
-//! The same log feeds two more offline readers: the write-skew analyser
-//! (`sitm-skew`, which needs each committed attempt's lifetime and
-//! read/write/promote sets, plus the optional `line → label` table for
-//! naming variables) and the abort-forensics fold
+//! The same log feeds three more offline readers: the write-skew
+//! analyser (`sitm-skew`, which needs each committed attempt's lifetime
+//! and read/write/promote sets, plus the optional `line → label` table
+//! for naming variables), the abort-forensics fold
 //! ([`crate::ForensicsSnapshot::from_history`], which needs the
-//! [`AbortDetail`] an abort site stamped on the record).
+//! [`AbortDetail`] an abort site stamped on the record) and the
+//! [`crate::chrome_trace`] timeline.
 //!
 //! The schema deliberately uses only plain integers and static strings
 //! so this module sits at the bottom of the workspace graph, and every
@@ -75,6 +76,15 @@ impl OpKind {
             OpKind::Read { line, .. } | OpKind::Write { line } | OpKind::Promote { line } => line,
         }
     }
+
+    /// The operation as its export name, line and observed version.
+    pub(crate) fn parts(&self) -> (&'static str, u64, Option<u64>) {
+        match *self {
+            OpKind::Read { line, observed } => ("read", line, observed),
+            OpKind::Write { line } => ("write", line, None),
+            OpKind::Promote { line } => ("promote", line, None),
+        }
+    }
 }
 
 /// Every abort-cause label a recorder in this workspace closes a record
@@ -106,16 +116,43 @@ pub enum TxnOutcome {
     Aborted(&'static str),
 }
 
+impl fmt::Display for TxnOutcome {
+    /// The `outcome` string of the `sitm.txn.v1` export.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TxnOutcome::Committed => f.write_str("committed"),
+            TxnOutcome::Aborted(cause) => write!(f, "aborted:{cause}"),
+        }
+    }
+}
+
 /// What the abort site knew about the conflict that killed an attempt:
-/// the input of [`crate::ForensicsSnapshot::from_history`].
+/// the input of [`crate::ForensicsSnapshot::from_history`]. The loser's
+/// snapshot timestamp is the record's `begin_ts`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AbortDetail {
     /// The conflict family in the forensic taxonomy.
     pub cause: ForensicCause,
-    /// The line the attempt lost on.
-    pub line: u64,
-    /// Commit timestamp of the conflicting (winning) version.
-    pub winner_ts: u64,
+    /// The line the attempt lost on, when the site knows one (a
+    /// clock-overflow abort-all has none).
+    pub line: Option<u64>,
+    /// Commit timestamp of the conflicting (winning) version, when the
+    /// site knows one (a 2PL lock conflict has a line but no winner).
+    pub winner_ts: Option<u64>,
+}
+
+impl AbortDetail {
+    /// The detail's export keys: `abort_cause`, then `abort_line` and
+    /// `abort_winner_ts` for each one the site knew.
+    pub(crate) fn json_pairs(&self) -> Vec<(&'static str, Json)> {
+        let mut pairs = vec![("abort_cause", Json::Str(self.cause.label().to_string()))];
+        pairs.extend(self.line.map(|line| ("abort_line", Json::Num(line as f64))));
+        pairs.extend(
+            self.winner_ts
+                .map(|ts| ("abort_winner_ts", Json::Num(ts as f64))),
+        );
+        pairs
+    }
 }
 
 /// One transaction attempt, fully recorded.
@@ -162,9 +199,9 @@ impl TxnRecord {
     }
 
     /// The record as one `sitm.txn.v1` JSON object. An aborted record
-    /// that carries an [`AbortDetail`] gains the `abort_cause`,
-    /// `abort_line` and `abort_winner_ts` keys; every other record's
-    /// bytes are independent of the detail field.
+    /// that carries an [`AbortDetail`] gains the `abort_cause` key and,
+    /// for each one the site knew, `abort_line` and `abort_winner_ts`;
+    /// every other record's bytes are independent of the detail field.
     pub fn to_json(&self) -> Json {
         let opt = |v: Option<u64>| match v {
             Some(n) => Json::Num(n as f64),
@@ -174,11 +211,7 @@ impl TxnRecord {
             .ops
             .iter()
             .map(|op| {
-                let (kind, line, observed) = match op.kind {
-                    OpKind::Read { line, observed } => ("read", line, observed),
-                    OpKind::Write { line } => ("write", line, None),
-                    OpKind::Promote { line } => ("promote", line, None),
-                };
+                let (kind, line, observed) = op.kind.parts();
                 let mut pairs = vec![
                     ("seq", Json::Num(op.seq as f64)),
                     ("op", Json::Str(kind.to_string())),
@@ -199,19 +232,11 @@ impl TxnRecord {
             ("end_seq", Json::Num(self.end_seq as f64)),
             ("begin_ts", opt(self.begin_ts)),
             ("commit_ts", opt(self.commit_ts)),
-            (
-                "outcome",
-                match self.outcome {
-                    TxnOutcome::Committed => Json::Str("committed".to_string()),
-                    TxnOutcome::Aborted(cause) => Json::Str(format!("aborted:{cause}")),
-                },
-            ),
+            ("outcome", Json::Str(self.outcome.to_string())),
             ("ops", Json::Arr(ops)),
         ];
         if let Some(detail) = self.abort {
-            pairs.push(("abort_cause", Json::Str(detail.cause.label().to_string())));
-            pairs.push(("abort_line", Json::Num(detail.line as f64)));
-            pairs.push(("abort_winner_ts", Json::Num(detail.winner_ts as f64)));
+            pairs.extend(detail.json_pairs());
         }
         Json::obj(pairs)
     }
@@ -244,8 +269,8 @@ impl TxnRecord {
                     .as_str()
                     .and_then(ForensicCause::from_label)
                     .ok_or_else(|| bad("abort_cause"))?,
-                line: num(v, "abort_line")?,
-                winner_ts: num(v, "abort_winner_ts")?,
+                line: opt(v, "abort_line")?,
+                winner_ts: opt(v, "abort_winner_ts")?,
             }),
         };
         let ops = v

@@ -5,9 +5,6 @@
 //! hermetic) and sits at the bottom of the workspace graph so every
 //! other crate can use it:
 //!
-//! - [`trace`] — per-thread fixed-capacity ring-buffer event tracers
-//!   recording the [`event`] taxonomy, compiled to zero-sized no-ops
-//!   unless the `trace` cargo feature is enabled.
 //! - [`metrics`] — named counters, gauges and log2-bucketed histograms
 //!   behind one [`metrics::MetricsRegistry`], the lock-free
 //!   [`metrics::AtomicHistogram`] for hot paths recorded from many
@@ -24,25 +21,25 @@
 //! - [`rng`] — a small deterministic xoshiro256++ PRNG (the workspace
 //!   previously pulled `rand` for this; the hermetic build cannot).
 //! - [`history`] — the per-transaction execution-history schema the
-//!   isolation oracle (`sitm-check`), the write-skew analyser
-//!   (`sitm-skew`) and the STM abort-forensics fold all read, with
-//!   bounded in-memory logging and `sitm.txn.v1` JSONL export/import.
+//!   simulator engine and the STM commit path both record — the one
+//!   per-attempt record either runtime keeps — read by the isolation
+//!   oracle (`sitm-check`), the write-skew analyser (`sitm-skew`), the
+//!   abort-forensics fold and the Chrome timeline, with bounded
+//!   in-memory logging and `sitm.txn.v1` JSONL export/import.
 //! - [`cases`] — the seeded-case driver shared by the randomized tests
 //!   (env-tunable case count, failing seed always printed).
 //! - [`forensics`] — structured abort attribution: the
 //!   [`forensics::ForensicCause`] taxonomy, top-K hot-line sketches and
-//!   conflict-age histograms — recorded live by the simulator (compiled
-//!   out behind the `trace` feature) or folded from a [`history`] —
-//!   exported as `sitm.abort_forensics.v1` JSONL.
-//! - [`chrome`] — a `chrome://tracing` JSON-array exporter for merged
-//!   trace streams, reconstructing transaction-lifecycle spans.
+//!   conflict-age histograms, folded from a [`history`] and exported as
+//!   `sitm.abort_forensics.v1` JSONL.
+//! - [`chrome`] — a `chrome://tracing` JSON-array exporter rendering a
+//!   [`history`] as per-thread attempt spans and operation instants.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cases;
 pub mod chrome;
-pub mod event;
 pub mod forensics;
 pub mod history;
 pub mod json;
@@ -51,12 +48,10 @@ pub mod phase;
 pub mod report;
 pub mod rng;
 pub mod sink;
-pub mod trace;
 
 pub use cases::{run_seeded_cases, test_cases, CASES_ENV};
 pub use chrome::chrome_trace;
-pub use event::{EventKind, TraceRecord};
-pub use forensics::{ForensicCause, ForensicEvent, Forensics, ForensicsReport, ForensicsSnapshot};
+pub use forensics::{ForensicCause, ForensicsReport, ForensicsSnapshot};
 pub use history::{
     AbortDetail, History, HistoryOp, HistoryParseError, OpKind, TxnBuilder, TxnOutcome, TxnRecord,
     ABORT_LABELS,
@@ -67,4 +62,3 @@ pub use phase::{Phase, PhaseCycles};
 pub use report::{ReportError, RunReport};
 pub use rng::SmallRng;
 pub use sink::JsonlSink;
-pub use trace::{merge_traces, Tracer};

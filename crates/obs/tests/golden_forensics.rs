@@ -2,45 +2,83 @@
 //!
 //! * `tests/golden/chrome_trace.json` — the Chrome trace-event JSON
 //!   array the [`sitm_obs::chrome_trace`] exporter renders from a fixed
-//!   synthetic transaction-lifecycle trace;
+//!   [`History`];
 //! * `tests/golden/abort_forensics.jsonl` — `sitm.abort_forensics.v1`
 //!   records rendered from fixed [`ForensicsSnapshot`]s.
 //!
-//! Both exports are pure functions of always-compiled types, so these
-//! tests run (and must pass) with and without the `trace` feature. On
-//! an intentional format change regenerate with `SITM_UPDATE_GOLDEN=1
-//! cargo test -p sitm-obs --test golden_forensics` and review the diff.
+//! On an intentional format change regenerate with
+//! `SITM_UPDATE_GOLDEN=1 cargo test -p sitm-obs --test golden_forensics`
+//! and review the diff.
 
 use std::path::Path;
 
 use sitm_obs::forensics::TopK;
 use sitm_obs::{
-    chrome_trace, EventKind, ForensicCause, ForensicEvent, ForensicsReport, ForensicsSnapshot,
-    Histogram, TraceRecord,
+    chrome_trace, AbortDetail, ForensicCause, ForensicsReport, ForensicsSnapshot, Histogram,
+    History, OpKind, TxnBuilder, TxnRecord,
 };
 
-/// A fixed two-thread lifecycle trace: thread 0 commits, thread 1
-/// aborts on a write-write conflict at line 0x40, thread 0's second
-/// attempt is left open (no span).
-fn golden_trace() -> Vec<TraceRecord> {
-    let rec = |at, thread, kind| TraceRecord { at, thread, kind };
-    vec![
-        rec(10, 0, EventKind::Begin(3)),
-        rec(12, 1, EventKind::Begin(4)),
-        rec(20, 0, EventKind::Read(0x40)),
-        rec(20, 0, EventKind::ReadSetGrowth(1)),
-        rec(25, 1, EventKind::Write(0x40)),
-        rec(30, 0, EventKind::Write(0x80)),
-        rec(40, 0, EventKind::CommitAcquire(2)),
-        rec(55, 0, EventKind::Install(7)),
-        rec(55, 0, EventKind::Commit),
-        rec(60, 1, EventKind::CommitAcquire(1)),
-        rec(70, 1, EventKind::Validate(15)),
-        rec(70, 1, EventKind::Abort(1)),
-        rec(70, 1, EventKind::AbortLine(0x40)),
-        rec(90, 0, EventKind::Begin(8)),
-        rec(95, TraceRecord::NO_THREAD, EventKind::MvmGc(3)),
-    ]
+/// An aborted attempt of thread 1 that began at sequence `begin_seq`
+/// with snapshot `begin_ts` and lost on `line` to a winner at
+/// `winner_ts`.
+fn loser(
+    txn: u64,
+    begin_seq: u64,
+    begin_ts: u64,
+    cause: ForensicCause,
+    line: u64,
+    winner_ts: u64,
+) -> TxnRecord {
+    let mut b = TxnBuilder::new(txn, 1, 0, begin_seq, Some(begin_ts));
+    b.op(begin_seq + 1, OpKind::Write { line });
+    b.detail(AbortDetail {
+        cause,
+        line: Some(line),
+        winner_ts: Some(winner_ts),
+    });
+    let label = match cause {
+        ForensicCause::CapacityEviction => "version-overflow",
+        _ => "write-write",
+    };
+    b.abort(begin_seq + 2, label)
+}
+
+/// A fixed history with one record of each shape a runtime writes: a
+/// simulator-shaped commit (cache-line addresses, engine sequence
+/// numbers), a simulator 2PL abort that knows its line but no winner
+/// and has no timestamps, an STM-shaped fully attributed abort on a
+/// labelled `TVar`, and a deliberate rollback with no detail.
+fn golden_history() -> History {
+    let mut h = History::default();
+    let mut sim = TxnBuilder::new(0, 0, 0, 0, Some(3));
+    sim.op(
+        1,
+        OpKind::Read {
+            line: 0x40,
+            observed: Some(2),
+        },
+    );
+    sim.op(4, OpKind::Write { line: 0x80 });
+    sim.op(5, OpKind::Promote { line: 0x40 });
+    h.push(sim.commit(8, Some(7)));
+    let mut two_pl = TxnBuilder::new(1, 1, 0, 2, None);
+    two_pl.op(
+        3,
+        OpKind::Read {
+            line: 0x80,
+            observed: None,
+        },
+    );
+    two_pl.detail(AbortDetail {
+        cause: ForensicCause::LockTimeout,
+        line: Some(0x80),
+        winner_ts: None,
+    });
+    h.push(two_pl.abort(6, "read-write"));
+    h.set_label(2, "checking");
+    h.push(loser(2, 9, 7, ForensicCause::WriteWriteFcw, 2, 9));
+    h.push(TxnBuilder::new(3, 0, 1, 12, Some(9)).abort(13, "explicit"));
+    h
 }
 
 /// Two fixed forensics records: a contended SI-TM cell and an empty
@@ -48,8 +86,8 @@ fn golden_trace() -> Vec<TraceRecord> {
 fn golden_reports() -> Vec<ForensicsReport> {
     let mut hot = ForensicsSnapshot::default();
     {
-        // Build deterministically through the same TopK/merge machinery
-        // the recorders use.
+        // Build deterministically through the same TopK machinery the
+        // fold uses.
         let mut sketch = TopK::default();
         for _ in 0..3 {
             sketch.record(0x40);
@@ -106,9 +144,10 @@ fn check_golden(name: &str, rendered: &str) {
 
 #[test]
 fn chrome_export_matches_golden() {
-    let mut rendered = chrome_trace(&golden_trace());
+    let mut rendered = chrome_trace(&golden_history());
     rendered.push('\n');
     check_golden("chrome_trace.json", &rendered);
+    assert_eq!(chrome_trace(&History::default()), "[]");
 }
 
 #[test]
@@ -133,32 +172,24 @@ fn forensics_jsonl_round_trips_through_the_parser() {
 
 #[test]
 fn recording_forensics_matches_the_handwritten_snapshot() {
-    // The owned recorder (when compiled in) reproduces the first golden
-    // snapshot from its constituent events — tying the golden file to
-    // the real recording path, not just the serializer.
-    let mut forensics = sitm_obs::Forensics::new();
-    for _ in 0..3 {
-        forensics.record(
+    // Folding the four aborts behind the first golden snapshot, written
+    // as the records a runtime would push, reproduces it — tying the
+    // golden file to the real recording path, not just the serializer.
+    let mut h = History::default();
+    for txn in 0..3 {
+        h.push(loser(
+            txn,
+            10 * txn,
+            5,
             ForensicCause::WriteWriteFcw,
-            ForensicEvent {
-                line: Some(0x40),
-                winner_ts: Some(7),
-                snapshot_ts: Some(5),
-            },
-        );
+            0x40,
+            7,
+        ));
     }
-    forensics.record(
-        ForensicCause::CapacityEviction,
-        ForensicEvent {
-            line: Some(0x80),
-            winner_ts: Some(260),
-            snapshot_ts: Some(4),
-        },
+    h.push(loser(3, 30, 4, ForensicCause::CapacityEviction, 0x80, 260));
+    h.push(TxnBuilder::new(4, 0, 0, 40, Some(5)).commit(41, Some(261)));
+    assert_eq!(
+        ForensicsSnapshot::from_history(&h),
+        golden_reports()[0].snapshot
     );
-    let snapshot = forensics.snapshot();
-    if sitm_obs::Forensics::enabled() {
-        assert_eq!(snapshot, golden_reports()[0].snapshot);
-    } else {
-        assert_eq!(snapshot, ForensicsSnapshot::default());
-    }
 }

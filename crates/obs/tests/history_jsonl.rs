@@ -22,7 +22,7 @@ fn sample_record(txn: u64) -> TxnRecord {
 }
 
 /// A random history within the JSON-exact integer range: labels,
-/// commits, aborts with and without detail, self-reads.
+/// commits, aborts with full, partial and no detail, self-reads.
 fn random_history(rng: &mut SmallRng) -> History {
     let mut h = History::default();
     let mut seq = 0u64;
@@ -63,10 +63,12 @@ fn random_history(rng: &mut SmallRng) -> History {
             0 => b.commit(end, Some(rng.gen_range(0..1u64 << 40))),
             1 => {
                 let cause = ForensicCause::ALL[rng.gen_range(0..ForensicCause::ALL.len())];
+                // The simulator's sites know a line without a winner
+                // (2PL) or neither (clock overflow); the STM's know both.
                 b.detail(AbortDetail {
                     cause,
-                    line: rng.gen_range(0..16u64),
-                    winner_ts: rng.gen_range(0..1u64 << 40),
+                    line: (rng.gen_range(0..3u64) > 0).then(|| rng.gen_range(0..16u64)),
+                    winner_ts: (rng.gen_range(0..3u64) > 0).then(|| rng.gen_range(0..1u64 << 40)),
                 });
                 b.abort(end, ABORT_LABELS[rng.gen_range(0..ABORT_LABELS.len())])
             }
@@ -109,13 +111,44 @@ fn committed_records_serialise_without_the_detail_field() {
     let mut b = TxnBuilder::new(1, 0, 0, 1, None);
     b.detail(AbortDetail {
         cause: ForensicCause::ReadValidation,
-        line: 3,
-        winner_ts: 8,
+        line: Some(3),
+        winner_ts: Some(8),
     });
     assert_eq!(b.clone().commit(2, None).abort, None);
-    let line = b.abort(2, "read-validation").to_json().to_line();
-    assert!(line.contains("\"abort_cause\":\"read-validation\""));
-    assert!(line.contains("\"abort_line\":3") && line.contains("\"abort_winner_ts\":8"));
+    // A fully attributed abort (every STM abort site) keeps its bytes.
+    assert_eq!(
+        b.abort(2, "read-validation").to_json().to_line(),
+        "{\"abort_cause\":\"read-validation\",\"abort_line\":3,\"abort_winner_ts\":8,\
+         \"begin_seq\":1,\"begin_ts\":null,\"commit_ts\":null,\"end_seq\":2,\"epoch\":0,\
+         \"ops\":[],\"outcome\":\"aborted:read-validation\",\
+         \"schema\":\"sitm.txn.v1\",\"thread\":0,\"txn\":1}"
+    );
+}
+
+#[test]
+fn partial_details_write_only_the_keys_they_know() {
+    let abort_with = |line, winner_ts| {
+        let mut b = TxnBuilder::new(1, 0, 0, 1, None);
+        b.detail(AbortDetail {
+            cause: ForensicCause::LockTimeout,
+            line,
+            winner_ts,
+        });
+        b.abort(2, "read-write")
+    };
+    for (line, winner_ts) in [(Some(3), None), (None, None), (None, Some(8))] {
+        let record = abort_with(line, winner_ts);
+        let text = record.to_json().to_line();
+        assert!(text.contains("\"abort_cause\":\"lock-timeout\""), "{text}");
+        assert_eq!(text.contains("\"abort_line\""), line.is_some(), "{text}");
+        assert_eq!(
+            text.contains("\"abort_winner_ts\""),
+            winner_ts.is_some(),
+            "{text}"
+        );
+        let back = History::from_jsonl(&text).expect("partial details read back");
+        assert_eq!(back.records(), [record]);
+    }
 }
 
 #[test]

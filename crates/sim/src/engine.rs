@@ -13,10 +13,7 @@
 //! harnesses.
 
 use sitm_mvm::ThreadId;
-use sitm_obs::{
-    merge_traces, EventKind, ForensicEvent, Forensics, History, OpKind, Phase as ProfPhase,
-    SmallRng, Tracer, TxnBuilder,
-};
+use sitm_obs::{AbortDetail, History, OpKind, Phase as ProfPhase, SmallRng, TxnBuilder};
 
 use crate::config::{BackoffConfig, Cycles, MachineConfig};
 use crate::program::{ThreadWorkload, TxOp, TxProgram, Workload};
@@ -52,13 +49,6 @@ struct ThreadState {
     consecutive_aborts: u32,
     stats: ThreadStats,
     rng: SmallRng,
-    tracer: Tracer,
-    /// Transactional accesses (reads + writes + promotions) of the
-    /// current attempt, reported by the `CommitAcquire` trace event.
-    attempt_accesses: u64,
-    /// Successful reads of the current attempt, reported by the
-    /// `ReadSetGrowth` trace event.
-    read_set: u64,
     /// In-flight history record of the current transaction attempt
     /// (`None` unless history recording is enabled and a begin
     /// succeeded). Builders still open when a run is truncated are
@@ -93,20 +83,15 @@ pub struct Engine<P: TmProtocol> {
     max_cycles: Cycles,
     truncated: bool,
     workload_name: String,
-    /// Transaction log for the isolation oracle; `None` (the default)
-    /// records nothing and adds no per-operation work.
+    /// The run's one record stream (oracle, abort forensics, Chrome
+    /// timeline); `None` (the default) records nothing and adds no
+    /// per-operation work.
     history: Option<History>,
     /// Global operation sequence counter (total order over recorded
     /// operations; engine scheduling is already serial).
     next_seq: u64,
     /// Next transaction-attempt id.
     next_txn: u64,
-    /// Structured abort attribution (a ZST no-op unless the `trace`
-    /// cargo feature is compiled in).
-    forensics: Forensics,
-    /// Whether [`Engine::record_forensics`] asked for a snapshot in
-    /// [`RunStats::forensics`].
-    forensics_enabled: bool,
 }
 
 impl<P: TmProtocol> Engine<P> {
@@ -134,9 +119,6 @@ impl<P: TmProtocol> Engine<P> {
                 consecutive_aborts: 0,
                 stats: ThreadStats::default(),
                 rng: SmallRng::seed_from_u64(seed.wrapping_add(tid as u64)),
-                tracer: Tracer::new(),
-                attempt_accesses: 0,
-                read_set: 0,
                 builder: None,
             })
             .collect();
@@ -150,28 +132,18 @@ impl<P: TmProtocol> Engine<P> {
             history: None,
             next_seq: 0,
             next_txn: 0,
-            forensics: Forensics::new(),
-            forensics_enabled: false,
         }
     }
 
     /// Enables history recording: every transaction attempt is logged as
-    /// a [`sitm_obs::TxnRecord`] (at most `capacity` of them) and
-    /// returned in [`RunStats::history`] for the isolation oracle.
+    /// a [`sitm_obs::TxnRecord`] (at most `capacity` of them), aborts
+    /// stamped with [`TmProtocol::last_abort_detail`], and returned in
+    /// [`RunStats::history`] for the isolation oracle, the forensics
+    /// fold ([`sitm_obs::ForensicsSnapshot::from_history`]) and
+    /// [`sitm_obs::chrome_trace`]. Recording never changes what the
+    /// simulator computes or reports.
     pub fn record_history(mut self, capacity: usize) -> Self {
         self.history = Some(History::with_capacity(capacity));
-        self
-    }
-
-    /// Enables abort forensics: every abort is classified into the
-    /// [`sitm_obs::ForensicCause`] taxonomy via
-    /// [`TmProtocol::last_abort_detail`] and the folded
-    /// [`sitm_obs::ForensicsSnapshot`] is returned in
-    /// [`RunStats::forensics`]. Recording never changes what the
-    /// simulator computes or reports; with the `trace` cargo feature
-    /// compiled out the snapshot is present but empty.
-    pub fn record_forensics(mut self) -> Self {
-        self.forensics_enabled = true;
         self
     }
 
@@ -203,13 +175,11 @@ impl<P: TmProtocol> Engine<P> {
             self.step(tid);
         }
         let total_cycles = self.threads.iter().map(|t| t.clock).max().unwrap_or(0);
-        let mut traces = Vec::with_capacity(self.threads.len());
         let per_thread: Vec<ThreadStats> = self
             .threads
             .drain(..)
             .map(|mut t| {
                 t.stats.finish_cycles = t.clock;
-                traces.push(t.tracer.drain());
                 t.stats
             })
             .collect();
@@ -221,13 +191,7 @@ impl<P: TmProtocol> Engine<P> {
                 per_thread,
                 total_cycles,
                 truncated: self.truncated,
-                trace: merge_traces(traces),
                 history: self.history,
-                forensics: if self.forensics_enabled {
-                    Some(self.forensics.snapshot())
-                } else {
-                    None
-                },
             },
             self.protocol,
         )
@@ -275,10 +239,7 @@ impl<P: TmProtocol> Engine<P> {
                         }
                         let t = &mut self.threads[tid];
                         t.charge(ProfPhase::Begin, cycles);
-                        t.tracer.record(t.clock, tid as u32, EventKind::Begin(now));
                         t.input = None;
-                        t.attempt_accesses = 0;
-                        t.read_set = 0;
                         t.phase = Phase::Running;
                         self.doom_victims(tid, victims);
                     }
@@ -286,11 +247,6 @@ impl<P: TmProtocol> Engine<P> {
                         let t = &mut self.threads[tid];
                         t.charge(ProfPhase::Stall, cycles);
                         t.stats.stall_cycles += cycles;
-                        t.tracer.record(
-                            t.clock,
-                            tid as u32,
-                            EventKind::CommitReservationStall(cycles),
-                        );
                     }
                 }
             }
@@ -330,12 +286,6 @@ impl<P: TmProtocol> Engine<P> {
                         }
                         let t = &mut self.threads[tid];
                         t.charge(ProfPhase::Read, cycles);
-                        t.attempt_accesses += 1;
-                        t.read_set += 1;
-                        t.tracer
-                            .record(t.clock, tid as u32, EventKind::Read(addr.0));
-                        t.tracer
-                            .record(t.clock, tid as u32, EventKind::ReadSetGrowth(t.read_set));
                         t.input = Some(value);
                         self.doom_victims(tid, victims);
                     }
@@ -360,11 +310,7 @@ impl<P: TmProtocol> Engine<P> {
                                 line: addr.line().0,
                             },
                         );
-                        let t = &mut self.threads[tid];
-                        t.charge(ProfPhase::Write, cycles);
-                        t.attempt_accesses += 1;
-                        t.tracer
-                            .record(t.clock, tid as u32, EventKind::Write(addr.0));
+                        self.threads[tid].charge(ProfPhase::Write, cycles);
                         self.doom_victims(tid, victims);
                     }
                     WriteOutcome::Abort {
@@ -388,11 +334,7 @@ impl<P: TmProtocol> Engine<P> {
                                 line: addr.line().0,
                             },
                         );
-                        let t = &mut self.threads[tid];
-                        t.charge(ProfPhase::Write, cycles);
-                        t.attempt_accesses += 1;
-                        t.tracer
-                            .record(t.clock, tid as u32, EventKind::Promote(addr.0));
+                        self.threads[tid].charge(ProfPhase::Write, cycles);
                         self.doom_victims(tid, victims);
                     }
                     WriteOutcome::Abort {
@@ -413,56 +355,35 @@ impl<P: TmProtocol> Engine<P> {
                 self.threads[tid].charge(ProfPhase::Validate, cycles);
                 self.handle_abort(tid, AbortCause::Inconsistent);
             }
-            TxOp::Commit => {
-                {
-                    let t = &mut self.threads[tid];
-                    t.tracer.record(
-                        t.clock,
-                        tid as u32,
-                        EventKind::CommitAcquire(t.attempt_accesses),
-                    );
-                }
-                match self.protocol.commit(ThreadId(tid), now) {
-                    CommitOutcome::Committed { cycles, victims } => {
-                        if self.history.is_some() {
-                            let commit_ts = self.protocol.last_commit_ts(ThreadId(tid));
-                            let seq = self.seq();
-                            if let Some(b) = self.threads[tid].builder.take() {
-                                if let Some(h) = self.history.as_mut() {
-                                    h.push(b.commit(seq, commit_ts));
-                                }
+            TxOp::Commit => match self.protocol.commit(ThreadId(tid), now) {
+                CommitOutcome::Committed { cycles, victims } => {
+                    if self.history.is_some() {
+                        let commit_ts = self.protocol.last_commit_ts(ThreadId(tid));
+                        let seq = self.seq();
+                        if let Some(b) = self.threads[tid].builder.take() {
+                            if let Some(h) = self.history.as_mut() {
+                                h.push(b.commit(seq, commit_ts));
                             }
                         }
-                        let commit_ts = if Tracer::enabled() {
-                            self.protocol.last_commit_ts(ThreadId(tid)).unwrap_or(0)
-                        } else {
-                            0
-                        };
-                        let t = &mut self.threads[tid];
-                        t.charge(ProfPhase::Commit, cycles);
-                        t.tracer
-                            .record(t.clock, tid as u32, EventKind::Install(commit_ts));
-                        t.tracer.record(t.clock, tid as u32, EventKind::Commit);
-                        t.stats.commits += 1;
-                        t.consecutive_aborts = 0;
-                        t.program = None;
-                        t.phase = Phase::NeedTx;
-                        self.doom_victims(tid, victims);
                     }
-                    CommitOutcome::Abort {
-                        cause,
-                        cycles,
-                        victims,
-                    } => {
-                        let t = &mut self.threads[tid];
-                        t.charge(ProfPhase::Validate, cycles);
-                        t.tracer
-                            .record(t.clock, tid as u32, EventKind::Validate(cycles));
-                        self.handle_abort(tid, cause);
-                        self.doom_victims(tid, victims);
-                    }
+                    let t = &mut self.threads[tid];
+                    t.charge(ProfPhase::Commit, cycles);
+                    t.stats.commits += 1;
+                    t.consecutive_aborts = 0;
+                    t.program = None;
+                    t.phase = Phase::NeedTx;
+                    self.doom_victims(tid, victims);
                 }
-            }
+                CommitOutcome::Abort {
+                    cause,
+                    cycles,
+                    victims,
+                } => {
+                    self.threads[tid].charge(ProfPhase::Validate, cycles);
+                    self.handle_abort(tid, cause);
+                    self.doom_victims(tid, victims);
+                }
+            },
         }
     }
 
@@ -471,34 +392,17 @@ impl<P: TmProtocol> Engine<P> {
     fn handle_abort(&mut self, tid: usize, cause: AbortCause) {
         if self.history.is_some() {
             let seq = self.seq();
-            if let Some(b) = self.threads[tid].builder.take() {
+            if let Some(mut b) = self.threads[tid].builder.take() {
+                // Ask the protocol what its abort site knew.
+                let detail = self.protocol.last_abort_detail(ThreadId(tid));
+                b.detail(detail.unwrap_or(AbortDetail {
+                    cause: cause.fallback_forensic(),
+                    line: None,
+                    winner_ts: None,
+                }));
                 if let Some(h) = self.history.as_mut() {
                     h.push(b.abort(seq, cause.label()));
                 }
-            }
-        }
-        // Forensic attribution: ask the protocol what its abort site
-        // knew. Skipped entirely on the default hot path (forensics off,
-        // tracing compiled out), so PR 5's flat loop is untouched.
-        if self.forensics_enabled || Tracer::enabled() {
-            let detail = self.protocol.last_abort_detail(ThreadId(tid));
-            if self.forensics_enabled {
-                let forensic_cause = detail.cause.unwrap_or_else(|| cause.fallback_forensic());
-                self.forensics.record(
-                    forensic_cause,
-                    ForensicEvent {
-                        line: detail.line,
-                        winner_ts: detail.winner_ts,
-                        snapshot_ts: detail.snapshot_ts,
-                    },
-                );
-            }
-            let t = &mut self.threads[tid];
-            t.tracer
-                .record(t.clock, tid as u32, EventKind::Abort(cause.index() as u8));
-            if let Some(line) = detail.line {
-                t.tracer
-                    .record(t.clock, tid as u32, EventKind::AbortLine(line));
             }
         }
         let t = &mut self.threads[tid];
@@ -863,46 +767,6 @@ mod tests {
         assert_eq!(t.phase_cycles[ProfPhase::Backoff], t.backoff_cycles);
     }
 
-    #[cfg(feature = "trace")]
-    #[test]
-    fn trace_records_lifecycle_in_time_order() {
-        let cfg = MachineConfig::with_cores(2);
-        let mut w = CounterWorkload {
-            txs_per_thread: 2,
-            base: None,
-        };
-        let stats = run_simulation(NullProtocol::default(), &mut w, &cfg, 9);
-        assert!(!stats.trace.is_empty());
-        // Merged stream is sorted by (at, thread).
-        for pair in stats.trace.windows(2) {
-            assert!((pair[0].at, pair[0].thread) <= (pair[1].at, pair[1].thread));
-        }
-        let commits = stats
-            .trace
-            .iter()
-            .filter(|r| matches!(r.kind, EventKind::Commit))
-            .count() as u64;
-        assert_eq!(commits, stats.commits());
-        let begins = stats
-            .trace
-            .iter()
-            .filter(|r| matches!(r.kind, EventKind::Begin(_)))
-            .count() as u64;
-        assert_eq!(begins, stats.commits() + stats.aborts());
-    }
-
-    #[cfg(not(feature = "trace"))]
-    #[test]
-    fn trace_is_empty_when_feature_disabled() {
-        let cfg = MachineConfig::with_cores(1);
-        let mut w = CounterWorkload {
-            txs_per_thread: 2,
-            base: None,
-        };
-        let stats = run_simulation(NullProtocol::default(), &mut w, &cfg, 9);
-        assert!(stats.trace.is_empty());
-    }
-
     #[test]
     fn history_is_off_by_default() {
         let cfg = MachineConfig::with_cores(1);
@@ -947,6 +811,14 @@ mod tests {
         }
         // FlakyProtocol reports no timestamps (default hooks).
         assert!(h.records().iter().all(|r| r.begin_ts.is_none()));
+        // Every read succeeded, so each issued read is one recorded op.
+        let read_ops = h
+            .records()
+            .iter()
+            .flat_map(|r| &r.ops)
+            .filter(|op| matches!(op.kind, OpKind::Read { .. }))
+            .count() as u64;
+        assert_eq!(read_ops, stats.reads());
     }
 
     #[test]
@@ -966,80 +838,22 @@ mod tests {
     }
 
     #[test]
-    fn forensics_recording_does_not_perturb_results() {
-        // The acceptance bar for the forensics layer: enabling it must
-        // leave every observable output byte-identical. Compare full
-        // RunStats (stats, phase profile, trace, history) with only the
-        // forensics snapshot itself stripped.
-        let cfg = MachineConfig::with_cores(3);
-        let run = |forensic: bool| {
-            let mut w = CounterWorkload {
-                txs_per_thread: 4,
-                base: None,
-            };
-            let e = Engine::new(FlakyProtocol::default(), &mut w, &cfg, 21).record_history(1 << 12);
-            let e = if forensic { e.record_forensics() } else { e };
-            let mut stats = e.run().0;
-            assert_eq!(stats.forensics.is_some(), forensic);
-            stats.forensics = None;
-            stats
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     fn forensics_snapshot_counts_every_abort() {
-        use sitm_obs::{ForensicCause, Forensics};
+        use sitm_obs::{ForensicCause, ForensicsSnapshot};
         let cfg = MachineConfig::with_cores(2);
         let mut w = CounterWorkload {
             txs_per_thread: 3,
             base: None,
         };
         let (stats, _) = Engine::new(FlakyProtocol::default(), &mut w, &cfg, 11)
-            .record_forensics()
+            .record_history(1024)
             .run();
-        let f = stats.forensics.as_ref().expect("forensics was enabled");
-        if Forensics::enabled() {
-            assert_eq!(f.total, stats.aborts());
-            // FlakyProtocol has no last_abort_detail override, so every
-            // WriteWrite abort classifies via the generic fallback.
-            assert_eq!(f.count(ForensicCause::WriteWriteFcw), stats.aborts());
-        } else {
-            assert_eq!(f.total, 0, "compiled-out recorder stays empty");
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn trace_records_commit_lifecycle_spans() {
-        let cfg = MachineConfig::with_cores(2);
-        let mut w = CounterWorkload {
-            txs_per_thread: 3,
-            base: None,
-        };
-        let stats = run_simulation(FlakyProtocol::default(), &mut w, &cfg, 13);
-        let count = |f: &dyn Fn(&EventKind) -> bool| {
-            stats.trace.iter().filter(|r| f(&r.kind)).count() as u64
-        };
-        // Every commit attempt enters the commit sequence once; every
-        // successful one installs; every failed one validates.
-        assert_eq!(
-            count(&|k| matches!(k, EventKind::CommitAcquire(_))),
-            stats.commits() + stats.aborts()
-        );
-        assert_eq!(
-            count(&|k| matches!(k, EventKind::Install(_))),
-            stats.commits()
-        );
-        assert_eq!(
-            count(&|k| matches!(k, EventKind::Validate(_))),
-            stats.aborts()
-        );
-        // Each successful read grows the read set by exactly one.
-        assert_eq!(
-            count(&|k| matches!(k, EventKind::ReadSetGrowth(_))),
-            count(&|k| matches!(k, EventKind::Read(_)))
-        );
+        let f = ForensicsSnapshot::from_history(stats.history.as_ref().expect("enabled"));
+        assert_eq!(f.total, stats.aborts());
+        // FlakyProtocol has no last_abort_detail override, so every
+        // WriteWrite abort classifies via the generic fallback, unlined.
+        assert_eq!(f.count(ForensicCause::WriteWriteFcw), stats.aborts());
+        assert_eq!(f.attributed, 0);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub use config::{BackoffConfig, CacheParams, Cycles, MachineConfig, LINE_BYTES};
 pub use engine::{run_simulation, Engine};
 pub use program::{QueueWorkload, ScriptedTx, ThreadWorkload, TxOp, TxProgram, Workload};
 pub use protocol::{
-    AbortCause, AbortDetail, BeginOutcome, CommitOutcome, ReadOutcome, TmProtocol, Victims,
-    WriteOutcome,
+    AbortCause, BeginOutcome, CommitOutcome, ReadOutcome, TmProtocol, Victims, WriteOutcome,
 };
 pub use stats::{RunStats, ThreadStats};

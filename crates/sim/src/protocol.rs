@@ -9,7 +9,7 @@
 //! the engine dooms them.
 
 use sitm_mvm::{Addr, MvmStore, ThreadId, Word};
-use sitm_obs::ForensicCause;
+use sitm_obs::{AbortDetail, ForensicCause};
 
 use crate::config::Cycles;
 
@@ -107,30 +107,6 @@ impl std::fmt::Display for AbortCause {
 /// (eager conflict detection's "requester wins", SSI dangerous-structure
 /// resolution, clock-overflow abort-all).
 pub type Victims = Vec<(ThreadId, AbortCause)>;
-
-/// Everything an abort site knew about the most recent abort of a
-/// thread's transaction: the forensic classification, the conflicting
-/// line, the winning committer's timestamp and the loser's snapshot
-/// timestamp — each `None` when the site could not know it.
-///
-/// Protocols keep one slot per thread and overwrite it at every abort
-/// site (both self-aborts and victim dooms); the engine reads the slot
-/// via [`TmProtocol::last_abort_detail`] when it processes the abort.
-/// The slot must *survive rollback* — victims are rolled back
-/// immediately but their abort is handled at their next scheduling
-/// step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AbortDetail {
-    /// Site-specific forensic cause (`None` → the engine falls back to
-    /// [`AbortCause::fallback_forensic`]).
-    pub cause: Option<ForensicCause>,
-    /// The conflicting line address.
-    pub line: Option<u64>,
-    /// Commit timestamp of the winning (conflicting) transaction.
-    pub winner_ts: Option<u64>,
-    /// Snapshot/begin timestamp of the aborted transaction.
-    pub snapshot_ts: Option<u64>,
-}
 
 /// Outcome of starting a transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -311,14 +287,21 @@ pub trait TmProtocol: Send {
         0
     }
 
-    /// What the protocol knows about the most recent abort of `tid`'s
-    /// transaction (self-abort or victim doom). The default — an empty
-    /// detail — makes the engine classify by
-    /// [`AbortCause::fallback_forensic`] with no line attribution;
+    /// What the abort site knew about the most recent abort of `tid`'s
+    /// transaction (self-abort or victim doom): the forensic
+    /// classification and, where the site knows them, the conflicting
+    /// line and the winning committer's timestamp. The engine stamps it
+    /// on the attempt's history record.
+    ///
+    /// Protocols keep one slot per thread and overwrite it at every
+    /// abort site. The slot must *survive rollback* — victims are rolled
+    /// back immediately but their abort is handled at their next
+    /// scheduling step. The default — `None` — makes the engine classify
+    /// by [`AbortCause::fallback_forensic`] with no line attribution;
     /// the in-tree protocol models all override this.
-    fn last_abort_detail(&self, tid: ThreadId) -> AbortDetail {
+    fn last_abort_detail(&self, tid: ThreadId) -> Option<AbortDetail> {
         let _ = tid;
-        AbortDetail::default()
+        None
     }
 }
 

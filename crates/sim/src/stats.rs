@@ -4,7 +4,7 @@
 
 use crate::config::Cycles;
 use crate::protocol::AbortCause;
-use sitm_obs::{ForensicsSnapshot, History, PhaseCycles, TraceRecord};
+use sitm_obs::{History, PhaseCycles};
 
 /// Statistics of one logical thread across a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -51,21 +51,13 @@ pub struct RunStats {
     pub total_cycles: Cycles,
     /// Whether the safety valve (`max_cycles`) ended the run early.
     pub truncated: bool,
-    /// Lifecycle events merged across threads in virtual-time order.
-    /// Empty unless the `trace` cargo feature is enabled (the tracer is
-    /// compiled out otherwise).
-    pub trace: Vec<TraceRecord>,
-    /// Per-transaction execution history for the isolation oracle
-    /// (`sitm-check`). `None` unless the run was started through
-    /// [`crate::Engine::record_history`].
+    /// Per-transaction execution history: the run's one record stream,
+    /// read by the isolation oracle (`sitm-check`), the abort-forensics
+    /// fold and the Chrome timeline. `None` unless the run was started
+    /// through [`crate::Engine::record_history`]. Deliberately *not*
+    /// part of any figure or report schema: recording must never change
+    /// what the simulator reports.
     pub history: Option<History>,
-    /// Structured abort attribution (per-cause counts, hot lines,
-    /// conflict ages). `None` unless the run was started through
-    /// [`crate::Engine::record_forensics`]; empty (all zero) when that
-    /// was requested but the `trace` cargo feature is compiled out.
-    /// Deliberately *not* part of any figure or report schema: forensic
-    /// recording must never change what the simulator reports.
-    pub forensics: Option<ForensicsSnapshot>,
 }
 
 impl RunStats {
@@ -182,9 +174,7 @@ mod tests {
             per_thread: vec![t],
             total_cycles: 1000,
             truncated: false,
-            trace: Vec::new(),
             history: None,
-            forensics: None,
         }
     }
 

@@ -835,11 +835,11 @@ mod tests {
                 loser.abort,
                 Some(AbortDetail {
                     cause,
-                    line: var,
-                    winner_ts: winner.commit_ts.expect("the competitor wrote"),
+                    line: Some(var),
+                    winner_ts: Some(winner.commit_ts.expect("the competitor wrote")),
                 })
             );
-            assert!(loser.abort.unwrap().winner_ts > loser.begin_ts.unwrap());
+            assert!(loser.abort.unwrap().winner_ts > loser.begin_ts);
         }
     }
 

@@ -133,8 +133,8 @@ impl TxLog {
         if let Some(open) = &mut self.open {
             open.detail(AbortDetail {
                 cause,
-                line: var,
-                winner_ts,
+                line: Some(var),
+                winner_ts: Some(winner_ts),
             });
         }
     }
