@@ -848,6 +848,66 @@ mod tests {
     }
 
     #[test]
+    fn recorded_labels_details_and_timestamps_agree() {
+        // What the polling hooks used to deliver by convention, checked
+        // on every record the real protocols produce: an abort's detail
+        // belongs to its own cause, and the SI protocols' committed
+        // records carry exactly the timestamps their outcomes returned.
+        use sitm_obs::{ForensicCause as F, TxnOutcome};
+        let workloads = all_workloads(Scale::Quick).len();
+        let rbtree = all_workloads(Scale::Default)
+            .iter()
+            .position(|w| w.name() == "rbtree")
+            .expect("rbtree is registered");
+        let quick = [
+            Protocol::TwoPl,
+            Protocol::Sontm,
+            Protocol::SiTm,
+            Protocol::SsiTm,
+        ]
+        .into_iter()
+        .flat_map(|p| (0..workloads).map(move |w| (p, Scale::Quick, w, 8)));
+        // Plus the one default-scale cell whose zombies sandbox
+        // themselves (`TxOp::Restart`): aborts no protocol site saw.
+        let mut restarts = 0;
+        for (protocol, scale, w, threads) in
+            quick.chain([(Protocol::Sontm, Scale::Default, rbtree, 16)])
+        {
+            let timestamped = matches!(protocol, Protocol::SiTm | Protocol::SsiTm);
+            let mut all = all_workloads(scale);
+            let stats =
+                run_once_with_history(protocol, all[w].as_mut(), &machine(threads), 21, 1 << 20);
+            let history = stats.history.expect("history was enabled");
+            assert_eq!(history.dropped(), 0);
+            for r in history.records() {
+                let ok = match (r.outcome, r.abort) {
+                    (TxnOutcome::Aborted(label), Some(d)) => match label {
+                        "inconsistent" | "clock-overflow" => {
+                            restarts += 1;
+                            d.cause == F::Explicit && d.line.is_none()
+                        }
+                        "write-write" => matches!(d.cause, F::WriteWriteFcw | F::LockTimeout),
+                        "capacity" | "version-overflow" => d.cause == F::CapacityEviction,
+                        "order" => matches!(d.cause, F::SsiPivot | F::ReadValidation),
+                        "read-write" => d.cause == F::LockTimeout,
+                        _ => false,
+                    },
+                    // Every abort is stamped.
+                    (TxnOutcome::Aborted(_), None) => false,
+                    // A commit timestamp iff something was installed.
+                    (TxnOutcome::Committed, _) if timestamped => {
+                        r.begin_ts.is_some()
+                            && r.commit_ts.is_some() == r.write_lines().next().is_some()
+                    }
+                    (TxnOutcome::Committed, _) => true,
+                };
+                assert!(ok, "{} x {}: {r:?}", protocol.name(), stats.workload);
+            }
+        }
+        assert!(restarts > 0, "no engine-originated abort was exercised");
+    }
+
+    #[test]
     fn fmt_ratio_covers_magnitudes() {
         assert_eq!(fmt_ratio(0.0), "0");
         assert_eq!(fmt_ratio(1.0), "1.000");

@@ -13,7 +13,7 @@ use sitm_check::{check, Discipline, Report};
 use sitm_mvm::{Addr, MvmStore, ThreadId, Word};
 use sitm_obs::History;
 use sitm_sim::{
-    AbortCause, BeginOutcome, CommitOutcome, Cycles, Engine, MachineConfig, QueueWorkload,
+    Abort, AbortCause, BeginOutcome, CommitOutcome, Cycles, Engine, MachineConfig, QueueWorkload,
     ReadOutcome, ScriptedTx, ThreadWorkload, TmProtocol, TxOp, TxProgram, Workload, WriteOutcome,
 };
 
@@ -56,8 +56,6 @@ struct ShimProtocol {
     /// line -> committed versions.
     versions: HashMap<u64, VersionChain>,
     txs: Vec<Option<ShimTx>>,
-    last_reads: Vec<Option<u64>>,
-    last_commits: Vec<Option<u64>>,
 }
 
 impl ShimProtocol {
@@ -68,14 +66,12 @@ impl ShimProtocol {
             store: MvmStore::new(),
             versions: HashMap::new(),
             txs: (0..cores).map(|_| None).collect(),
-            last_reads: vec![None; cores],
-            last_commits: vec![None; cores],
         }
     }
 
-    /// Whether begin/commit/read-version timestamps are reported to the
-    /// recorder (off in [`Mutation::DroppedWw`], forcing the oracle
-    /// onto the operation-order conflict graph).
+    /// Whether outcomes carry their begin/commit/read-version timestamps
+    /// (not in [`Mutation::DroppedWw`], forcing the oracle onto the
+    /// operation-order conflict graph).
     fn timestamps(&self) -> bool {
         self.mode != Mutation::DroppedWw
     }
@@ -86,7 +82,7 @@ impl TmProtocol for ShimProtocol {
         "SHIM"
     }
 
-    fn begin(&mut self, tid: ThreadId, _now: Cycles) -> BeginOutcome {
+    fn begin(&mut self, tid: ThreadId) -> BeginOutcome {
         self.txs[tid.0] = Some(ShimTx {
             start: self.clock,
             writes: HashMap::new(),
@@ -94,17 +90,19 @@ impl TmProtocol for ShimProtocol {
         BeginOutcome::Started {
             cycles: 1,
             victims: vec![],
+            begin_ts: self.timestamps().then_some(self.clock),
+            epoch: 0,
         }
     }
 
-    fn read(&mut self, tid: ThreadId, addr: Addr, _now: Cycles) -> ReadOutcome {
+    fn read(&mut self, tid: ThreadId, addr: Addr) -> ReadOutcome {
         let tx = self.txs[tid.0].as_ref().expect("read outside transaction");
         if let Some(&value) = tx.writes.get(&addr.0) {
-            self.last_reads[tid.0] = None;
             return ReadOutcome::Ok {
                 value,
                 cycles: 1,
                 victims: vec![],
+                observed: None,
             };
         }
         let start = tx.start;
@@ -136,15 +134,15 @@ impl TmProtocol for ShimProtocol {
             }
             None => (0, self.store.read_word(addr)),
         };
-        self.last_reads[tid.0] = self.timestamps().then_some(observed);
         ReadOutcome::Ok {
             value,
             cycles: 1,
             victims: vec![],
+            observed: self.timestamps().then_some(observed),
         }
     }
 
-    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word, _now: Cycles) -> WriteOutcome {
+    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word) -> WriteOutcome {
         let tx = self.txs[tid.0].as_mut().expect("write outside transaction");
         tx.writes.insert(addr.0, value);
         WriteOutcome::Ok {
@@ -156,10 +154,10 @@ impl TmProtocol for ShimProtocol {
     fn commit(&mut self, tid: ThreadId, _now: Cycles) -> CommitOutcome {
         let tx = self.txs[tid.0].take().expect("commit outside transaction");
         if tx.writes.is_empty() {
-            self.last_commits[tid.0] = None;
             return CommitOutcome::Committed {
                 cycles: 1,
                 victims: vec![],
+                commit_ts: None,
             };
         }
         let mut lines: Vec<u64> = tx.writes.keys().map(|&a| Addr(a).line().0).collect();
@@ -170,11 +168,12 @@ impl TmProtocol for ShimProtocol {
             for &line in &lines {
                 let newest = self.versions.get(&line).and_then(|v| v.last()).map(|v| v.0);
                 if newest.is_some_and(|ts| ts > tx.start) {
-                    return CommitOutcome::Abort {
+                    return CommitOutcome::Abort(Abort {
                         cause: AbortCause::WriteWrite,
                         cycles: 1,
                         victims: vec![],
-                    };
+                        detail: None,
+                    });
                 }
             }
         }
@@ -190,10 +189,10 @@ impl TmProtocol for ShimProtocol {
             }
             chain.push((end, image));
         }
-        self.last_commits[tid.0] = self.timestamps().then_some(end);
         CommitOutcome::Committed {
             cycles: 1,
             victims: vec![],
+            commit_ts: self.timestamps().then_some(end),
         }
     }
 
@@ -208,21 +207,6 @@ impl TmProtocol for ShimProtocol {
 
     fn store_mut(&mut self) -> &mut MvmStore {
         &mut self.store
-    }
-
-    fn begin_ts(&self, tid: ThreadId) -> Option<u64> {
-        if !self.timestamps() {
-            return None;
-        }
-        self.txs[tid.0].as_ref().map(|tx| tx.start)
-    }
-
-    fn last_commit_ts(&self, tid: ThreadId) -> Option<u64> {
-        self.last_commits[tid.0]
-    }
-
-    fn last_read_version(&self, tid: ThreadId) -> Option<u64> {
-        self.last_reads[tid.0]
     }
 }
 
@@ -408,26 +392,35 @@ fn control_shim_without_timestamps_is_conflict_serializable() {
     // Same protocol as DroppedWw minus the mutation: with validation
     // intact, single-line RMW traffic under SI is serializable, so the
     // conflict-graph checker must accept it — the rejection above is
-    // the mutation's doing, not checker noise.
+    // the mutation's doing, not checker noise. The wrapper strips the
+    // timestamps from the outcomes the faithful shim returns.
     struct ValidatingNoTs(ShimProtocol);
     impl TmProtocol for ValidatingNoTs {
         fn name(&self) -> &'static str {
             "SHIM-NOTS"
         }
-        fn begin(&mut self, tid: ThreadId, now: Cycles) -> BeginOutcome {
-            self.0.begin(tid, now)
-        }
-        fn read(&mut self, tid: ThreadId, addr: Addr, now: Cycles) -> ReadOutcome {
-            let out = self.0.read(tid, addr, now);
-            self.0.last_reads[tid.0] = None;
+        fn begin(&mut self, tid: ThreadId) -> BeginOutcome {
+            let mut out = self.0.begin(tid);
+            if let BeginOutcome::Started { begin_ts, .. } = &mut out {
+                *begin_ts = None;
+            }
             out
         }
-        fn write(&mut self, tid: ThreadId, addr: Addr, value: Word, now: Cycles) -> WriteOutcome {
-            self.0.write(tid, addr, value, now)
+        fn read(&mut self, tid: ThreadId, addr: Addr) -> ReadOutcome {
+            let mut out = self.0.read(tid, addr);
+            if let ReadOutcome::Ok { observed, .. } = &mut out {
+                *observed = None;
+            }
+            out
+        }
+        fn write(&mut self, tid: ThreadId, addr: Addr, value: Word) -> WriteOutcome {
+            self.0.write(tid, addr, value)
         }
         fn commit(&mut self, tid: ThreadId, now: Cycles) -> CommitOutcome {
-            let out = self.0.commit(tid, now);
-            self.0.last_commits[tid.0] = None;
+            let mut out = self.0.commit(tid, now);
+            if let CommitOutcome::Committed { commit_ts, .. } = &mut out {
+                *commit_ts = None;
+            }
             out
         }
         fn rollback(&mut self, tid: ThreadId) -> Cycles {

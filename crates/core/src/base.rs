@@ -2,6 +2,7 @@
 //! write buffer and the protocol base (store + memory-system cost model).
 
 use sitm_mvm::{Addr, LineAddr, LineData, MvmStore, Word};
+use sitm_obs::{AbortDetail, ForensicCause};
 use sitm_sim::{Cycles, MachineConfig, MemorySystem};
 
 /// A sorted set of line addresses backed by a flat vector.
@@ -224,6 +225,16 @@ impl ProtocolBase {
             begin_cost: 10,
             rollback_cost: 40,
             per_line_validate_cost: cfg.l3.latency,
+        }
+    }
+
+    /// What a timestamp-based abort site on `line` knows: the newest
+    /// committed version of the line is the conflict's winner.
+    pub fn lost_to_newest(&self, cause: ForensicCause, line: LineAddr) -> AbortDetail {
+        AbortDetail {
+            cause,
+            line: Some(line.0),
+            winner_ts: self.store.newest_ts(line).map(|ts| ts.0),
         }
     }
 }

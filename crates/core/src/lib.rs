@@ -37,13 +37,13 @@
 //!
 //! let reader = ThreadId(0);
 //! let writer = ThreadId(1);
-//! assert!(matches!(tm.begin(reader, 0), BeginOutcome::Started { .. }));
-//! assert!(matches!(tm.begin(writer, 0), BeginOutcome::Started { .. }));
+//! assert!(matches!(tm.begin(reader), BeginOutcome::Started { .. }));
+//! assert!(matches!(tm.begin(writer), BeginOutcome::Started { .. }));
 //! // The writer updates the word the reader is looking at…
-//! tm.write(writer, addr, 8, 0);
+//! tm.write(writer, addr, 8);
 //! assert!(matches!(tm.commit(writer, 0), CommitOutcome::Committed { .. }));
 //! // …and the reader still commits, reading its consistent snapshot.
-//! match tm.read(reader, addr, 0) {
+//! match tm.read(reader, addr) {
 //!     ReadOutcome::Ok { value, .. } => assert_eq!(value, 7),
 //!     other => panic!("unexpected {other:?}"),
 //! }

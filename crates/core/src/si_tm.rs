@@ -30,8 +30,8 @@
 use sitm_mvm::{Addr, GlobalClock, LineAddr, MvmConfig, MvmStore, ThreadId, Timestamp, Word};
 use sitm_obs::{AbortDetail, ForensicCause};
 use sitm_sim::{
-    AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
-    Victims, WriteOutcome,
+    Abort, AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
+    Victim, Victims, WriteOutcome,
 };
 
 use crate::base::{LineSet, ProtocolBase, TouchedLines, WriteBuffer};
@@ -51,6 +51,13 @@ pub struct SiTmConfig {
     /// uses the full 64-bit space.
     pub timestamp_limit: Option<u64>,
 }
+
+/// A clock-overflow abort-all has no conflicting line and no winner.
+const CLOCK_OVERFLOW: AbortDetail = AbortDetail {
+    cause: ForensicCause::Explicit,
+    line: None,
+    winner_ts: None,
+};
 
 /// Per-transaction state.
 #[derive(Debug, Default)]
@@ -78,18 +85,6 @@ pub struct SiTm {
     /// L1-sized threshold above which written lines spill as transients
     /// (cost modeling only; never an abort).
     spill_threshold: usize,
-    /// Per-thread timestamp of the version served by the most recent
-    /// successful read (`None` for read-own-write), reported to the
-    /// history recorder.
-    last_reads: Vec<Option<u64>>,
-    /// Per-thread end timestamp of the most recent successful commit
-    /// (`None` when nothing was installed), reported to the history
-    /// recorder.
-    last_commits: Vec<Option<u64>>,
-    /// Per-thread detail of the most recent abort site, reported to the
-    /// history recorder. Overwritten at every abort; survives
-    /// rollback (victim details are read at the victim's next step).
-    last_aborts: Vec<Option<AbortDetail>>,
 }
 
 impl SiTm {
@@ -117,9 +112,6 @@ impl SiTm {
             cfg,
             txs: (0..machine.cores).map(|_| None).collect(),
             spill_threshold: machine.version_buffer_lines(),
-            last_reads: vec![None; machine.cores],
-            last_commits: vec![None; machine.cores],
-            last_aborts: vec![None; machine.cores],
         }
     }
 
@@ -148,6 +140,27 @@ impl SiTm {
         Some(tx)
     }
 
+    /// Self-abort over a conflict on `line`, `spent` cycles into the
+    /// operation: rolls back and hands the engine the record, naming the
+    /// newest committed version of the line as the winner. SI-TM's
+    /// line-conflict causes (write-write, version overflow) classify
+    /// exactly as the generic mapping does.
+    fn abort_on(
+        &mut self,
+        tid: ThreadId,
+        cause: AbortCause,
+        line: LineAddr,
+        spent: Cycles,
+    ) -> Abort {
+        let detail = self.base.lost_to_newest(cause.fallback_forensic(), line);
+        Abort {
+            cause,
+            cycles: spent + self.rollback(tid),
+            victims: vec![],
+            detail: Some(detail),
+        }
+    }
+
     /// Abort-all after a clock overflow: doom every other in-flight
     /// transaction and reset the clock.
     fn overflow_reset(&mut self, tid: ThreadId) -> Victims {
@@ -156,27 +169,17 @@ impl SiTm {
             .iter()
             .enumerate()
             .filter(|(i, tx)| *i != tid.0 && tx.is_some())
-            .map(|(i, _)| (ThreadId(i), AbortCause::ClockOverflow))
+            .map(|(i, _)| Victim {
+                tid: ThreadId(i),
+                cause: AbortCause::ClockOverflow,
+                detail: Some(CLOCK_OVERFLOW),
+            })
             .collect();
-        for &(victim, _) in &victims {
-            self.last_aborts[victim.0] = Some(AbortDetail {
-                cause: ForensicCause::Explicit,
-                line: None,
-                winner_ts: None,
-            });
-        }
         // The interrupt handler aborts every active transaction, clears
         // their registrations and transient versions, re-bases committed
         // state to the epoch, and resets the clock.
-        for &(victim, _) in &victims {
-            let tx = self.txs[victim.0].take().expect("victim has a transaction");
-            self.base.store.unregister_transaction(victim);
-            for &line in &tx.spilled {
-                self.base.store.take_transient(victim, line);
-            }
-            self.base
-                .mem
-                .invalidate_own(victim.0, tx.touched.iter().copied());
+        for victim in victims.iter().map(|v| v.tid) {
+            self.teardown(victim).expect("victim has a transaction");
             // Re-arm the slot so the engine's rollback call (which dooms
             // the victim later) still finds state to discard idempotently.
             self.txs[victim.0] = Some(SiTx {
@@ -201,23 +204,15 @@ impl TmProtocol for SiTm {
         "SI-TM"
     }
 
-    fn begin(&mut self, tid: ThreadId, _now: Cycles) -> BeginOutcome {
+    fn begin(&mut self, tid: ThreadId) -> BeginOutcome {
         debug_assert!(self.txs[tid.0].is_none(), "nested begin");
-        match self.clock.begin() {
-            Ok(start) => {
-                self.base.store.register_transaction(tid, start);
-                self.txs[tid.0] = Some(SiTx {
-                    start,
-                    ..SiTx::default()
-                });
-                BeginOutcome::Started {
-                    cycles: self.base.begin_cost,
-                    victims: vec![],
+        let (start, cycles, victims) = match self.clock.begin() {
+            Ok(start) => (start, self.base.begin_cost, vec![]),
+            Err(sitm_mvm::BeginError::Stall(_)) => {
+                return BeginOutcome::Stall {
+                    cycles: self.base.begin_cost * 4,
                 }
             }
-            Err(sitm_mvm::BeginError::Stall(_)) => BeginOutcome::Stall {
-                cycles: self.base.begin_cost * 4,
-            },
             Err(sitm_mvm::BeginError::Overflow(_)) => {
                 // Interrupt: abort all active transactions, reset, retry.
                 let victims = self.overflow_reset(tid);
@@ -225,29 +220,32 @@ impl TmProtocol for SiTm {
                     .clock
                     .begin()
                     .expect("clock usable immediately after reset");
-                self.base.store.register_transaction(tid, start);
-                self.txs[tid.0] = Some(SiTx {
-                    start,
-                    ..SiTx::default()
-                });
-                BeginOutcome::Started {
-                    cycles: self.base.begin_cost * 10,
-                    victims,
-                }
+                (start, self.base.begin_cost * 10, victims)
             }
+        };
+        self.base.store.register_transaction(tid, start);
+        self.txs[tid.0] = Some(SiTx {
+            start,
+            ..SiTx::default()
+        });
+        BeginOutcome::Started {
+            cycles,
+            victims,
+            begin_ts: Some(start.0),
+            epoch: self.clock.overflows(),
         }
     }
 
-    fn read(&mut self, tid: ThreadId, addr: Addr, _now: Cycles) -> ReadOutcome {
+    fn read(&mut self, tid: ThreadId, addr: Addr) -> ReadOutcome {
         let line = addr.line();
         // Read-own-writes from the buffer first.
         if let Some(value) = self.tx(tid).writes.get(addr) {
-            self.last_reads[tid.0] = None;
             let cycles = self.base.mem.l1_write(tid.0, line); // L1 hit cost
             return ReadOutcome::Ok {
                 value,
                 cycles,
                 victims: vec![],
+                observed: None,
             };
         }
         let start = self.tx(tid).start;
@@ -255,26 +253,10 @@ impl TmProtocol for SiTm {
         // already returned `None` for this exact address, so no buffered
         // write can affect the word read and the full line image is
         // never needed.
-        let value = match self.base.store.read_word_snapshot_ts(addr, start) {
-            Some((value, ts)) => {
-                self.last_reads[tid.0] = Some(ts.0);
-                value
-            }
-            None => {
-                // The snapshot's version was discarded (discard-oldest
-                // policy): the reader aborts.
-                self.last_aborts[tid.0] = Some(AbortDetail {
-                    cause: ForensicCause::CapacityEviction,
-                    line: Some(line.0),
-                    winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-                });
-                let cycles = self.rollback(tid);
-                return ReadOutcome::Abort {
-                    cause: AbortCause::VersionOverflow,
-                    cycles,
-                    victims: vec![],
-                };
-            }
+        let Some((value, ts)) = self.base.store.read_word_snapshot_ts(addr, start) else {
+            // The snapshot's version was discarded (discard-oldest
+            // policy): the reader aborts.
+            return ReadOutcome::Abort(self.abort_on(tid, AbortCause::VersionOverflow, line, 0));
         };
         let cycles = self.base.mem.mvm_access(tid.0, line);
         self.tx(tid).touched.insert(line);
@@ -282,10 +264,11 @@ impl TmProtocol for SiTm {
             value,
             cycles,
             victims: vec![],
+            observed: Some(ts.0),
         }
     }
 
-    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word, _now: Cycles) -> WriteOutcome {
+    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word) -> WriteOutcome {
         let line = addr.line();
         let spill_threshold = self.spill_threshold;
         let tx = self.tx(tid);
@@ -320,7 +303,7 @@ impl TmProtocol for SiTm {
         }
     }
 
-    fn promote(&mut self, tid: ThreadId, addr: Addr, _now: Cycles) -> WriteOutcome {
+    fn promote(&mut self, tid: ThreadId, addr: Addr) -> WriteOutcome {
         let line = addr.line();
         let tx = self.tx(tid);
         tx.promoted.insert(line);
@@ -338,11 +321,11 @@ impl TmProtocol for SiTm {
                 .as_ref()
                 .expect("commit outside transaction");
             if tx.writes.is_empty() && tx.promoted.is_empty() {
-                self.last_commits[tid.0] = None;
                 self.teardown(tid);
                 return CommitOutcome::Committed {
                     cycles: 0,
                     victims: vec![],
+                    commit_ts: None,
                 };
             }
         }
@@ -355,24 +338,19 @@ impl TmProtocol for SiTm {
             for &line in &promoted {
                 cycles += self.base.per_line_validate_cost;
                 if self.base.store.newer_than(line, start) {
-                    self.last_aborts[tid.0] = Some(AbortDetail {
-                        cause: ForensicCause::WriteWriteFcw,
-                        line: Some(line.0),
-                        winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-                    });
-                    let rollback = self.rollback(tid);
-                    return CommitOutcome::Abort {
-                        cause: AbortCause::WriteWrite,
-                        cycles: cycles + rollback,
-                        victims: vec![],
-                    };
+                    return CommitOutcome::Abort(self.abort_on(
+                        tid,
+                        AbortCause::WriteWrite,
+                        line,
+                        cycles,
+                    ));
                 }
             }
-            self.last_commits[tid.0] = None;
             self.teardown(tid);
             return CommitOutcome::Committed {
                 cycles,
                 victims: vec![],
+                commit_ts: None,
             };
         }
 
@@ -380,19 +358,14 @@ impl TmProtocol for SiTm {
             Ok(end) => end,
             Err(_) => {
                 // Clock overflow during commit: abort everything.
-                self.last_aborts[tid.0] = Some(AbortDetail {
-                    cause: ForensicCause::Explicit,
-                    line: None,
-                    winner_ts: None,
-                });
-                let mut victims = self.overflow_reset(tid);
+                let victims = self.overflow_reset(tid);
                 let cycles = self.rollback(tid);
-                victims.retain(|(v, _)| *v != tid);
-                return CommitOutcome::Abort {
+                return CommitOutcome::Abort(Abort {
                     cause: AbortCause::ClockOverflow,
                     cycles,
                     victims,
-                };
+                    detail: Some(CLOCK_OVERFLOW),
+                });
             }
         };
 
@@ -443,18 +416,9 @@ impl TmProtocol for SiTm {
         }
 
         if let Some(line) = conflict {
-            self.last_aborts[tid.0] = Some(AbortDetail {
-                cause: ForensicCause::WriteWriteFcw,
-                line: Some(line.0),
-                winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-            });
-            let rollback = self.rollback(tid);
+            let abort = self.abort_on(tid, AbortCause::WriteWrite, line, cycles);
             self.clock.finish_commit(end);
-            return CommitOutcome::Abort {
-                cause: AbortCause::WriteWrite,
-                cycles: cycles + rollback,
-                victims: vec![],
-            };
+            return CommitOutcome::Abort(abort);
         }
 
         // The transaction is done reading: release its snapshot before
@@ -487,29 +451,20 @@ impl TmProtocol for SiTm {
             }
         }
         if let Some(line) = overflow {
-            self.last_aborts[tid.0] = Some(AbortDetail {
-                cause: ForensicCause::CapacityEviction,
-                line: Some(line.0),
-                winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-            });
             for line in installed {
                 self.base.store.remove_installed(line, end);
             }
-            let rollback = self.rollback(tid);
+            let abort = self.abort_on(tid, AbortCause::VersionOverflow, line, cycles);
             self.clock.finish_commit(end);
-            return CommitOutcome::Abort {
-                cause: AbortCause::VersionOverflow,
-                cycles: cycles + rollback,
-                victims: vec![],
-            };
+            return CommitOutcome::Abort(abort);
         }
 
-        self.last_commits[tid.0] = Some(end.0);
         self.teardown(tid);
         self.clock.finish_commit(end);
         CommitOutcome::Committed {
             cycles,
             victims: vec![],
+            commit_ts: Some(end.0),
         }
     }
 
@@ -526,26 +481,6 @@ impl TmProtocol for SiTm {
 
     fn store_mut(&mut self) -> &mut MvmStore {
         &mut self.base.store
-    }
-
-    fn begin_ts(&self, tid: ThreadId) -> Option<u64> {
-        self.txs[tid.0].as_ref().map(|tx| tx.start.0)
-    }
-
-    fn last_commit_ts(&self, tid: ThreadId) -> Option<u64> {
-        self.last_commits[tid.0]
-    }
-
-    fn last_read_version(&self, tid: ThreadId) -> Option<u64> {
-        self.last_reads[tid.0]
-    }
-
-    fn epoch(&self) -> u64 {
-        self.clock.overflows()
-    }
-
-    fn last_abort_detail(&self, tid: ThreadId) -> Option<AbortDetail> {
-        self.last_aborts[tid.0]
     }
 }
 
@@ -570,39 +505,45 @@ mod tests {
         MachineConfig::with_cores(cores)
     }
 
-    fn begin(p: &mut SiTm, t: usize) {
-        match p.begin(ThreadId(t), 0) {
-            BeginOutcome::Started { .. } => {}
+    /// Begins, returning the snapshot timestamp.
+    fn begin(p: &mut SiTm, t: usize) -> Option<u64> {
+        match p.begin(ThreadId(t)) {
+            BeginOutcome::Started { begin_ts, .. } => begin_ts,
             other => panic!("begin failed: {other:?}"),
         }
     }
 
     fn read(p: &mut SiTm, t: usize, a: Addr) -> Word {
-        match p.read(ThreadId(t), a, 0) {
+        match p.read(ThreadId(t), a) {
             ReadOutcome::Ok { value, .. } => value,
             other => panic!("read aborted: {other:?}"),
         }
     }
 
     fn write(p: &mut SiTm, t: usize, a: Addr, v: Word) {
-        match p.write(ThreadId(t), a, v, 0) {
+        match p.write(ThreadId(t), a, v) {
             WriteOutcome::Ok { .. } => {}
             other => panic!("write aborted: {other:?}"),
         }
     }
 
-    fn commit_ok(p: &mut SiTm, t: usize) {
+    /// Commits, returning the commit timestamp.
+    fn commit_ok(p: &mut SiTm, t: usize) -> Option<u64> {
         match p.commit(ThreadId(t), 0) {
-            CommitOutcome::Committed { .. } => {}
+            CommitOutcome::Committed { commit_ts, .. } => commit_ts,
             other => panic!("commit failed: {other:?}"),
         }
     }
 
-    fn commit_err(p: &mut SiTm, t: usize) -> AbortCause {
+    fn commit_abort(p: &mut SiTm, t: usize) -> Abort {
         match p.commit(ThreadId(t), 0) {
-            CommitOutcome::Abort { cause, .. } => cause,
+            CommitOutcome::Abort(abort) => abort,
             other => panic!("commit unexpectedly succeeded: {other:?}"),
         }
+    }
+
+    fn commit_err(p: &mut SiTm, t: usize) -> AbortCause {
+        commit_abort(p, t).cause
     }
 
     #[test]
@@ -744,8 +685,11 @@ mod tests {
             write(&mut p, t, a, t as Word);
             match p.commit(ThreadId(t), 0) {
                 CommitOutcome::Committed { .. } => {}
-                CommitOutcome::Abort { cause, .. } => {
-                    assert_eq!(cause, AbortCause::VersionOverflow);
+                CommitOutcome::Abort(abort) => {
+                    assert_eq!(abort.cause, AbortCause::VersionOverflow);
+                    let detail = abort.detail.expect("abort site hands over a detail");
+                    assert_eq!(detail.cause, ForensicCause::CapacityEviction);
+                    assert_eq!(detail.line, Some(a.line().0));
                     aborted = true;
                     break;
                 }
@@ -803,7 +747,7 @@ mod tests {
         // Burn through the tiny timestamp space.
         let mut overflow_victims = None;
         for _ in 0..16 {
-            match p.begin(ThreadId(0), 0) {
+            match p.begin(ThreadId(0)) {
                 BeginOutcome::Started { victims, .. } => {
                     if !victims.is_empty() {
                         overflow_victims = Some(victims);
@@ -815,7 +759,14 @@ mod tests {
             }
         }
         let victims = overflow_victims.expect("overflow must occur");
-        assert_eq!(victims, vec![(ThreadId(1), AbortCause::ClockOverflow)]);
+        assert_eq!(
+            victims,
+            vec![Victim {
+                tid: ThreadId(1),
+                cause: AbortCause::ClockOverflow,
+                detail: Some(CLOCK_OVERFLOW),
+            }]
+        );
         assert_eq!(p.clock().overflows(), 1);
         // Engine would roll thread 1 back.
         p.rollback(ThreadId(1));
@@ -843,16 +794,13 @@ mod tests {
         let mut p = SiTm::new(&machine(2));
         let a = p.store_mut().alloc_words(1);
         begin(&mut p, 0);
-        begin(&mut p, 1);
+        let loser_start = begin(&mut p, 1).expect("a begin carries its snapshot timestamp");
         write(&mut p, 0, a, 10);
         write(&mut p, 1, a, 20);
-        commit_ok(&mut p, 0);
-        let winner_ts = p.last_commit_ts(ThreadId(0)).expect("writer committed");
-        let loser_start = p.begin_ts(ThreadId(1)).expect("loser in flight");
-        assert_eq!(commit_err(&mut p, 1), AbortCause::WriteWrite);
-        let d = p
-            .last_abort_detail(ThreadId(1))
-            .expect("abort site stamps a detail");
+        let winner_ts = commit_ok(&mut p, 0).expect("a writing commit carries its timestamp");
+        let abort = commit_abort(&mut p, 1);
+        assert_eq!(abort.cause, AbortCause::WriteWrite);
+        let d = abort.detail.expect("abort site hands over a detail");
         assert_eq!(d.cause, ForensicCause::WriteWriteFcw);
         assert_eq!(d.line, Some(a.line().0));
         assert_eq!(d.winner_ts, Some(winner_ts));

@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use sitm_mvm::{Addr, LineAddr, MvmStore, ThreadId, Word};
 use sitm_obs::{AbortDetail, ForensicCause};
 use sitm_sim::{
-    AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
+    Abort, AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
     WriteOutcome,
 };
 
@@ -93,8 +93,6 @@ pub struct Sontm {
     hash_cost: Cycles,
     token_busy_until: Cycles,
     cores: usize,
-    /// Per-thread detail of the most recent abort site.
-    last_aborts: Vec<Option<AbortDetail>>,
 }
 
 impl Sontm {
@@ -108,7 +106,6 @@ impl Sontm {
             hash_cost: machine.sontm_hash_cost,
             token_busy_until: 0,
             cores: machine.cores,
-            last_aborts: vec![None; machine.cores],
         }
     }
 
@@ -132,16 +129,18 @@ impl TmProtocol for Sontm {
         "SONTM"
     }
 
-    fn begin(&mut self, tid: ThreadId, _now: Cycles) -> BeginOutcome {
+    fn begin(&mut self, tid: ThreadId) -> BeginOutcome {
         debug_assert!(self.txs[tid.0].is_none(), "nested begin");
         self.txs[tid.0] = Some(SontmTx::default());
         BeginOutcome::Started {
             cycles: self.base.begin_cost,
             victims: vec![],
+            begin_ts: None,
+            epoch: 0,
         }
     }
 
-    fn read(&mut self, tid: ThreadId, addr: Addr, _now: Cycles) -> ReadOutcome {
+    fn read(&mut self, tid: ThreadId, addr: Addr) -> ReadOutcome {
         let line = addr.line();
         if let Some(value) = self.tx(tid).writes.get(addr) {
             let cycles = self.base.mem.l1_write(tid.0, line);
@@ -149,6 +148,7 @@ impl TmProtocol for Sontm {
                 value,
                 cycles,
                 victims: vec![],
+                observed: None,
             };
         }
         // Flow dependency: serialize after the last committed writer of
@@ -171,10 +171,11 @@ impl TmProtocol for Sontm {
             value: base_data[addr.offset()],
             cycles: cycles + self.hash_cost,
             victims: vec![],
+            observed: None,
         }
     }
 
-    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word, _now: Cycles) -> WriteOutcome {
+    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word) -> WriteOutcome {
         let line = addr.line();
         let tx = self.tx(tid);
         tx.writes.insert(addr, value);
@@ -186,7 +187,7 @@ impl TmProtocol for Sontm {
         }
     }
 
-    fn promote(&mut self, tid: ThreadId, addr: Addr, _now: Cycles) -> WriteOutcome {
+    fn promote(&mut self, tid: ThreadId, addr: Addr) -> WriteOutcome {
         // Conflict serializability already orders readers and writers;
         // promotion is a read-set membership (idempotent).
         let line = addr.line();
@@ -231,17 +232,16 @@ impl TmProtocol for Sontm {
         if lo > hi {
             // An empty SON range is a validation failure of the read/write
             // order; the pinch names the line and committed SON at fault.
-            self.last_aborts[tid.0] = Some(AbortDetail {
-                cause: ForensicCause::ReadValidation,
-                line: pinch.map(|(l, _)| l.0),
-                winner_ts: pinch.map(|(_, son)| son),
-            });
-            let rollback = self.rollback(tid);
-            return CommitOutcome::Abort {
+            return CommitOutcome::Abort(Abort {
                 cause: AbortCause::Order,
-                cycles: cycles + rollback,
+                cycles: cycles + self.rollback(tid),
                 victims: vec![],
-            };
+                detail: Some(AbortDetail {
+                    cause: ForensicCause::ReadValidation,
+                    line: pinch.map(|(l, _)| l.0),
+                    winner_ts: pinch.map(|(_, son)| son),
+                }),
+            });
         }
         let son = lo;
 
@@ -316,6 +316,7 @@ impl TmProtocol for Sontm {
         CommitOutcome::Committed {
             cycles,
             victims: vec![],
+            commit_ts: None,
         }
     }
 
@@ -333,10 +334,6 @@ impl TmProtocol for Sontm {
     fn store_mut(&mut self) -> &mut MvmStore {
         &mut self.base.store
     }
-
-    fn last_abort_detail(&self, tid: ThreadId) -> Option<AbortDetail> {
-        self.last_aborts[tid.0]
-    }
 }
 
 impl sitm_obs::Observable for Sontm {
@@ -352,30 +349,34 @@ mod tests {
     use super::*;
 
     fn begin(p: &mut Sontm, t: usize) {
-        match p.begin(ThreadId(t), 0) {
+        match p.begin(ThreadId(t)) {
             BeginOutcome::Started { .. } => {}
             other => panic!("begin failed: {other:?}"),
         }
     }
 
     fn read(p: &mut Sontm, t: usize, a: Addr) -> Word {
-        match p.read(ThreadId(t), a, 0) {
+        match p.read(ThreadId(t), a) {
             ReadOutcome::Ok { value, .. } => value,
             other => panic!("read aborted: {other:?}"),
         }
     }
 
     fn write(p: &mut Sontm, t: usize, a: Addr, v: Word) {
-        match p.write(ThreadId(t), a, v, 0) {
+        match p.write(ThreadId(t), a, v) {
             WriteOutcome::Ok { .. } => {}
             other => panic!("write aborted: {other:?}"),
         }
     }
 
     fn commit(p: &mut Sontm, t: usize) -> Result<(), AbortCause> {
+        commit_full(p, t).map_err(|abort| abort.cause)
+    }
+
+    fn commit_full(p: &mut Sontm, t: usize) -> Result<(), Abort> {
         match p.commit(ThreadId(t), 0) {
             CommitOutcome::Committed { .. } => Ok(()),
-            CommitOutcome::Abort { cause, .. } => Err(cause),
+            CommitOutcome::Abort(abort) => Err(abort),
         }
     }
 
@@ -435,10 +436,9 @@ mod tests {
         write(&mut p, 1, d, 1);
         assert_eq!(commit(&mut p, 1), Ok(()));
         assert_eq!(read(&mut p, 0, d), 1); // flow dep raises lo past hi
-        assert_eq!(commit(&mut p, 0), Err(AbortCause::Order));
-        let detail = p
-            .last_abort_detail(ThreadId(0))
-            .expect("abort site stamps a detail");
+        let abort = commit_full(&mut p, 0).expect_err("empty SON range");
+        assert_eq!(abort.cause, AbortCause::Order);
+        let detail = abort.detail.expect("abort site hands over a detail");
         assert_eq!(detail.cause, ForensicCause::ReadValidation);
         assert_eq!(
             detail.line,

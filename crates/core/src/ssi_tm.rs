@@ -40,8 +40,8 @@
 use sitm_mvm::{Addr, GlobalClock, LineAddr, MvmStore, ThreadId, Timestamp, Word};
 use sitm_obs::{AbortDetail, ForensicCause};
 use sitm_sim::{
-    AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
-    Victims, WriteOutcome,
+    Abort, AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
+    Victim, Victims, WriteOutcome,
 };
 
 use crate::base::{LineSet, ProtocolBase, TouchedLines, WriteBuffer};
@@ -87,16 +87,6 @@ pub struct SsiTm {
     txs: Vec<Option<SsiTx>>,
     /// Committed transactions still overlapping someone.
     committed_window: Vec<CommittedTx>,
-    /// Per-thread timestamp of the version served by the most recent
-    /// successful read (`None` for read-own-write), reported to the
-    /// history recorder.
-    last_reads: Vec<Option<u64>>,
-    /// Per-thread end timestamp of the most recent successful commit
-    /// (`None` when nothing was installed), reported to the history
-    /// recorder.
-    last_commits: Vec<Option<u64>>,
-    /// Per-thread detail of the most recent abort site.
-    last_aborts: Vec<Option<AbortDetail>>,
 }
 
 impl SsiTm {
@@ -107,9 +97,6 @@ impl SsiTm {
             clock: GlobalClock::new(machine.cores),
             txs: (0..machine.cores).map(|_| None).collect(),
             committed_window: Vec::new(),
-            last_reads: vec![None; machine.cores],
-            last_commits: vec![None; machine.cores],
-            last_aborts: vec![None; machine.cores],
         }
     }
 
@@ -145,7 +132,7 @@ impl TmProtocol for SsiTm {
         "SSI-TM"
     }
 
-    fn begin(&mut self, tid: ThreadId, _now: Cycles) -> BeginOutcome {
+    fn begin(&mut self, tid: ThreadId) -> BeginOutcome {
         debug_assert!(self.txs[tid.0].is_none(), "nested begin");
         let start = self
             .clock
@@ -159,18 +146,20 @@ impl TmProtocol for SsiTm {
         BeginOutcome::Started {
             cycles: self.base.begin_cost,
             victims: vec![],
+            begin_ts: Some(start.0),
+            epoch: self.clock.overflows(),
         }
     }
 
-    fn read(&mut self, tid: ThreadId, addr: Addr, _now: Cycles) -> ReadOutcome {
+    fn read(&mut self, tid: ThreadId, addr: Addr) -> ReadOutcome {
         let line = addr.line();
         if let Some(value) = self.tx(tid).writes.get(addr) {
-            self.last_reads[tid.0] = None;
             let cycles = self.base.mem.l1_write(tid.0, line);
             return ReadOutcome::Ok {
                 value,
                 cycles,
                 victims: vec![],
+                observed: None,
             };
         }
         let start = self.tx(tid).start;
@@ -183,7 +172,6 @@ impl TmProtocol for SsiTm {
             .store
             .read_word_snapshot_ts(addr, start)
             .expect("default policy never discards reachable snapshots");
-        self.last_reads[tid.0] = Some(served_ts.0);
         // Reading old data that a later commit overwrote: this
         // transaction is the reader of an rw-dependency.
         let read_old = self.base.store.newer_than(line, start);
@@ -211,17 +199,13 @@ impl TmProtocol for SsiTm {
                 // Dangerous structure: both flag kinds on one
                 // transaction (this one, or a committed writer it read
                 // around).
-                self.last_aborts[tid.0] = Some(AbortDetail {
-                    cause: ForensicCause::SsiPivot,
-                    line: Some(line.0),
-                    winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-                });
-                let cycles = self.rollback(tid);
-                return ReadOutcome::Abort {
+                let detail = Some(self.base.lost_to_newest(ForensicCause::SsiPivot, line));
+                return ReadOutcome::Abort(Abort {
                     cause: AbortCause::Order,
-                    cycles,
+                    cycles: self.rollback(tid),
                     victims: vec![],
-                };
+                    detail,
+                });
             }
         }
         let cycles = self.base.mem.mvm_access(tid.0, line);
@@ -229,10 +213,11 @@ impl TmProtocol for SsiTm {
             value,
             cycles,
             victims: vec![],
+            observed: Some(served_ts.0),
         }
     }
 
-    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word, _now: Cycles) -> WriteOutcome {
+    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word) -> WriteOutcome {
         let line = addr.line();
         let tx = self.tx(tid);
         tx.writes.insert(addr, value);
@@ -244,7 +229,7 @@ impl TmProtocol for SsiTm {
         }
     }
 
-    fn promote(&mut self, tid: ThreadId, addr: Addr, _now: Cycles) -> WriteOutcome {
+    fn promote(&mut self, tid: ThreadId, addr: Addr) -> WriteOutcome {
         // SSI already validates the read set through dangerous-structure
         // detection; a promotion is just a read-set membership.
         let line = addr.line();
@@ -275,11 +260,11 @@ impl TmProtocol for SsiTm {
                 in_conflict: false,
                 out_conflict: tx.reader_conflict,
             });
-            self.last_commits[tid.0] = None;
             self.teardown(tid);
             return CommitOutcome::Committed {
                 cycles: 0,
                 victims: vec![],
+                commit_ts: None,
             };
         }
 
@@ -301,18 +286,15 @@ impl TmProtocol for SsiTm {
             }
         }
         if let Some(line) = ww_conflict {
-            self.last_aborts[tid.0] = Some(AbortDetail {
-                cause: ForensicCause::WriteWriteFcw,
-                line: Some(line.0),
-                winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-            });
+            let detail = Some(self.base.lost_to_newest(ForensicCause::WriteWriteFcw, line));
             let rollback = self.rollback(tid);
             self.clock.finish_commit(end);
-            return CommitOutcome::Abort {
+            return CommitOutcome::Abort(Abort {
                 cause: AbortCause::WriteWrite,
                 cycles: cycles + rollback,
                 victims: vec![],
-            };
+                detail,
+            });
         }
 
         // Dangerous-structure detection. My write set against:
@@ -338,12 +320,15 @@ impl TmProtocol for SsiTm {
                 // party, it forms a dangerous structure and aborts.
                 other.reader_conflict = true;
                 if other.writer_conflict {
-                    self.last_aborts[i] = Some(AbortDetail {
-                        cause: ForensicCause::SsiPivot,
-                        line: Some(overlap.0),
-                        winner_ts: Some(end.0),
+                    victims.push(Victim {
+                        tid: ThreadId(i),
+                        cause: AbortCause::Order,
+                        detail: Some(AbortDetail {
+                            cause: ForensicCause::SsiPivot,
+                            line: Some(overlap.0),
+                            winner_ts: Some(end.0),
+                        }),
                     });
-                    victims.push((ThreadId(i), AbortCause::Order));
                 }
             }
         }
@@ -366,18 +351,18 @@ impl TmProtocol for SsiTm {
         }
         let reader_conflict = self.txs[tid.0].as_ref().unwrap().reader_conflict;
         if (writer_conflict && reader_conflict) || committed_pivot {
-            self.last_aborts[tid.0] = Some(AbortDetail {
-                cause: ForensicCause::SsiPivot,
-                line: danger_line.map(|l| l.0),
-                winner_ts: None,
-            });
             let rollback = self.rollback(tid);
             self.clock.finish_commit(end);
-            return CommitOutcome::Abort {
+            return CommitOutcome::Abort(Abort {
                 cause: AbortCause::Order,
                 cycles: cycles + rollback,
                 victims,
-            };
+                detail: Some(AbortDetail {
+                    cause: ForensicCause::SsiPivot,
+                    line: danger_line.map(|l| l.0),
+                    winner_ts: None,
+                }),
+            });
         }
 
         // Done reading: release the snapshot so the committer's own
@@ -399,18 +384,18 @@ impl TmProtocol for SsiTm {
                 for &l in &installed {
                     self.base.store.remove_installed(l, end);
                 }
-                self.last_aborts[tid.0] = Some(AbortDetail {
-                    cause: ForensicCause::CapacityEviction,
-                    line: Some(line.0),
-                    winner_ts: self.base.store.newest_ts(line).map(|ts| ts.0),
-                });
+                let detail = Some(
+                    self.base
+                        .lost_to_newest(ForensicCause::CapacityEviction, line),
+                );
                 let rollback = self.rollback(tid);
                 self.clock.finish_commit(end);
-                return CommitOutcome::Abort {
+                return CommitOutcome::Abort(Abort {
                     cause: AbortCause::VersionOverflow,
                     cycles: cycles + rollback,
                     victims,
-                };
+                    detail,
+                });
             }
             installed.push(line);
         }
@@ -425,10 +410,13 @@ impl TmProtocol for SsiTm {
             in_conflict: writer_conflict,
             out_conflict: reader_conflict,
         });
-        self.last_commits[tid.0] = Some(end.0);
         self.teardown(tid);
         self.clock.finish_commit(end);
-        CommitOutcome::Committed { cycles, victims }
+        CommitOutcome::Committed {
+            cycles,
+            victims,
+            commit_ts: Some(end.0),
+        }
     }
 
     fn rollback(&mut self, tid: ThreadId) -> Cycles {
@@ -444,26 +432,6 @@ impl TmProtocol for SsiTm {
 
     fn store_mut(&mut self) -> &mut MvmStore {
         &mut self.base.store
-    }
-
-    fn begin_ts(&self, tid: ThreadId) -> Option<u64> {
-        self.txs[tid.0].as_ref().map(|tx| tx.start.0)
-    }
-
-    fn last_commit_ts(&self, tid: ThreadId) -> Option<u64> {
-        self.last_commits[tid.0]
-    }
-
-    fn last_read_version(&self, tid: ThreadId) -> Option<u64> {
-        self.last_reads[tid.0]
-    }
-
-    fn epoch(&self) -> u64 {
-        self.clock.overflows()
-    }
-
-    fn last_abort_detail(&self, tid: ThreadId) -> Option<AbortDetail> {
-        self.last_aborts[tid.0]
     }
 }
 
@@ -482,31 +450,36 @@ impl sitm_obs::Observable for SsiTm {
 mod tests {
     use super::*;
 
-    fn begin(p: &mut SsiTm, t: usize) {
-        match p.begin(ThreadId(t), 0) {
-            BeginOutcome::Started { .. } => {}
+    /// Begins, returning the snapshot timestamp.
+    fn begin(p: &mut SsiTm, t: usize) -> Option<u64> {
+        match p.begin(ThreadId(t)) {
+            BeginOutcome::Started { begin_ts, .. } => begin_ts,
             other => panic!("begin failed: {other:?}"),
         }
     }
 
     fn read(p: &mut SsiTm, t: usize, a: Addr) -> Result<Word, AbortCause> {
-        match p.read(ThreadId(t), a, 0) {
+        match p.read(ThreadId(t), a) {
             ReadOutcome::Ok { value, .. } => Ok(value),
-            ReadOutcome::Abort { cause, .. } => Err(cause),
+            ReadOutcome::Abort(abort) => Err(abort.cause),
         }
     }
 
     fn write(p: &mut SsiTm, t: usize, a: Addr, v: Word) {
-        match p.write(ThreadId(t), a, v, 0) {
+        match p.write(ThreadId(t), a, v) {
             WriteOutcome::Ok { .. } => {}
             other => panic!("write aborted: {other:?}"),
         }
     }
 
     fn commit(p: &mut SsiTm, t: usize) -> Result<Victims, AbortCause> {
+        commit_full(p, t).map_err(|abort| abort.cause)
+    }
+
+    fn commit_full(p: &mut SsiTm, t: usize) -> Result<Victims, Abort> {
         match p.commit(ThreadId(t), 0) {
             CommitOutcome::Committed { victims, .. } => Ok(victims),
-            CommitOutcome::Abort { cause, .. } => Err(cause),
+            CommitOutcome::Abort(abort) => Err(abort),
         }
     }
 
@@ -691,15 +664,13 @@ mod tests {
         let mut p = SsiTm::new(&cfg);
         let a = p.store_mut().alloc_words(1);
         begin(&mut p, 0);
-        begin(&mut p, 1);
+        let loser_start = begin(&mut p, 1).expect("a begin carries its snapshot timestamp");
         write(&mut p, 0, a, 1);
         write(&mut p, 1, a, 2);
         assert_eq!(commit(&mut p, 0), Ok(vec![]));
-        let loser_start = p.begin_ts(ThreadId(1)).expect("loser in flight");
-        assert_eq!(commit(&mut p, 1), Err(AbortCause::WriteWrite));
-        let detail = p
-            .last_abort_detail(ThreadId(1))
-            .expect("abort site stamps a detail");
+        let abort = commit_full(&mut p, 1).expect_err("second committer loses");
+        assert_eq!(abort.cause, AbortCause::WriteWrite);
+        let detail = abort.detail.expect("abort site hands over a detail");
         assert_eq!(detail.cause, ForensicCause::WriteWriteFcw);
         assert_eq!(detail.line, Some(a.line().0));
         assert!(detail.winner_ts.unwrap() > loser_start);
@@ -715,13 +686,11 @@ mod tests {
         let _ = read(&mut p, 1, saving);
         write(&mut p, 0, checking, 1);
         write(&mut p, 1, saving, 1);
-        let first = commit(&mut p, 0);
-        let second = commit(&mut p, 1);
-        let loser = if first.is_err() { 0 } else { 1 };
-        assert!(first.is_err() || second.is_err());
-        let detail = p
-            .last_abort_detail(ThreadId(loser))
-            .expect("abort site stamps a detail");
+        let first = commit_full(&mut p, 0);
+        let second = commit_full(&mut p, 1);
+        let abort = first.err().or(second.err()).expect("one side loses");
+        assert_eq!(abort.cause, AbortCause::Order);
+        let detail = abort.detail.expect("abort site hands over a detail");
         assert_eq!(detail.cause, ForensicCause::SsiPivot);
         assert!(detail.line.is_some(), "pivot names the overlapping line");
     }

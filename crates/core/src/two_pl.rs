@@ -27,8 +27,8 @@
 use sitm_mvm::{Addr, LineAddr, MvmStore, ThreadId, Word};
 use sitm_obs::{AbortDetail, ForensicCause};
 use sitm_sim::{
-    AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
-    Victims, WriteOutcome,
+    Abort, AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
+    Victim, Victims, WriteOutcome,
 };
 
 use crate::base::{LineSet, ProtocolBase, TouchedLines, WriteBuffer};
@@ -51,9 +51,6 @@ pub struct TwoPl {
     capacity_lines: usize,
     /// Virtual time until which the global commit token is held.
     token_busy_until: Cycles,
-    /// Per-thread detail of the most recent abort site (set when this
-    /// thread is doomed by a broadcast, or self-aborts on capacity).
-    last_aborts: Vec<Option<AbortDetail>>,
 }
 
 impl TwoPl {
@@ -64,7 +61,6 @@ impl TwoPl {
             txs: (0..machine.cores).map(|_| None).collect(),
             capacity_lines: machine.version_buffer_lines(),
             token_busy_until: 0,
-            last_aborts: vec![None; machine.cores],
         }
     }
 
@@ -72,6 +68,21 @@ impl TwoPl {
         self.txs[tid.0]
             .as_mut()
             .expect("operation outside a transaction")
+    }
+
+    /// Eager conflict resolution: the requester dooms the holder of
+    /// `line`, which the forensics taxonomy classifies as a lock timeout
+    /// (2PL has no clock, so no timestamps are attached).
+    fn doomed(i: usize, cause: AbortCause, line: LineAddr) -> Victim {
+        Victim {
+            tid: ThreadId(i),
+            cause,
+            detail: Some(AbortDetail {
+                cause: ForensicCause::LockTimeout,
+                line: Some(line.0),
+                winner_ts: None,
+            }),
+        }
     }
 
     /// Victims of a get-shared broadcast for `line`: every other
@@ -85,7 +96,7 @@ impl TwoPl {
                 let tx = tx.as_ref()?;
                 tx.writes
                     .touches_line(line)
-                    .then_some((ThreadId(i), AbortCause::ReadWrite))
+                    .then(|| Self::doomed(i, AbortCause::ReadWrite, line))
             })
             .collect()
     }
@@ -101,9 +112,9 @@ impl TwoPl {
             .filter_map(|(i, tx)| {
                 let tx = tx.as_ref()?;
                 if tx.writes.touches_line(line) {
-                    Some((ThreadId(i), AbortCause::WriteWrite))
+                    Some(Self::doomed(i, AbortCause::WriteWrite, line))
                 } else if tx.read_set.contains(&line) {
-                    Some((ThreadId(i), AbortCause::ReadWrite))
+                    Some(Self::doomed(i, AbortCause::ReadWrite, line))
                 } else {
                     None
                 }
@@ -125,16 +136,18 @@ impl TmProtocol for TwoPl {
         "2PL"
     }
 
-    fn begin(&mut self, tid: ThreadId, _now: Cycles) -> BeginOutcome {
+    fn begin(&mut self, tid: ThreadId) -> BeginOutcome {
         debug_assert!(self.txs[tid.0].is_none(), "nested begin");
         self.txs[tid.0] = Some(TwoPlTx::default());
         BeginOutcome::Started {
             cycles: self.base.begin_cost,
             victims: vec![],
+            begin_ts: None,
+            epoch: 0,
         }
     }
 
-    fn read(&mut self, tid: ThreadId, addr: Addr, _now: Cycles) -> ReadOutcome {
+    fn read(&mut self, tid: ThreadId, addr: Addr) -> ReadOutcome {
         let line = addr.line();
         // Read-own-write from the buffer.
         if let Some(value) = self.tx(tid).writes.get(addr) {
@@ -143,19 +156,10 @@ impl TmProtocol for TwoPl {
                 value,
                 cycles,
                 victims: vec![],
+                observed: None,
             };
         }
         let victims = self.get_shared_victims(tid, line);
-        // Eager conflict resolution: the requester dooms the lock holder,
-        // which the forensics taxonomy classifies as a lock timeout (2PL
-        // has no clock, so no timestamps are attached).
-        for &(victim, _) in &victims {
-            self.last_aborts[victim.0] = Some(AbortDetail {
-                cause: ForensicCause::LockTimeout,
-                line: Some(line.0),
-                winner_ts: None,
-            });
-        }
         let (mut cycles, served) = self.base.mem.access(tid.0, line);
         // A get-shared broadcast rides on the miss; L1 hits stay silent.
         if served != sitm_sim::ServedBy::L1 {
@@ -173,26 +177,26 @@ impl TmProtocol for TwoPl {
             value: base_data[addr.offset()],
             cycles,
             victims,
+            observed: None,
         }
     }
 
-    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word, _now: Cycles) -> WriteOutcome {
+    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word) -> WriteOutcome {
         let line = addr.line();
         let first_touch = !self.tx(tid).writes.touches_line(line);
         // Version-buffer capacity: the L1 cannot hold another
         // transactional line.
         if first_touch && self.tx(tid).writes.line_count() >= self.capacity_lines {
-            self.last_aborts[tid.0] = Some(AbortDetail {
-                cause: ForensicCause::CapacityEviction,
-                line: Some(line.0),
-                winner_ts: None,
-            });
-            let cycles = self.rollback(tid);
-            return WriteOutcome::Abort {
+            return WriteOutcome::Abort(Abort {
                 cause: AbortCause::Capacity,
-                cycles,
+                cycles: self.rollback(tid),
                 victims: vec![],
-            };
+                detail: Some(AbortDetail {
+                    cause: ForensicCause::CapacityEviction,
+                    line: Some(line.0),
+                    winner_ts: None,
+                }),
+            });
         }
         let victims = if first_touch {
             // Get-exclusive broadcast on the first write to the line.
@@ -201,13 +205,6 @@ impl TmProtocol for TwoPl {
         } else {
             vec![]
         };
-        for &(victim, _) in &victims {
-            self.last_aborts[victim.0] = Some(AbortDetail {
-                cause: ForensicCause::LockTimeout,
-                line: Some(line.0),
-                winner_ts: None,
-            });
-        }
         let tx = self.tx(tid);
         tx.writes.insert(addr, value);
         tx.touched.insert(line);
@@ -218,7 +215,7 @@ impl TmProtocol for TwoPl {
         WriteOutcome::Ok { cycles, victims }
     }
 
-    fn promote(&mut self, tid: ThreadId, addr: Addr, _now: Cycles) -> WriteOutcome {
+    fn promote(&mut self, tid: ThreadId, addr: Addr) -> WriteOutcome {
         // Eager 2PL already protects reads; promotion is a read-set
         // membership (idempotent).
         let line = addr.line();
@@ -239,6 +236,7 @@ impl TmProtocol for TwoPl {
             return CommitOutcome::Committed {
                 cycles: self.base.begin_cost,
                 victims: vec![],
+                commit_ts: None,
             };
         }
         // Serialize on the commit token for a short arbitration window
@@ -266,6 +264,7 @@ impl TmProtocol for TwoPl {
         CommitOutcome::Committed {
             cycles,
             victims: vec![],
+            commit_ts: None,
         }
     }
 
@@ -283,10 +282,6 @@ impl TmProtocol for TwoPl {
     fn store_mut(&mut self) -> &mut MvmStore {
         &mut self.base.store
     }
-
-    fn last_abort_detail(&self, tid: ThreadId) -> Option<AbortDetail> {
-        self.last_aborts[tid.0]
-    }
 }
 
 impl sitm_obs::Observable for TwoPl {
@@ -301,21 +296,21 @@ mod tests {
     use super::*;
 
     fn begin(p: &mut TwoPl, t: usize) {
-        match p.begin(ThreadId(t), 0) {
+        match p.begin(ThreadId(t)) {
             BeginOutcome::Started { .. } => {}
             other => panic!("begin failed: {other:?}"),
         }
     }
 
     fn read(p: &mut TwoPl, t: usize, a: Addr) -> (Word, Victims) {
-        match p.read(ThreadId(t), a, 0) {
+        match p.read(ThreadId(t), a) {
             ReadOutcome::Ok { value, victims, .. } => (value, victims),
             other => panic!("read aborted: {other:?}"),
         }
     }
 
     fn write(p: &mut TwoPl, t: usize, a: Addr, v: Word) -> Victims {
-        match p.write(ThreadId(t), a, v, 0) {
+        match p.write(ThreadId(t), a, v) {
             WriteOutcome::Ok { victims, .. } => victims,
             other => panic!("write aborted: {other:?}"),
         }
@@ -341,7 +336,7 @@ mod tests {
         let (value, victims) = read(&mut p, 1, a);
         assert_eq!(
             victims,
-            vec![(ThreadId(0), AbortCause::ReadWrite)],
+            vec![TwoPl::doomed(0, AbortCause::ReadWrite, a.line())],
             "get-shared hits the writer's write set"
         );
         assert_eq!(value, 5, "requester reads committed state");
@@ -362,10 +357,10 @@ mod tests {
         begin(&mut p, 2); // requester
         let _ = read(&mut p, 0, a);
         let v = write(&mut p, 1, a, 1);
-        assert_eq!(v, vec![(ThreadId(0), AbortCause::ReadWrite)]);
+        assert_eq!(v, vec![TwoPl::doomed(0, AbortCause::ReadWrite, a.line())]);
         p.rollback(ThreadId(0));
         let v = write(&mut p, 2, a, 2);
-        assert_eq!(v, vec![(ThreadId(1), AbortCause::WriteWrite)]);
+        assert_eq!(v, vec![TwoPl::doomed(1, AbortCause::WriteWrite, a.line())]);
         p.rollback(ThreadId(1));
         commit_ok(&mut p, 2);
         assert_eq!(p.store().read_word(a), 2);
@@ -382,9 +377,8 @@ mod tests {
         assert!(write(&mut p, 0, a, 9).is_empty());
         let (_, victims) = read(&mut p, 1, a);
         assert_eq!(victims.len(), 1);
-        let detail = p
-            .last_abort_detail(ThreadId(0))
-            .expect("abort site stamps a detail");
+        assert_eq!(victims[0].tid, ThreadId(0));
+        let detail = victims[0].detail.expect("the doomer hands over a detail");
         assert_eq!(detail.cause, ForensicCause::LockTimeout);
         assert_eq!(detail.line, Some(a.line().0));
         assert_eq!(detail.winner_ts, None, "2PL has no commit clock");
@@ -418,8 +412,13 @@ mod tests {
         begin(&mut p, 0);
         assert!(write(&mut p, 0, Addr(base.0), 1).is_empty());
         assert!(write(&mut p, 0, Addr(base.0 + 8), 2).is_empty());
-        match p.write(ThreadId(0), Addr(base.0 + 16), 3, 0) {
-            WriteOutcome::Abort { cause, .. } => assert_eq!(cause, AbortCause::Capacity),
+        match p.write(ThreadId(0), Addr(base.0 + 16), 3) {
+            WriteOutcome::Abort(abort) => {
+                assert_eq!(abort.cause, AbortCause::Capacity);
+                let detail = abort.detail.expect("abort site hands over a detail");
+                assert_eq!(detail.cause, ForensicCause::CapacityEviction);
+                assert_eq!(detail.line, Some(Addr(base.0 + 16).line().0));
+            }
             other => panic!("expected capacity abort, got {other:?}"),
         }
         // Nothing landed in memory.

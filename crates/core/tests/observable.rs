@@ -11,8 +11,8 @@ use sitm_sim::{BeginOutcome, CommitOutcome, MachineConfig, TmProtocol, WriteOutc
 fn drive_and_export<P: TmProtocol + Observable>(p: &mut P) -> MetricsRegistry {
     let a = p.store_mut().alloc_words(1);
     let t = ThreadId(0);
-    assert!(matches!(p.begin(t, 0), BeginOutcome::Started { .. }));
-    assert!(matches!(p.write(t, a, 7, 0), WriteOutcome::Ok { .. }));
+    assert!(matches!(p.begin(t), BeginOutcome::Started { .. }));
+    assert!(matches!(p.write(t, a, 7), WriteOutcome::Ok { .. }));
     assert!(matches!(p.commit(t, 0), CommitOutcome::Committed { .. }));
     let mut reg = MetricsRegistry::new();
     p.export_metrics(&mut reg);

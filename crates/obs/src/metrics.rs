@@ -252,11 +252,6 @@ impl MetricsRegistry {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    /// Sets counter `name` to exactly `value`.
-    pub fn set_counter(&mut self, name: &str, value: u64) {
-        self.counters.insert(name.to_string(), value);
-    }
-
     /// Current value of counter `name` (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)

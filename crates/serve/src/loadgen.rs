@@ -93,20 +93,6 @@ impl LoadReport {
     pub fn conserved(&self) -> bool {
         self.final_total == self.expected_total
     }
-
-    /// Closed-loop throughput in transactions per second.
-    pub fn txns_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        self.ops_total as f64 * 1e9 / self.wall_ns as f64
-    }
-
-    /// Exact latency percentile (`p` in 0..=100) from the collected
-    /// samples; 0 when no samples were taken.
-    pub fn latency_percentile(&self, p: f64) -> u64 {
-        percentile(&self.latencies_ns, p)
-    }
 }
 
 /// Exact percentile over an ascending-sorted sample set (nearest-rank

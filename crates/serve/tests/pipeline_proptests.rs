@@ -146,14 +146,14 @@ fn pipelined_responses_arrive_in_request_order() {
         }
         c.flush().expect("flush burst");
 
-        let mut last_commit_ts = 0u64;
+        let mut newest_commit_ts = 0u64;
         for (i, want) in expected.iter().enumerate() {
             let resp = c.recv().expect("response");
             match (want, resp) {
                 (Expect::TxnTransfer, Response::TxnResult { reads, commit_ts }) => {
                     assert!(reads.is_empty(), "transfer returns no reads (pos {i})");
                     assert!(commit_ts > 0);
-                    last_commit_ts = last_commit_ts.max(commit_ts);
+                    newest_commit_ts = newest_commit_ts.max(commit_ts);
                 }
                 (Expect::TxnAudit, Response::TxnResult { reads, .. }) => {
                     // Read-only batches commit without a timestamp
@@ -171,7 +171,7 @@ fn pipelined_responses_arrive_in_request_order() {
                 (want, got) => panic!("response {i} out of order: expected {want:?}, got {got:?}"),
             }
         }
-        assert!(last_commit_ts > 0 || !expected.iter().any(|e| matches!(e, Expect::TxnTransfer)));
+        assert!(newest_commit_ts > 0 || !expected.iter().any(|e| matches!(e, Expect::TxnTransfer)));
 
         // The interleaving conserved the bank.
         let (reads, _) = c

@@ -18,7 +18,8 @@ use sitm_obs::{AbortDetail, History, OpKind, Phase as ProfPhase, SmallRng, TxnBu
 use crate::config::{BackoffConfig, Cycles, MachineConfig};
 use crate::program::{ThreadWorkload, TxOp, TxProgram, Workload};
 use crate::protocol::{
-    AbortCause, BeginOutcome, CommitOutcome, ReadOutcome, TmProtocol, Victims, WriteOutcome,
+    Abort, AbortCause, BeginOutcome, CommitOutcome, ReadOutcome, TmProtocol, Victim, Victims,
+    WriteOutcome,
 };
 use crate::stats::{RunStats, ThreadStats};
 
@@ -41,11 +42,10 @@ struct ThreadState {
     workload: Box<dyn ThreadWorkload>,
     program: Option<Box<dyn TxProgram>>,
     input: Option<u64>,
-    /// Set when another thread's conflict doomed this transaction; the
-    /// protocol state was already rolled back.
-    doomed: Option<AbortCause>,
-    /// Rollback cycles to charge when the doomed thread is next run.
-    pending_cycles: Cycles,
+    /// Set when another thread's conflict doomed this transaction: the
+    /// abort its next step performs, carrying what the doomer knew and
+    /// the cycles of the rollback the protocol already did.
+    doomed: Option<Abort>,
     consecutive_aborts: u32,
     stats: ThreadStats,
     rng: SmallRng,
@@ -115,7 +115,6 @@ impl<P: TmProtocol> Engine<P> {
                 program: None,
                 input: None,
                 doomed: None,
-                pending_cycles: 0,
                 consecutive_aborts: 0,
                 stats: ThreadStats::default(),
                 rng: SmallRng::seed_from_u64(seed.wrapping_add(tid as u64)),
@@ -137,7 +136,7 @@ impl<P: TmProtocol> Engine<P> {
 
     /// Enables history recording: every transaction attempt is logged as
     /// a [`sitm_obs::TxnRecord`] (at most `capacity` of them), aborts
-    /// stamped with [`TmProtocol::last_abort_detail`], and returned in
+    /// stamped with the [`Abort::detail`] their site returned, and returned in
     /// [`RunStats::history`] for the isolation oracle, the forensics
     /// fold ([`sitm_obs::ForensicsSnapshot::from_history`]) and
     /// [`sitm_obs::chrome_trace`]. Recording never changes what the
@@ -209,10 +208,8 @@ impl<P: TmProtocol> Engine<P> {
 
     fn step(&mut self, tid: usize) {
         // A doomed transaction aborts before doing anything else.
-        if let Some(cause) = self.threads[tid].doomed.take() {
-            let pending = std::mem::take(&mut self.threads[tid].pending_cycles);
-            self.threads[tid].charge(ProfPhase::Validate, pending);
-            self.handle_abort(tid, cause);
+        if let Some(abort) = self.threads[tid].doomed.take() {
+            self.abort(tid, abort);
             return;
         }
         match self.threads[tid].phase {
@@ -224,32 +221,32 @@ impl<P: TmProtocol> Engine<P> {
                     self.threads[tid].phase = Phase::NeedBegin;
                 }
             },
-            Phase::NeedBegin => {
-                let now = self.threads[tid].clock;
-                match self.protocol.begin(ThreadId(tid), now) {
-                    BeginOutcome::Started { cycles, victims } => {
-                        if self.history.is_some() {
-                            let txn = self.next_txn;
-                            self.next_txn += 1;
-                            let epoch = self.protocol.epoch();
-                            let begin_ts = self.protocol.begin_ts(ThreadId(tid));
-                            let seq = self.seq();
-                            self.threads[tid].builder =
-                                Some(TxnBuilder::new(txn, tid, epoch, seq, begin_ts));
-                        }
-                        let t = &mut self.threads[tid];
-                        t.charge(ProfPhase::Begin, cycles);
-                        t.input = None;
-                        t.phase = Phase::Running;
-                        self.doom_victims(tid, victims);
+            Phase::NeedBegin => match self.protocol.begin(ThreadId(tid)) {
+                BeginOutcome::Started {
+                    cycles,
+                    victims,
+                    begin_ts,
+                    epoch,
+                } => {
+                    if self.history.is_some() {
+                        let txn = self.next_txn;
+                        self.next_txn += 1;
+                        let seq = self.seq();
+                        self.threads[tid].builder =
+                            Some(TxnBuilder::new(txn, tid, epoch, seq, begin_ts));
                     }
-                    BeginOutcome::Stall { cycles } => {
-                        let t = &mut self.threads[tid];
-                        t.charge(ProfPhase::Stall, cycles);
-                        t.stats.stall_cycles += cycles;
-                    }
+                    let t = &mut self.threads[tid];
+                    t.charge(ProfPhase::Begin, cycles);
+                    t.input = None;
+                    t.phase = Phase::Running;
+                    self.doom_victims(tid, victims);
                 }
-            }
+                BeginOutcome::Stall { cycles } => {
+                    let t = &mut self.threads[tid];
+                    t.charge(ProfPhase::Stall, cycles);
+                    t.stats.stall_cycles += cycles;
+                }
+            },
             Phase::Running => self.run_op(tid),
         }
     }
@@ -261,141 +258,114 @@ impl<P: TmProtocol> Engine<P> {
             .as_mut()
             .expect("running thread must have a program")
             .resume(input);
-        let now = self.threads[tid].clock;
         match op {
             TxOp::Compute(c) => {
                 self.threads[tid].charge(ProfPhase::Compute, c);
             }
             TxOp::Read(addr) => {
                 self.threads[tid].stats.reads += 1;
-                match self.protocol.read(ThreadId(tid), addr, now) {
+                match self.protocol.read(ThreadId(tid), addr) {
                     ReadOutcome::Ok {
                         value,
                         cycles,
                         victims,
+                        observed,
                     } => {
-                        if self.history.is_some() {
-                            let observed = self.protocol.last_read_version(ThreadId(tid));
-                            self.record_op(
-                                tid,
-                                OpKind::Read {
-                                    line: addr.line().0,
-                                    observed,
-                                },
-                            );
-                        }
+                        self.record_op(
+                            tid,
+                            OpKind::Read {
+                                line: addr.line().0,
+                                observed,
+                            },
+                        );
                         let t = &mut self.threads[tid];
                         t.charge(ProfPhase::Read, cycles);
                         t.input = Some(value);
                         self.doom_victims(tid, victims);
                     }
-                    ReadOutcome::Abort {
-                        cause,
-                        cycles,
-                        victims,
-                    } => {
-                        self.threads[tid].charge(ProfPhase::Validate, cycles);
-                        self.handle_abort(tid, cause);
-                        self.doom_victims(tid, victims);
-                    }
+                    ReadOutcome::Abort(abort) => self.abort(tid, abort),
                 }
             }
             TxOp::Write(addr, value) => {
                 self.threads[tid].stats.writes += 1;
-                match self.protocol.write(ThreadId(tid), addr, value, now) {
-                    WriteOutcome::Ok { cycles, victims } => {
-                        self.record_op(
-                            tid,
-                            OpKind::Write {
-                                line: addr.line().0,
-                            },
-                        );
-                        self.threads[tid].charge(ProfPhase::Write, cycles);
-                        self.doom_victims(tid, victims);
-                    }
-                    WriteOutcome::Abort {
-                        cause,
-                        cycles,
-                        victims,
-                    } => {
-                        self.threads[tid].charge(ProfPhase::Validate, cycles);
-                        self.handle_abort(tid, cause);
-                        self.doom_victims(tid, victims);
-                    }
-                }
+                let line = addr.line().0;
+                let outcome = self.protocol.write(ThreadId(tid), addr, value);
+                self.written(tid, outcome, OpKind::Write { line });
             }
             TxOp::Promote(addr) => {
                 self.threads[tid].stats.promotions += 1;
-                match self.protocol.promote(ThreadId(tid), addr, now) {
-                    WriteOutcome::Ok { cycles, victims } => {
-                        self.record_op(
-                            tid,
-                            OpKind::Promote {
-                                line: addr.line().0,
-                            },
-                        );
-                        self.threads[tid].charge(ProfPhase::Write, cycles);
-                        self.doom_victims(tid, victims);
-                    }
-                    WriteOutcome::Abort {
-                        cause,
-                        cycles,
-                        victims,
-                    } => {
-                        self.threads[tid].charge(ProfPhase::Validate, cycles);
-                        self.handle_abort(tid, cause);
-                        self.doom_victims(tid, victims);
-                    }
-                }
+                let line = addr.line().0;
+                let outcome = self.protocol.promote(ThreadId(tid), addr);
+                self.written(tid, outcome, OpKind::Promote { line });
             }
             TxOp::Restart => {
                 // Self-sandboxed zombie: discard protocol state and
-                // re-execute.
+                // re-execute. No protocol abort site ran, so there is no
+                // detail to carry.
                 let cycles = self.protocol.rollback(ThreadId(tid));
-                self.threads[tid].charge(ProfPhase::Validate, cycles);
-                self.handle_abort(tid, AbortCause::Inconsistent);
+                self.abort(
+                    tid,
+                    Abort {
+                        cause: AbortCause::Inconsistent,
+                        cycles,
+                        victims: vec![],
+                        detail: None,
+                    },
+                );
             }
-            TxOp::Commit => match self.protocol.commit(ThreadId(tid), now) {
-                CommitOutcome::Committed { cycles, victims } => {
-                    if self.history.is_some() {
-                        let commit_ts = self.protocol.last_commit_ts(ThreadId(tid));
-                        let seq = self.seq();
-                        if let Some(b) = self.threads[tid].builder.take() {
-                            if let Some(h) = self.history.as_mut() {
-                                h.push(b.commit(seq, commit_ts));
+            TxOp::Commit => {
+                let now = self.threads[tid].clock;
+                match self.protocol.commit(ThreadId(tid), now) {
+                    CommitOutcome::Committed {
+                        cycles,
+                        victims,
+                        commit_ts,
+                    } => {
+                        if self.history.is_some() {
+                            let seq = self.seq();
+                            if let Some(b) = self.threads[tid].builder.take() {
+                                if let Some(h) = self.history.as_mut() {
+                                    h.push(b.commit(seq, commit_ts));
+                                }
                             }
                         }
+                        let t = &mut self.threads[tid];
+                        t.charge(ProfPhase::Commit, cycles);
+                        t.stats.commits += 1;
+                        t.consecutive_aborts = 0;
+                        t.program = None;
+                        t.phase = Phase::NeedTx;
+                        self.doom_victims(tid, victims);
                     }
-                    let t = &mut self.threads[tid];
-                    t.charge(ProfPhase::Commit, cycles);
-                    t.stats.commits += 1;
-                    t.consecutive_aborts = 0;
-                    t.program = None;
-                    t.phase = Phase::NeedTx;
-                    self.doom_victims(tid, victims);
+                    CommitOutcome::Abort(abort) => self.abort(tid, abort),
                 }
-                CommitOutcome::Abort {
-                    cause,
-                    cycles,
-                    victims,
-                } => {
-                    self.threads[tid].charge(ProfPhase::Validate, cycles);
-                    self.handle_abort(tid, cause);
-                    self.doom_victims(tid, victims);
-                }
-            },
+            }
         }
     }
 
-    /// Records an abort of `tid`'s current transaction (protocol state
-    /// already rolled back), applies backoff, and schedules re-execution.
-    fn handle_abort(&mut self, tid: usize, cause: AbortCause) {
+    /// Applies the outcome of a write or promotion, recorded as `kind`.
+    fn written(&mut self, tid: usize, outcome: WriteOutcome, kind: OpKind) {
+        match outcome {
+            WriteOutcome::Ok { cycles, victims } => {
+                self.record_op(tid, kind);
+                self.threads[tid].charge(ProfPhase::Write, cycles);
+                self.doom_victims(tid, victims);
+            }
+            WriteOutcome::Abort(abort) => self.abort(tid, abort),
+        }
+    }
+
+    /// Aborts `tid`'s current transaction (protocol state already rolled
+    /// back): charges the abort's cycles, records it with the detail its
+    /// site returned, applies backoff, schedules re-execution, and dooms
+    /// the victims named alongside.
+    fn abort(&mut self, tid: usize, abort: Abort) {
+        let cause = abort.cause;
+        self.threads[tid].charge(ProfPhase::Validate, abort.cycles);
         if self.history.is_some() {
             let seq = self.seq();
             if let Some(mut b) = self.threads[tid].builder.take() {
-                // Ask the protocol what its abort site knew.
-                let detail = self.protocol.last_abort_detail(ThreadId(tid));
-                b.detail(detail.unwrap_or(AbortDetail {
+                b.detail(abort.detail.unwrap_or(AbortDetail {
                     cause: cause.fallback_forensic(),
                     line: None,
                     winner_ts: None,
@@ -421,18 +391,24 @@ impl<P: TmProtocol> Engine<P> {
         }
         t.input = None;
         t.phase = Phase::NeedBegin;
+        self.doom_victims(tid, abort.victims);
     }
 
     /// Dooms the victims of an eager conflict: rolls their protocol state
-    /// back immediately (so their sets stop conflicting) and charges the
-    /// rollback when they are next scheduled.
+    /// back immediately (so their sets stop conflicting) and leaves the
+    /// abort, rollback cycles included, for their next scheduled step.
     fn doom_victims(&mut self, requester: usize, victims: Victims) {
-        for (vict, cause) in victims {
-            assert_ne!(vict.0, requester, "requester cannot be its own victim");
-            let v = &mut self.threads[vict.0];
+        for Victim { tid, cause, detail } in victims {
+            assert_ne!(tid.0, requester, "requester cannot be its own victim");
+            let v = &self.threads[tid.0];
             if matches!(v.phase, Phase::Running) && v.doomed.is_none() {
-                v.doomed = Some(cause);
-                v.pending_cycles += self.protocol.rollback(vict);
+                let cycles = self.protocol.rollback(tid);
+                self.threads[tid.0].doomed = Some(Abort {
+                    cause,
+                    cycles,
+                    victims: vec![],
+                    detail,
+                });
             }
         }
     }
@@ -456,42 +432,71 @@ mod tests {
     use sitm_mvm::{Addr, MvmStore, Word};
 
     /// A trivially permissive protocol: every access succeeds at unit
-    /// cost against the backing store; commits always succeed.
+    /// cost against the backing store, and commits succeed once each
+    /// thread's first `refusals` of them have been aborted (as
+    /// write-write, 3 cycles, handing over `detail`).
     #[derive(Debug, Default)]
     struct NullProtocol {
         store: MvmStore,
         begun: u64,
+        refusals: u32,
+        refused: Vec<u32>,
+        detail: Option<AbortDetail>,
+    }
+
+    /// A [`NullProtocol`] that aborts each thread's first two commits.
+    fn flaky() -> NullProtocol {
+        NullProtocol {
+            refusals: 2,
+            ..NullProtocol::default()
+        }
     }
 
     impl TmProtocol for NullProtocol {
         fn name(&self) -> &'static str {
             "null"
         }
-        fn begin(&mut self, _tid: ThreadId, _now: Cycles) -> BeginOutcome {
+        fn begin(&mut self, tid: ThreadId) -> BeginOutcome {
             self.begun += 1;
+            if self.refused.len() <= tid.0 {
+                self.refused.resize(tid.0 + 1, 0);
+            }
             BeginOutcome::Started {
                 cycles: 1,
                 victims: vec![],
+                begin_ts: None,
+                epoch: 0,
             }
         }
-        fn read(&mut self, _tid: ThreadId, addr: Addr, _now: Cycles) -> ReadOutcome {
+        fn read(&mut self, _tid: ThreadId, addr: Addr) -> ReadOutcome {
             ReadOutcome::Ok {
                 value: self.store.read_word(addr),
                 cycles: 1,
                 victims: vec![],
+                observed: None,
             }
         }
-        fn write(&mut self, _tid: ThreadId, addr: Addr, value: Word, _now: Cycles) -> WriteOutcome {
+        fn write(&mut self, _tid: ThreadId, addr: Addr, value: Word) -> WriteOutcome {
             self.store.write_word(addr, value);
             WriteOutcome::Ok {
                 cycles: 1,
                 victims: vec![],
             }
         }
-        fn commit(&mut self, _tid: ThreadId, _now: Cycles) -> CommitOutcome {
+        fn commit(&mut self, tid: ThreadId, _now: Cycles) -> CommitOutcome {
+            if self.refused[tid.0] < self.refusals {
+                self.refused[tid.0] += 1;
+                return CommitOutcome::Abort(Abort {
+                    cause: AbortCause::WriteWrite,
+                    cycles: 3,
+                    victims: vec![],
+                    detail: self.detail,
+                });
+            }
             CommitOutcome::Committed {
                 cycles: 1,
                 victims: vec![],
+                commit_ts: None,
             }
         }
         fn rollback(&mut self, _tid: ThreadId) -> Cycles {
@@ -568,71 +573,6 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// A protocol that aborts the first `n` commit attempts per thread.
-    #[derive(Debug, Default)]
-    struct FlakyProtocol {
-        store: MvmStore,
-        failures_left: Vec<u32>,
-    }
-
-    impl TmProtocol for FlakyProtocol {
-        fn name(&self) -> &'static str {
-            "flaky"
-        }
-        fn begin(&mut self, tid: ThreadId, _now: Cycles) -> BeginOutcome {
-            if self.failures_left.len() <= tid.0 {
-                self.failures_left.resize(tid.0 + 1, 2);
-            }
-            BeginOutcome::Started {
-                cycles: 1,
-                victims: vec![],
-            }
-        }
-        fn read(&mut self, _tid: ThreadId, addr: Addr, _now: Cycles) -> ReadOutcome {
-            ReadOutcome::Ok {
-                value: self.store.read_word(addr),
-                cycles: 1,
-                victims: vec![],
-            }
-        }
-        fn write(
-            &mut self,
-            _tid: ThreadId,
-            _addr: Addr,
-            _value: Word,
-            _now: Cycles,
-        ) -> WriteOutcome {
-            WriteOutcome::Ok {
-                cycles: 1,
-                victims: vec![],
-            }
-        }
-        fn commit(&mut self, tid: ThreadId, _now: Cycles) -> CommitOutcome {
-            if self.failures_left[tid.0] > 0 {
-                self.failures_left[tid.0] -= 1;
-                CommitOutcome::Abort {
-                    cause: AbortCause::WriteWrite,
-                    cycles: 3,
-                    victims: vec![],
-                }
-            } else {
-                CommitOutcome::Committed {
-                    cycles: 1,
-                    victims: vec![],
-                }
-            }
-        }
-        fn rollback(&mut self, _tid: ThreadId) -> Cycles {
-            0
-        }
-        fn store(&self) -> &MvmStore {
-            &self.store
-        }
-        fn store_mut(&mut self) -> &mut MvmStore {
-            &mut self.store
-        }
-    }
-
     #[test]
     fn aborted_transactions_retry_and_record_backoff() {
         let cfg = MachineConfig::with_cores(1);
@@ -640,7 +580,7 @@ mod tests {
             txs_per_thread: 3,
             base: None,
         };
-        let stats = run_simulation(FlakyProtocol::default(), &mut w, &cfg, 1);
+        let stats = run_simulation(flaky(), &mut w, &cfg, 1);
         // Two forced failures for the thread, then everything commits.
         assert_eq!(stats.commits(), 3);
         assert_eq!(stats.aborts_by(AbortCause::WriteWrite), 2);
@@ -657,7 +597,7 @@ mod tests {
             txs_per_thread: 1,
             base: None,
         };
-        let stats = run_simulation(FlakyProtocol::default(), &mut w, &cfg, 1);
+        let stats = run_simulation(flaky(), &mut w, &cfg, 1);
         assert_eq!(stats.per_thread[0].backoff_cycles, 0);
         assert_eq!(stats.aborts(), 2);
     }
@@ -759,7 +699,7 @@ mod tests {
             txs_per_thread: 3,
             base: None,
         };
-        let stats = run_simulation(FlakyProtocol::default(), &mut w, &cfg, 1);
+        let stats = run_simulation(flaky(), &mut w, &cfg, 1);
         let t = &stats.per_thread[0];
         assert_eq!(t.phase_cycles.total(), t.finish_cycles);
         // The two forced commit failures cost 3 cycles each.
@@ -786,7 +726,7 @@ mod tests {
             txs_per_thread: 3,
             base: None,
         };
-        let (stats, _) = Engine::new(FlakyProtocol::default(), &mut w, &cfg, 11)
+        let (stats, _) = Engine::new(flaky(), &mut w, &cfg, 11)
             .record_history(1024)
             .run();
         let h = stats.history.as_ref().expect("history was enabled");
@@ -809,7 +749,7 @@ mod tests {
                 TxnOutcome::Aborted(cause) => assert_eq!(cause, "write-write"),
             }
         }
-        // FlakyProtocol reports no timestamps (default hooks).
+        // The test protocol returns no timestamps.
         assert!(h.records().iter().all(|r| r.begin_ts.is_none()));
         // Every read succeeded, so each issued read is one recorded op.
         let read_ops = h
@@ -829,7 +769,7 @@ mod tests {
                 txs_per_thread: 4,
                 base: None,
             };
-            Engine::new(FlakyProtocol::default(), &mut w, &cfg, 21)
+            Engine::new(flaky(), &mut w, &cfg, 21)
                 .record_history(1 << 12)
                 .run()
                 .0
@@ -845,15 +785,88 @@ mod tests {
             txs_per_thread: 3,
             base: None,
         };
-        let (stats, _) = Engine::new(FlakyProtocol::default(), &mut w, &cfg, 11)
+        let (stats, _) = Engine::new(flaky(), &mut w, &cfg, 11)
             .record_history(1024)
             .run();
         let f = ForensicsSnapshot::from_history(stats.history.as_ref().expect("enabled"));
         assert_eq!(f.total, stats.aborts());
-        // FlakyProtocol has no last_abort_detail override, so every
-        // WriteWrite abort classifies via the generic fallback, unlined.
+        // Its aborts carry no detail here, so every WriteWrite
+        // abort classifies via the generic fallback, unlined.
         assert_eq!(f.count(ForensicCause::WriteWriteFcw), stats.aborts());
         assert_eq!(f.attributed, 0);
+    }
+
+    /// The record of an engine-originated abort (`TxOp::Restart`: no
+    /// protocol abort site runs) must not inherit what the thread's
+    /// previous abort site knew.
+    #[test]
+    fn restart_after_a_detailed_abort_records_no_stale_detail() {
+        use sitm_obs::{ForensicCause, TxnOutcome};
+        /// Attempt 0 and 2 run to a commit the protocol refuses;
+        /// attempt 1 restarts itself; attempt 3 commits.
+        #[derive(Debug)]
+        struct RestartSecond {
+            attempt: u32,
+        }
+        impl TxProgram for RestartSecond {
+            fn resume(&mut self, _input: Option<Word>) -> TxOp {
+                if self.attempt == 1 {
+                    TxOp::Restart
+                } else {
+                    TxOp::Commit
+                }
+            }
+            fn reset(&mut self) {
+                self.attempt += 1;
+            }
+        }
+        struct RestartWorkload;
+        impl Workload for RestartWorkload {
+            fn name(&self) -> &str {
+                "restart-second"
+            }
+            fn setup(&mut self, _mem: &mut MvmStore, _n: usize) {}
+            fn thread_workload(&self, _tid: usize, _seed: u64) -> Box<dyn ThreadWorkload> {
+                Box::new(QueueWorkload::new(vec![
+                    Box::new(RestartSecond { attempt: 0 }) as Box<dyn TxProgram>,
+                ]))
+            }
+        }
+        let at_line_7 = AbortDetail {
+            cause: ForensicCause::WriteWriteFcw,
+            line: Some(7),
+            winner_ts: Some(3),
+        };
+        let protocol = NullProtocol {
+            detail: Some(at_line_7),
+            ..flaky()
+        };
+        let cfg = MachineConfig::with_cores(1);
+        let (stats, _) = Engine::new(protocol, &mut RestartWorkload, &cfg, 5)
+            .record_history(16)
+            .run();
+        let explicit = AbortDetail {
+            cause: ForensicCause::Explicit,
+            line: None,
+            winner_ts: None,
+        };
+        let recorded: Vec<_> = stats
+            .history
+            .as_ref()
+            .expect("history was enabled")
+            .records()
+            .iter()
+            .map(|r| (r.outcome, r.abort))
+            .collect();
+        assert_eq!(
+            recorded,
+            vec![
+                (TxnOutcome::Aborted("write-write"), Some(at_line_7)),
+                (TxnOutcome::Aborted("inconsistent"), Some(explicit)),
+                (TxnOutcome::Aborted("write-write"), Some(at_line_7)),
+                (TxnOutcome::Committed, None),
+            ]
+        );
     }
 
     #[test]

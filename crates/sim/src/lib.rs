@@ -45,6 +45,7 @@ pub use config::{BackoffConfig, CacheParams, Cycles, MachineConfig, LINE_BYTES};
 pub use engine::{run_simulation, Engine};
 pub use program::{QueueWorkload, ScriptedTx, ThreadWorkload, TxOp, TxProgram, Workload};
 pub use protocol::{
-    AbortCause, BeginOutcome, CommitOutcome, ReadOutcome, TmProtocol, Victims, WriteOutcome,
+    Abort, AbortCause, BeginOutcome, CommitOutcome, ReadOutcome, TmProtocol, Victim, Victims,
+    WriteOutcome,
 };
 pub use stats::{RunStats, ThreadStats};

@@ -80,12 +80,12 @@ impl AbortCause {
         }
     }
 
-    /// The generic [`ForensicCause`] this simulator cause maps to when a
-    /// protocol supplies no site-specific [`AbortDetail`]. Protocols
-    /// should override via [`TmProtocol::last_abort_detail`] where the
-    /// abort site knows better (e.g. SSI-TM's `Order` aborts are
-    /// [`ForensicCause::SsiPivot`], while SONTM's are range collapses
-    /// rooted in read-write conflicts).
+    /// The generic [`ForensicCause`] this simulator cause maps to when
+    /// an abort carries no site-specific [`AbortDetail`] (the engine's
+    /// own `TxOp::Restart`, a protocol whose [`Abort::detail`] is
+    /// `None`). The in-tree protocols say what the site knew instead:
+    /// SSI-TM's `Order` aborts are [`ForensicCause::SsiPivot`], while
+    /// SONTM's are range collapses rooted in read-write conflicts.
     pub fn fallback_forensic(self) -> ForensicCause {
         match self {
             AbortCause::ReadWrite => ForensicCause::ReadValidation,
@@ -103,22 +103,60 @@ impl std::fmt::Display for AbortCause {
     }
 }
 
-/// Other in-flight transactions killed as a side effect of an operation
-/// (eager conflict detection's "requester wins", SSI dangerous-structure
-/// resolution, clock-overflow abort-all).
-pub type Victims = Vec<(ThreadId, AbortCause)>;
+/// Another in-flight transaction killed as a side effect of an
+/// operation (eager conflict detection's "requester wins", SSI
+/// dangerous-structure resolution, clock-overflow abort-all).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Victim {
+    /// The doomed thread.
+    pub tid: ThreadId,
+    /// Why it aborts.
+    pub cause: AbortCause,
+    /// What the doomer knew about the conflict; the engine keeps it
+    /// until the victim's next step and stamps it on the victim's
+    /// history record.
+    pub detail: Option<AbortDetail>,
+}
+
+/// The victims of one operation.
+pub type Victims = Vec<Victim>;
+
+/// The *calling* transaction must abort; the protocol has already rolled
+/// its state back. Shared by [`ReadOutcome`], [`WriteOutcome`] and
+/// [`CommitOutcome`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Abort {
+    /// Why the caller aborts.
+    pub cause: AbortCause,
+    /// Cycles spent discovering the abort (including rollback).
+    pub cycles: Cycles,
+    /// Other transactions doomed alongside (clock-overflow abort-all,
+    /// SSI-TM readers doomed by a commit that then failed itself).
+    pub victims: Victims,
+    /// What the abort site knew: the forensic classification and, where
+    /// known, the conflicting line and the winning committer's
+    /// timestamp. `None` makes the engine classify by
+    /// [`AbortCause::fallback_forensic`] with no line.
+    pub detail: Option<AbortDetail>,
+}
 
 /// Outcome of starting a transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BeginOutcome {
-    /// The transaction started; `cycles` were spent obtaining the
-    /// timestamp (and `victims` lists transactions killed by a clock
-    /// overflow reset, if one occurred).
+    /// The transaction started.
     Started {
-        /// Cycles spent beginning.
+        /// Cycles spent obtaining the timestamp.
         cycles: Cycles,
         /// Transactions killed by a clock-overflow reset.
         victims: Victims,
+        /// The begin (snapshot) timestamp; `None` for protocols without
+        /// a global version clock (2PL, SONTM), for which the oracle
+        /// falls back to operation-order serializability checking.
+        begin_ts: Option<u64>,
+        /// The timestamp epoch the transaction runs in: bumped each time
+        /// the protocol recovers from a clock overflow by resetting its
+        /// clock. Timestamps compare only within one epoch.
+        epoch: u64,
     },
     /// The start must stall (commit reservation window exhausted); retry
     /// after `cycles`.
@@ -139,17 +177,13 @@ pub enum ReadOutcome {
         cycles: Cycles,
         /// Transactions aborted by eager conflict detection.
         victims: Victims,
+        /// Timestamp of the committed version served (`None` when the
+        /// read came from the transaction's own write buffer, or the
+        /// protocol is not timestamp-based).
+        observed: Option<u64>,
     },
-    /// The *calling* transaction must abort (e.g. its snapshot version
-    /// was discarded). The protocol has already rolled its state back.
-    Abort {
-        /// Why the caller aborts.
-        cause: AbortCause,
-        /// Cycles spent discovering the abort (including rollback).
-        cycles: Cycles,
-        /// Other transactions doomed alongside (clock-overflow abort-all).
-        victims: Victims,
-    },
+    /// The caller aborts (e.g. its snapshot version was discarded).
+    Abort(Abort),
 }
 
 /// Outcome of a transactional write.
@@ -162,16 +196,8 @@ pub enum WriteOutcome {
         /// Transactions aborted by eager conflict detection.
         victims: Victims,
     },
-    /// The calling transaction must abort (e.g. version-buffer capacity).
-    /// The protocol has already rolled its state back.
-    Abort {
-        /// Why the caller aborts.
-        cause: AbortCause,
-        /// Cycles spent discovering the abort (including rollback).
-        cycles: Cycles,
-        /// Other transactions doomed alongside (clock-overflow abort-all).
-        victims: Victims,
-    },
+    /// The caller aborts (e.g. version-buffer capacity).
+    Abort(Abort),
 }
 
 /// Outcome of a commit attempt.
@@ -183,24 +209,22 @@ pub enum CommitOutcome {
         cycles: Cycles,
         /// Transactions aborted during commit (SSI, SONTM adjustments).
         victims: Victims,
+        /// The end timestamp the commit installed its versions at
+        /// (`None` if it installed nothing — read-only or
+        /// promotion-only — or the protocol has no commit timestamps).
+        commit_ts: Option<u64>,
     },
-    /// Validation failed; the protocol has already rolled back.
-    Abort {
-        /// Why the caller aborts.
-        cause: AbortCause,
-        /// Cycles spent on the failed validation and rollback.
-        cycles: Cycles,
-        /// Other transactions doomed alongside (clock-overflow abort-all).
-        victims: Victims,
-    },
+    /// Validation failed.
+    Abort(Abort),
 }
 
 /// A transactional-memory protocol model driven by the engine.
 ///
 /// Implementations own the multiversioned store and the memory-system
-/// cost model; the engine owns scheduling, retry and statistics. All
-/// methods take the caller's current virtual time `now`, which protocols
-/// use for globally serialized resources (commit tokens).
+/// cost model; the engine owns scheduling, retry and statistics.
+/// Everything the engine records about an operation — timestamps,
+/// victims, what an abort site knew — travels in the outcome that
+/// operation returns; the trait has no getters to poll afterwards.
 ///
 /// Protocols are `Send` (they own all their state — store, clocks,
 /// per-thread sets) so an entire [`crate::Engine`] can run on a sweep
@@ -209,29 +233,31 @@ pub trait TmProtocol: Send {
     /// Human-readable protocol name (`"SI-TM"`, `"2PL"`, ...).
     fn name(&self) -> &'static str;
 
-    /// Starts a transaction for `tid` at virtual time `now`.
-    fn begin(&mut self, tid: ThreadId, now: Cycles) -> BeginOutcome;
+    /// Starts a transaction for `tid`.
+    fn begin(&mut self, tid: ThreadId) -> BeginOutcome;
 
     /// Transactional read of `addr` by `tid`.
-    fn read(&mut self, tid: ThreadId, addr: Addr, now: Cycles) -> ReadOutcome;
+    fn read(&mut self, tid: ThreadId, addr: Addr) -> ReadOutcome;
 
     /// Transactional write of `addr = value` by `tid`.
-    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word, now: Cycles) -> WriteOutcome;
+    fn write(&mut self, tid: ThreadId, addr: Addr, value: Word) -> WriteOutcome;
 
     /// Promotes `tid`'s earlier read of `addr`: the line participates in
     /// commit-time conflict detection as if written, but no version is
     /// created (section 5.1). Protocols that already detect read-write
     /// conflicts (2PL, SONTM, SSI-TM) may treat this as a plain read-set
     /// insertion. The default charges nothing and does nothing.
-    fn promote(&mut self, tid: ThreadId, addr: Addr, now: Cycles) -> WriteOutcome {
-        let _ = (tid, addr, now);
+    fn promote(&mut self, tid: ThreadId, addr: Addr) -> WriteOutcome {
+        let _ = (tid, addr);
         WriteOutcome::Ok {
             cycles: 0,
             victims: vec![],
         }
     }
 
-    /// Attempts to commit `tid`'s transaction.
+    /// Attempts to commit `tid`'s transaction at the caller's virtual
+    /// time `now` (the globally serialized commit token of 2PL and SONTM
+    /// is the one resource a protocol schedules in time).
     fn commit(&mut self, tid: ThreadId, now: Cycles) -> CommitOutcome;
 
     /// Rolls back `tid`'s in-flight transaction (doomed by another
@@ -247,62 +273,6 @@ pub trait TmProtocol: Send {
     /// Mutable access to the backing store (initialization only; calling
     /// this mid-run would bypass the protocol).
     fn store_mut(&mut self) -> &mut MvmStore;
-
-    // --- History-recorder introspection hooks (sitm-check) -----------
-    //
-    // Timestamp-based protocols report their begin/commit/read-version
-    // timestamps so the engine's history recorder can log them for the
-    // isolation oracle. The defaults (`None` / epoch 0) are correct for
-    // protocols without a global version clock (2PL, SONTM): the oracle
-    // falls back to operation-order serializability checking for those.
-
-    /// Begin (snapshot) timestamp of `tid`'s in-flight transaction, if
-    /// the protocol assigns one.
-    fn begin_ts(&self, tid: ThreadId) -> Option<u64> {
-        let _ = tid;
-        None
-    }
-
-    /// End timestamp reserved by `tid`'s most recent successful commit
-    /// (`None` if that commit installed nothing — read-only or
-    /// promotion-only — or the protocol has no commit timestamps).
-    fn last_commit_ts(&self, tid: ThreadId) -> Option<u64> {
-        let _ = tid;
-        None
-    }
-
-    /// Timestamp of the committed version observed by `tid`'s most
-    /// recent successful read (`None` when the read was served from the
-    /// transaction's own write buffer, or the protocol is not
-    /// timestamp-based).
-    fn last_read_version(&self, tid: ThreadId) -> Option<u64> {
-        let _ = tid;
-        None
-    }
-
-    /// Current timestamp epoch: bumped each time the protocol recovers
-    /// from a clock overflow by resetting its global clock. Timestamp
-    /// comparisons are only meaningful within one epoch.
-    fn epoch(&self) -> u64 {
-        0
-    }
-
-    /// What the abort site knew about the most recent abort of `tid`'s
-    /// transaction (self-abort or victim doom): the forensic
-    /// classification and, where the site knows them, the conflicting
-    /// line and the winning committer's timestamp. The engine stamps it
-    /// on the attempt's history record.
-    ///
-    /// Protocols keep one slot per thread and overwrite it at every
-    /// abort site. The slot must *survive rollback* — victims are rolled
-    /// back immediately but their abort is handled at their next
-    /// scheduling step. The default — `None` — makes the engine classify
-    /// by [`AbortCause::fallback_forensic`] with no line attribution;
-    /// the in-tree protocol models all override this.
-    fn last_abort_detail(&self, tid: ThreadId) -> Option<AbortDetail> {
-        let _ = tid;
-        None
-    }
 }
 
 #[cfg(test)]

@@ -118,18 +118,6 @@ impl RunStats {
         }
     }
 
-    /// Speedup of this run over a baseline run (typically the same
-    /// protocol and workload at one thread): the throughput ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the baseline has zero throughput.
-    pub fn speedup_over(&self, baseline: &RunStats) -> f64 {
-        let base = baseline.throughput();
-        assert!(base > 0.0, "baseline run has no committed transactions");
-        self.throughput() / base
-    }
-
     /// Total transactional reads.
     pub fn reads(&self) -> u64 {
         self.per_thread.iter().map(|t| t.reads).sum()
@@ -227,23 +215,6 @@ mod tests {
         assert_eq!(pc[Phase::Read], 15);
         assert_eq!(pc[Phase::Commit], 1);
         assert_eq!(pc.total(), 16);
-    }
-
-    #[test]
-    fn speedup_is_throughput_ratio() {
-        let base = stats_with(10, 0, 0);
-        let mut fast = stats_with(40, 0, 0);
-        fast.total_cycles = 2000;
-        // base: 10 commits / 1000 cycles; fast: 40 / 2000 => 2x.
-        assert!((fast.speedup_over(&base) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "no committed transactions")]
-    fn speedup_requires_nonzero_baseline() {
-        let base = RunStats::default();
-        let s = stats_with(1, 0, 0);
-        let _ = s.speedup_over(&base);
     }
 
     #[test]

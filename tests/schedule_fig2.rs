@@ -42,7 +42,7 @@ fn setup(p: &mut dyn TmProtocol) -> Vars {
 }
 
 fn begin(p: &mut dyn TmProtocol, t: ThreadId) {
-    match p.begin(t, 0) {
+    match p.begin(t) {
         BeginOutcome::Started { .. } => {}
         other => panic!("begin({t}) failed: {other:?}"),
     }
@@ -50,23 +50,23 @@ fn begin(p: &mut dyn TmProtocol, t: ThreadId) {
 
 /// Reads and returns the victims killed by the access (eager systems).
 fn read(p: &mut dyn TmProtocol, t: ThreadId, a: Addr) -> Vec<ThreadId> {
-    match p.read(t, a, 0) {
-        ReadOutcome::Ok { victims, .. } => victims.into_iter().map(|(v, _)| v).collect(),
-        ReadOutcome::Abort { .. } => panic!("read by {t} self-aborted"),
+    match p.read(t, a) {
+        ReadOutcome::Ok { victims, .. } => victims.into_iter().map(|v| v.tid).collect(),
+        ReadOutcome::Abort(_) => panic!("read by {t} self-aborted"),
     }
 }
 
 fn write(p: &mut dyn TmProtocol, t: ThreadId, a: Addr) -> Vec<ThreadId> {
-    match p.write(t, a, 1, 0) {
-        WriteOutcome::Ok { victims, .. } => victims.into_iter().map(|(v, _)| v).collect(),
-        WriteOutcome::Abort { .. } => panic!("write by {t} self-aborted"),
+    match p.write(t, a, 1) {
+        WriteOutcome::Ok { victims, .. } => victims.into_iter().map(|v| v.tid).collect(),
+        WriteOutcome::Abort(_) => panic!("write by {t} self-aborted"),
     }
 }
 
 fn commit(p: &mut dyn TmProtocol, t: ThreadId) -> bool {
     match p.commit(t, 0) {
         CommitOutcome::Committed { .. } => true,
-        CommitOutcome::Abort { .. } => false,
+        CommitOutcome::Abort(_) => false,
     }
 }
 

@@ -32,18 +32,18 @@ fn setup(p: &mut dyn TmProtocol) -> Vec<Addr> {
 }
 
 fn begin(p: &mut dyn TmProtocol, t: ThreadId) {
-    assert!(matches!(p.begin(t, 0), BeginOutcome::Started { .. }));
+    assert!(matches!(p.begin(t), BeginOutcome::Started { .. }));
 }
 
 fn read(p: &mut dyn TmProtocol, t: ThreadId, a: Addr) -> u64 {
-    match p.read(t, a, 0) {
+    match p.read(t, a) {
         ReadOutcome::Ok { value, .. } => value,
-        ReadOutcome::Abort { cause, .. } => panic!("read by {t} aborted: {cause}"),
+        ReadOutcome::Abort(abort) => panic!("read by {t} aborted: {}", abort.cause),
     }
 }
 
 fn write(p: &mut dyn TmProtocol, t: ThreadId, a: Addr, v: u64) {
-    assert!(matches!(p.write(t, a, v, 0), WriteOutcome::Ok { .. }));
+    assert!(matches!(p.write(t, a, v), WriteOutcome::Ok { .. }));
 }
 
 fn commit(p: &mut dyn TmProtocol, t: ThreadId) -> bool {
