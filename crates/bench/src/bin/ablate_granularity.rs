@@ -19,7 +19,7 @@ use sitm_core::SiTmConfig;
 use sitm_mvm::{Addr, MvmStore, Word};
 use sitm_obs::SmallRng;
 use sitm_sim::{ThreadWorkload, TxProgram, Workload};
-use sitm_workloads::{LogicTx, NeedRead, TxLogic, TxMemory};
+use sitm_workloads::{Diverged, LogicTx, TxLogic, TxMemory};
 
 /// Dense array: eight entries share each cache line, so updates to
 /// *different* entries falsely share lines.
@@ -37,9 +37,9 @@ struct DenseUpdate {
 }
 
 impl TxLogic for DenseUpdate {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         let a = self.base.add(self.index as u64);
-        let v = mem.read(a)?;
+        let v = mem.read(a).await?;
         mem.write(a, v + 1);
         Ok(())
     }

@@ -28,4 +28,4 @@ pub use array::{ArrayParams, ArrayWorkload};
 pub use list::{ListOp, ListOpKind, ListParams, ListWorkload};
 pub use rbtree::{check_tree, RbOp, RbOpKind, RbTree, RbTreeParams, RbTreeWorkload};
 pub use registry::{all_workloads, microbenchmarks, stamp_kernels, Scale};
-pub use txm::{LogicTx, NeedRead, TxLogic, TxMemory};
+pub use txm::{run_on_store, Diverged, LogicTx, TxLogic, TxMemory};

@@ -24,7 +24,7 @@ use sitm_mvm::{Addr, MvmStore, Word, WORDS_PER_LINE};
 use sitm_obs::SmallRng;
 use sitm_sim::{ThreadWorkload, TxProgram, Workload};
 
-use crate::txm::{LogicTx, NeedRead, TxLogic, TxMemory};
+use crate::txm::{Diverged, LogicTx, TxLogic, TxMemory};
 
 /// Null successor marker (no node lives at line `u64::MAX`).
 pub const NULL: Word = u64::MAX;
@@ -244,20 +244,20 @@ pub struct ListOp {
 }
 
 impl TxLogic for ListOp {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         // Traverse: find prev = last node with value < target and
         // next = first node with value >= target (or NULL).
         let mut prev = self.head_line;
-        let mut next = mem.read(next_addr(prev))?;
+        let mut next = mem.read(next_addr(prev)).await?;
         while next != NULL {
-            let v = mem.read(value_addr(next))?;
+            let v = mem.read(value_addr(next)).await?;
             if v >= self.target {
                 break;
             }
             prev = next;
-            next = mem.read(next_addr(prev))?;
+            next = mem.read(next_addr(prev)).await?;
         }
-        let found = next != NULL && mem.read(value_addr(next))? == self.target;
+        let found = next != NULL && mem.read(value_addr(next)).await? == self.target;
         match self.kind {
             ListOpKind::Lookup => {}
             ListOpKind::Insert { new_node } => {
@@ -269,7 +269,7 @@ impl TxLogic for ListOp {
             }
             ListOpKind::Remove { fix_skew } => {
                 if found {
-                    let after = mem.read(next_addr(next))?;
+                    let after = mem.read(next_addr(next)).await?;
                     mem.write(next_addr(prev), after);
                     if fix_skew {
                         // Listing 2, line 10: force a write-write
@@ -291,7 +291,7 @@ impl TxLogic for ListOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_sim::TxOp;
+    use crate::txm::run_on_store;
 
     fn build_list(mem: &mut MvmStore, keys: &[u64]) -> u64 {
         let head = mem.alloc_lines(1).0;
@@ -307,20 +307,8 @@ mod tests {
         head
     }
 
-    /// Drives a ListOp program directly against the store (as a
-    /// degenerate single-thread "protocol").
     fn execute(mem: &mut MvmStore, op: ListOp) {
-        let mut p = LogicTx::new(op);
-        let mut input = None;
-        loop {
-            match p.resume(input.take()) {
-                TxOp::Read(a) => input = Some(mem.read_word(a)),
-                TxOp::Write(a, v) => mem.write_word(a, v),
-                TxOp::Compute(_) | TxOp::Promote(_) => {}
-                TxOp::Commit => break,
-                TxOp::Restart => panic!("consistent driver cannot diverge"),
-            }
-        }
+        run_on_store(mem, &mut LogicTx::new(op));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use sitm_mvm::{Addr, MvmStore, Word, WORDS_PER_LINE};
 use sitm_obs::SmallRng;
 use sitm_sim::{ThreadWorkload, TxProgram, Workload};
 
-use crate::txm::{LogicTx, NeedRead, TxLogic, TxMemory};
+use crate::txm::{run_on_store, Diverged, LogicTx, TxLogic, TxMemory};
 
 /// Null node marker.
 pub const NIL: Word = u64::MAX;
@@ -52,51 +52,51 @@ pub struct RbTree {
 }
 
 impl RbTree {
-    fn root(&self, m: &mut TxMemory) -> Result<Word, NeedRead> {
-        m.read(self.root_ptr)
+    async fn root(&self, m: &mut TxMemory) -> Result<Word, Diverged> {
+        m.read(self.root_ptr).await
     }
 
-    fn get(&self, m: &mut TxMemory, n: Word, f: u64) -> Result<Word, NeedRead> {
-        m.read(field(n, f))
+    async fn get(&self, m: &mut TxMemory, n: Word, f: u64) -> Result<Word, Diverged> {
+        m.read(field(n, f)).await
     }
 
     fn set(&self, m: &mut TxMemory, n: Word, f: u64, v: Word) {
         m.write(field(n, f), v);
     }
 
-    fn is_red(&self, m: &mut TxMemory, n: Word) -> Result<bool, NeedRead> {
+    async fn is_red(&self, m: &mut TxMemory, n: Word) -> Result<bool, Diverged> {
         if n == NIL {
             return Ok(false);
         }
-        Ok(self.get(m, n, F_COLOR)? == RED)
+        Ok(self.get(m, n, F_COLOR).await? == RED)
     }
 
     /// Finds the node with `key`, if present.
-    pub fn lookup(&self, m: &mut TxMemory, key: Word) -> Result<Option<Word>, NeedRead> {
-        let mut cur = self.root(m)?;
+    pub async fn lookup(&self, m: &mut TxMemory, key: Word) -> Result<Option<Word>, Diverged> {
+        let mut cur = self.root(m).await?;
         while cur != NIL {
-            let k = self.get(m, cur, F_KEY)?;
+            let k = self.get(m, cur, F_KEY).await?;
             cur = match key.cmp(&k) {
                 std::cmp::Ordering::Equal => return Ok(Some(cur)),
-                std::cmp::Ordering::Less => self.get(m, cur, F_LEFT)?,
-                std::cmp::Ordering::Greater => self.get(m, cur, F_RIGHT)?,
+                std::cmp::Ordering::Less => self.get(m, cur, F_LEFT).await?,
+                std::cmp::Ordering::Greater => self.get(m, cur, F_RIGHT).await?,
             };
         }
         Ok(None)
     }
 
-    fn rotate_left(&self, m: &mut TxMemory, x: Word) -> Result<(), NeedRead> {
-        let y = self.get(m, x, F_RIGHT)?;
-        let y_left = self.get(m, y, F_LEFT)?;
+    async fn rotate_left(&self, m: &mut TxMemory, x: Word) -> Result<(), Diverged> {
+        let y = self.get(m, x, F_RIGHT).await?;
+        let y_left = self.get(m, y, F_LEFT).await?;
         self.set(m, x, F_RIGHT, y_left);
         if y_left != NIL {
             self.set(m, y_left, F_PARENT, x);
         }
-        let xp = self.get(m, x, F_PARENT)?;
+        let xp = self.get(m, x, F_PARENT).await?;
         self.set(m, y, F_PARENT, xp);
         if xp == NIL {
             m.write(self.root_ptr, y);
-        } else if self.get(m, xp, F_LEFT)? == x {
+        } else if self.get(m, xp, F_LEFT).await? == x {
             self.set(m, xp, F_LEFT, y);
         } else {
             self.set(m, xp, F_RIGHT, y);
@@ -106,18 +106,18 @@ impl RbTree {
         Ok(())
     }
 
-    fn rotate_right(&self, m: &mut TxMemory, x: Word) -> Result<(), NeedRead> {
-        let y = self.get(m, x, F_LEFT)?;
-        let y_right = self.get(m, y, F_RIGHT)?;
+    async fn rotate_right(&self, m: &mut TxMemory, x: Word) -> Result<(), Diverged> {
+        let y = self.get(m, x, F_LEFT).await?;
+        let y_right = self.get(m, y, F_RIGHT).await?;
         self.set(m, x, F_LEFT, y_right);
         if y_right != NIL {
             self.set(m, y_right, F_PARENT, x);
         }
-        let xp = self.get(m, x, F_PARENT)?;
+        let xp = self.get(m, x, F_PARENT).await?;
         self.set(m, y, F_PARENT, xp);
         if xp == NIL {
             m.write(self.root_ptr, y);
-        } else if self.get(m, xp, F_RIGHT)? == x {
+        } else if self.get(m, xp, F_RIGHT).await? == x {
             self.set(m, xp, F_RIGHT, y);
         } else {
             self.set(m, xp, F_LEFT, y);
@@ -129,23 +129,23 @@ impl RbTree {
 
     /// Inserts `key` using the preallocated `node`. Returns `false` (and
     /// leaves the tree untouched) if the key already exists.
-    pub fn insert(
+    pub async fn insert(
         &self,
         m: &mut TxMemory,
         key: Word,
         value: Word,
         node: Word,
-    ) -> Result<bool, NeedRead> {
+    ) -> Result<bool, Diverged> {
         // BST descend.
         let mut parent = NIL;
-        let mut cur = self.root(m)?;
+        let mut cur = self.root(m).await?;
         while cur != NIL {
-            let k = self.get(m, cur, F_KEY)?;
+            let k = self.get(m, cur, F_KEY).await?;
             parent = cur;
             cur = match key.cmp(&k) {
                 std::cmp::Ordering::Equal => return Ok(false),
-                std::cmp::Ordering::Less => self.get(m, cur, F_LEFT)?,
-                std::cmp::Ordering::Greater => self.get(m, cur, F_RIGHT)?,
+                std::cmp::Ordering::Less => self.get(m, cur, F_LEFT).await?,
+                std::cmp::Ordering::Greater => self.get(m, cur, F_RIGHT).await?,
             };
         }
         // Attach red node.
@@ -157,65 +157,65 @@ impl RbTree {
         self.set(m, node, F_PARENT, parent);
         if parent == NIL {
             m.write(self.root_ptr, node);
-        } else if key < self.get(m, parent, F_KEY)? {
+        } else if key < self.get(m, parent, F_KEY).await? {
             self.set(m, parent, F_LEFT, node);
         } else {
             self.set(m, parent, F_RIGHT, node);
         }
-        self.insert_fixup(m, node)?;
+        self.insert_fixup(m, node).await?;
         Ok(true)
     }
 
-    fn insert_fixup(&self, m: &mut TxMemory, mut z: Word) -> Result<(), NeedRead> {
+    async fn insert_fixup(&self, m: &mut TxMemory, mut z: Word) -> Result<(), Diverged> {
         loop {
-            let zp = self.get(m, z, F_PARENT)?;
-            if zp == NIL || !self.is_red(m, zp)? {
+            let zp = self.get(m, z, F_PARENT).await?;
+            if zp == NIL || !self.is_red(m, zp).await? {
                 break;
             }
-            let zpp = self.get(m, zp, F_PARENT)?;
+            let zpp = self.get(m, zp, F_PARENT).await?;
             if zpp == NIL {
                 break;
             }
-            if self.get(m, zpp, F_LEFT)? == zp {
-                let uncle = self.get(m, zpp, F_RIGHT)?;
-                if self.is_red(m, uncle)? {
+            if self.get(m, zpp, F_LEFT).await? == zp {
+                let uncle = self.get(m, zpp, F_RIGHT).await?;
+                if self.is_red(m, uncle).await? {
                     self.set(m, zp, F_COLOR, BLACK);
                     self.set(m, uncle, F_COLOR, BLACK);
                     self.set(m, zpp, F_COLOR, RED);
                     z = zpp;
                 } else {
-                    if self.get(m, zp, F_RIGHT)? == z {
+                    if self.get(m, zp, F_RIGHT).await? == z {
                         z = zp;
-                        self.rotate_left(m, z)?;
+                        self.rotate_left(m, z).await?;
                     }
-                    let zp = self.get(m, z, F_PARENT)?;
-                    let zpp = self.get(m, zp, F_PARENT)?;
+                    let zp = self.get(m, z, F_PARENT).await?;
+                    let zpp = self.get(m, zp, F_PARENT).await?;
                     self.set(m, zp, F_COLOR, BLACK);
                     self.set(m, zpp, F_COLOR, RED);
-                    self.rotate_right(m, zpp)?;
+                    self.rotate_right(m, zpp).await?;
                 }
             } else {
-                let uncle = self.get(m, zpp, F_LEFT)?;
-                if self.is_red(m, uncle)? {
+                let uncle = self.get(m, zpp, F_LEFT).await?;
+                if self.is_red(m, uncle).await? {
                     self.set(m, zp, F_COLOR, BLACK);
                     self.set(m, uncle, F_COLOR, BLACK);
                     self.set(m, zpp, F_COLOR, RED);
                     z = zpp;
                 } else {
-                    if self.get(m, zp, F_LEFT)? == z {
+                    if self.get(m, zp, F_LEFT).await? == z {
                         z = zp;
-                        self.rotate_right(m, z)?;
+                        self.rotate_right(m, z).await?;
                     }
-                    let zp = self.get(m, z, F_PARENT)?;
-                    let zpp = self.get(m, zp, F_PARENT)?;
+                    let zp = self.get(m, z, F_PARENT).await?;
+                    let zpp = self.get(m, zp, F_PARENT).await?;
                     self.set(m, zp, F_COLOR, BLACK);
                     self.set(m, zpp, F_COLOR, RED);
-                    self.rotate_left(m, zpp)?;
+                    self.rotate_left(m, zpp).await?;
                 }
             }
         }
-        let root = self.root(m)?;
-        if self.is_red(m, root)? {
+        let root = self.root(m).await?;
+        if self.is_red(m, root).await? {
             self.set(m, root, F_COLOR, BLACK);
         }
         Ok(())
@@ -223,11 +223,11 @@ impl RbTree {
 
     /// Replaces the subtree rooted at `u` with the one rooted at `v`
     /// (which may be NIL) in `u`'s parent.
-    fn transplant(&self, m: &mut TxMemory, u: Word, v: Word) -> Result<(), NeedRead> {
-        let up = self.get(m, u, F_PARENT)?;
+    async fn transplant(&self, m: &mut TxMemory, u: Word, v: Word) -> Result<(), Diverged> {
+        let up = self.get(m, u, F_PARENT).await?;
         if up == NIL {
             m.write(self.root_ptr, v);
-        } else if self.get(m, up, F_LEFT)? == u {
+        } else if self.get(m, up, F_LEFT).await? == u {
             self.set(m, up, F_LEFT, v);
         } else {
             self.set(m, up, F_RIGHT, v);
@@ -238,9 +238,9 @@ impl RbTree {
         Ok(())
     }
 
-    fn minimum(&self, m: &mut TxMemory, mut n: Word) -> Result<Word, NeedRead> {
+    async fn minimum(&self, m: &mut TxMemory, mut n: Word) -> Result<Word, Diverged> {
         loop {
-            let l = self.get(m, n, F_LEFT)?;
+            let l = self.get(m, n, F_LEFT).await?;
             if l == NIL {
                 return Ok(n);
             }
@@ -249,129 +249,129 @@ impl RbTree {
     }
 
     /// Removes `key`. Returns `false` if absent.
-    pub fn remove(&self, m: &mut TxMemory, key: Word) -> Result<bool, NeedRead> {
-        let Some(z) = self.lookup(m, key)? else {
+    pub async fn remove(&self, m: &mut TxMemory, key: Word) -> Result<bool, Diverged> {
+        let Some(z) = self.lookup(m, key).await? else {
             return Ok(false);
         };
         let mut y = z;
-        let mut y_was_black = !self.is_red(m, y)?;
+        let mut y_was_black = !self.is_red(m, y).await?;
         let x;
         let mut x_parent;
-        let z_left = self.get(m, z, F_LEFT)?;
-        let z_right = self.get(m, z, F_RIGHT)?;
+        let z_left = self.get(m, z, F_LEFT).await?;
+        let z_right = self.get(m, z, F_RIGHT).await?;
         if z_left == NIL {
             x = z_right;
-            x_parent = self.get(m, z, F_PARENT)?;
-            self.transplant(m, z, z_right)?;
+            x_parent = self.get(m, z, F_PARENT).await?;
+            self.transplant(m, z, z_right).await?;
         } else if z_right == NIL {
             x = z_left;
-            x_parent = self.get(m, z, F_PARENT)?;
-            self.transplant(m, z, z_left)?;
+            x_parent = self.get(m, z, F_PARENT).await?;
+            self.transplant(m, z, z_left).await?;
         } else {
-            y = self.minimum(m, z_right)?;
-            y_was_black = !self.is_red(m, y)?;
-            x = self.get(m, y, F_RIGHT)?;
-            if self.get(m, y, F_PARENT)? == z {
+            y = self.minimum(m, z_right).await?;
+            y_was_black = !self.is_red(m, y).await?;
+            x = self.get(m, y, F_RIGHT).await?;
+            if self.get(m, y, F_PARENT).await? == z {
                 x_parent = y;
                 if x != NIL {
                     self.set(m, x, F_PARENT, y);
                 }
             } else {
-                x_parent = self.get(m, y, F_PARENT)?;
-                self.transplant(m, y, x)?;
+                x_parent = self.get(m, y, F_PARENT).await?;
+                self.transplant(m, y, x).await?;
                 self.set(m, y, F_RIGHT, z_right);
-                let yr = self.get(m, y, F_RIGHT)?;
+                let yr = self.get(m, y, F_RIGHT).await?;
                 self.set(m, yr, F_PARENT, y);
             }
-            self.transplant(m, z, y)?;
+            self.transplant(m, z, y).await?;
             self.set(m, y, F_LEFT, z_left);
             self.set(m, z_left, F_PARENT, y);
-            let z_color = self.get(m, z, F_COLOR)?;
+            let z_color = self.get(m, z, F_COLOR).await?;
             self.set(m, y, F_COLOR, z_color);
         }
         if y_was_black {
-            self.delete_fixup(m, x, x_parent)?;
+            self.delete_fixup(m, x, x_parent).await?;
         }
         let _ = &mut x_parent;
         Ok(true)
     }
 
-    fn delete_fixup(
+    async fn delete_fixup(
         &self,
         m: &mut TxMemory,
         mut x: Word,
         mut x_parent: Word,
-    ) -> Result<(), NeedRead> {
-        while x != self.root(m)? && !self.is_red(m, x)? {
+    ) -> Result<(), Diverged> {
+        while x != self.root(m).await? && !self.is_red(m, x).await? {
             if x_parent == NIL {
                 break;
             }
-            if self.get(m, x_parent, F_LEFT)? == x {
-                let mut w = self.get(m, x_parent, F_RIGHT)?;
-                if self.is_red(m, w)? {
+            if self.get(m, x_parent, F_LEFT).await? == x {
+                let mut w = self.get(m, x_parent, F_RIGHT).await?;
+                if self.is_red(m, w).await? {
                     self.set(m, w, F_COLOR, BLACK);
                     self.set(m, x_parent, F_COLOR, RED);
-                    self.rotate_left(m, x_parent)?;
-                    w = self.get(m, x_parent, F_RIGHT)?;
+                    self.rotate_left(m, x_parent).await?;
+                    w = self.get(m, x_parent, F_RIGHT).await?;
                 }
-                let wl = self.get(m, w, F_LEFT)?;
-                let wr = self.get(m, w, F_RIGHT)?;
-                if !self.is_red(m, wl)? && !self.is_red(m, wr)? {
+                let wl = self.get(m, w, F_LEFT).await?;
+                let wr = self.get(m, w, F_RIGHT).await?;
+                if !self.is_red(m, wl).await? && !self.is_red(m, wr).await? {
                     self.set(m, w, F_COLOR, RED);
                     x = x_parent;
-                    x_parent = self.get(m, x, F_PARENT)?;
+                    x_parent = self.get(m, x, F_PARENT).await?;
                 } else {
-                    if !self.is_red(m, wr)? {
+                    if !self.is_red(m, wr).await? {
                         if wl != NIL {
                             self.set(m, wl, F_COLOR, BLACK);
                         }
                         self.set(m, w, F_COLOR, RED);
-                        self.rotate_right(m, w)?;
-                        w = self.get(m, x_parent, F_RIGHT)?;
+                        self.rotate_right(m, w).await?;
+                        w = self.get(m, x_parent, F_RIGHT).await?;
                     }
-                    let pc = self.get(m, x_parent, F_COLOR)?;
+                    let pc = self.get(m, x_parent, F_COLOR).await?;
                     self.set(m, w, F_COLOR, pc);
                     self.set(m, x_parent, F_COLOR, BLACK);
-                    let wr = self.get(m, w, F_RIGHT)?;
+                    let wr = self.get(m, w, F_RIGHT).await?;
                     if wr != NIL {
                         self.set(m, wr, F_COLOR, BLACK);
                     }
-                    self.rotate_left(m, x_parent)?;
-                    x = self.root(m)?;
+                    self.rotate_left(m, x_parent).await?;
+                    x = self.root(m).await?;
                     x_parent = NIL;
                 }
             } else {
-                let mut w = self.get(m, x_parent, F_LEFT)?;
-                if self.is_red(m, w)? {
+                let mut w = self.get(m, x_parent, F_LEFT).await?;
+                if self.is_red(m, w).await? {
                     self.set(m, w, F_COLOR, BLACK);
                     self.set(m, x_parent, F_COLOR, RED);
-                    self.rotate_right(m, x_parent)?;
-                    w = self.get(m, x_parent, F_LEFT)?;
+                    self.rotate_right(m, x_parent).await?;
+                    w = self.get(m, x_parent, F_LEFT).await?;
                 }
-                let wl = self.get(m, w, F_LEFT)?;
-                let wr = self.get(m, w, F_RIGHT)?;
-                if !self.is_red(m, wl)? && !self.is_red(m, wr)? {
+                let wl = self.get(m, w, F_LEFT).await?;
+                let wr = self.get(m, w, F_RIGHT).await?;
+                if !self.is_red(m, wl).await? && !self.is_red(m, wr).await? {
                     self.set(m, w, F_COLOR, RED);
                     x = x_parent;
-                    x_parent = self.get(m, x, F_PARENT)?;
+                    x_parent = self.get(m, x, F_PARENT).await?;
                 } else {
-                    if !self.is_red(m, wl)? {
+                    if !self.is_red(m, wl).await? {
                         if wr != NIL {
                             self.set(m, wr, F_COLOR, BLACK);
                         }
                         self.set(m, w, F_COLOR, RED);
-                        self.rotate_left(m, w)?;
-                        w = self.get(m, x_parent, F_LEFT)?;
+                        self.rotate_left(m, w).await?;
+                        w = self.get(m, x_parent, F_LEFT).await?;
                     }
-                    let pc = self.get(m, x_parent, F_COLOR)?;
+                    let pc = self.get(m, x_parent, F_COLOR).await?;
                     self.set(m, w, F_COLOR, pc);
                     self.set(m, x_parent, F_COLOR, BLACK);
-                    let wl = self.get(m, w, F_LEFT)?;
+                    let wl = self.get(m, w, F_LEFT).await?;
                     if wl != NIL {
                         self.set(m, wl, F_COLOR, BLACK);
                     }
-                    self.rotate_right(m, x_parent)?;
-                    x = self.root(m)?;
+                    self.rotate_right(m, x_parent).await?;
+                    x = self.root(m).await?;
                     x_parent = NIL;
                 }
             }
@@ -514,14 +514,15 @@ impl Workload for RbTreeWorkload {
         mem.write_word(root_ptr, NIL);
         self.root_ptr = Some(root_ptr);
         // Build the initial tree by running inserts through the same
-        // logic against a scratch TxMemory backed by direct memory ops.
+        // logic directly against the store.
         let tree = RbTree { root_ptr };
         let mut rng = SmallRng::seed_from_u64(0x5EED_7EEE);
         let mut inserted = 0;
         while inserted < self.params.initial_size {
             let key = rng.gen_range(1..=self.params.key_range);
-            let node = mem.alloc_lines(1).0;
-            if run_direct(mem, |m| tree.insert(m, key, key * 2, node)) {
+            let new_node = mem.alloc_lines(1).0;
+            let kind = RbOpKind::Insert { new_node };
+            if apply(mem, RbOp { tree, key, kind }) {
                 inserted += 1;
             }
         }
@@ -545,32 +546,12 @@ impl Workload for RbTreeWorkload {
     }
 }
 
-/// Runs transactional logic directly against the store (initialization
-/// helper; no concurrency, no protocol).
-fn run_direct<F>(mem: &mut MvmStore, f: F) -> bool
-where
-    F: Fn(&mut TxMemory) -> Result<bool, NeedRead>,
-{
-    let mut txm = TxMemory::default();
-    loop {
-        // Refresh reads from memory until the logic completes. Writes
-        // restart from a clean overlay on every attempt.
-        txm.begin_attempt();
-        match f(&mut txm) {
-            Ok(result) => {
-                // Apply writes.
-                let writes: Vec<(Addr, Word)> = txm.drain_writes();
-                for (a, v) in writes {
-                    mem.write_word(a, v);
-                }
-                return result;
-            }
-            Err(NeedRead(a)) => {
-                let v = mem.read_word(a);
-                txm.supply_public(a, v);
-            }
-        }
-    }
+/// Runs one tree operation directly against the store (initialization
+/// and tests; no concurrency, no protocol). Returns whether it changed
+/// the tree: inserting a present key or removing an absent one writes
+/// nothing.
+fn apply(mem: &mut MvmStore, op: RbOp) -> bool {
+    run_on_store(mem, &mut LogicTx::new(op)).1 > 0
 }
 
 #[derive(Debug)]
@@ -634,16 +615,19 @@ pub struct RbOp {
 }
 
 impl TxLogic for RbOp {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         match self.kind {
             RbOpKind::Lookup => {
-                let _ = self.tree.lookup(mem, self.key)?;
+                let _ = self.tree.lookup(mem, self.key).await?;
             }
             RbOpKind::Insert { new_node } => {
-                let _ = self.tree.insert(mem, self.key, self.key * 2, new_node)?;
+                let _ = self
+                    .tree
+                    .insert(mem, self.key, self.key * 2, new_node)
+                    .await?;
             }
             RbOpKind::Remove => {
-                let _ = self.tree.remove(mem, self.key)?;
+                let _ = self.tree.remove(mem, self.key).await?;
             }
         }
         Ok(())
@@ -676,12 +660,14 @@ mod tests {
     }
 
     fn insert(mem: &mut MvmStore, tree: RbTree, key: Word) -> bool {
-        let node = mem.alloc_lines(1).0;
-        run_direct(mem, |m| tree.insert(m, key, key, node))
+        let new_node = mem.alloc_lines(1).0;
+        let kind = RbOpKind::Insert { new_node };
+        apply(mem, RbOp { tree, key, kind })
     }
 
     fn remove(mem: &mut MvmStore, tree: RbTree, key: Word) -> bool {
-        run_direct(mem, |m| tree.remove(m, key))
+        let kind = RbOpKind::Remove;
+        apply(mem, RbOp { tree, key, kind })
     }
 
     #[test]

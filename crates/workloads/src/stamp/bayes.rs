@@ -21,7 +21,7 @@ use sitm_mvm::{Addr, MvmStore, Word};
 use sitm_obs::SmallRng;
 use sitm_sim::{ThreadWorkload, TxProgram, Workload};
 
-use crate::txm::{LogicTx, NeedRead, TxLogic, TxMemory};
+use crate::txm::{Diverged, LogicTx, TxLogic, TxMemory};
 
 /// Parameters of the bayes kernel.
 #[derive(Debug, Clone, Copy)]
@@ -159,14 +159,14 @@ struct EvaluateCandidate {
 }
 
 impl TxLogic for EvaluateCandidate {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         let mut acc: Word = 0;
         for &cell in &self.reads {
-            acc = acc.wrapping_add(mem.read(self.scores.add(cell))?);
+            acc = acc.wrapping_add(mem.read(self.scores.add(cell)).await?);
         }
         if let Some((edge, invalidate)) = &self.adopt {
             let edge_addr = self.adjacency.add(*edge);
-            let cur = mem.read(edge_addr)?;
+            let cur = mem.read(edge_addr).await?;
             mem.write(edge_addr, cur.wrapping_add(acc | 1));
             for &cell in invalidate {
                 mem.write(self.scores.add(cell), acc.wrapping_mul(31).max(1));
@@ -184,28 +184,7 @@ impl TxLogic for EvaluateCandidate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_sim::TxOp;
-
-    fn drive(mem: &mut MvmStore, mut tx: Box<dyn TxProgram>) -> (usize, usize) {
-        let mut input = None;
-        let (mut reads, mut writes) = (0, 0);
-        loop {
-            match tx.resume(input.take()) {
-                TxOp::Read(a) => {
-                    reads += 1;
-                    input = Some(mem.read_word(a));
-                }
-                TxOp::Write(a, v) => {
-                    writes += 1;
-                    mem.write_word(a, v);
-                }
-                TxOp::Compute(_) | TxOp::Promote(_) => {}
-                TxOp::Commit => break,
-                TxOp::Restart => panic!("consistent driver cannot diverge"),
-            }
-        }
-        (reads, writes)
-    }
+    use crate::txm::run_on_store;
 
     #[test]
     fn transactions_are_long_and_read_heavy() {
@@ -216,8 +195,8 @@ mod tests {
         let mut total_reads = 0;
         let mut total_writes = 0;
         let mut txs = 0;
-        while let Some(tx) = tw.next_transaction() {
-            let (r, wr) = drive(&mut mem, tx);
+        while let Some(mut tx) = tw.next_transaction() {
+            let (r, wr) = run_on_store(&mut mem, &mut *tx);
             total_reads += r;
             total_writes += wr;
             txs += 1;
@@ -234,9 +213,9 @@ mod tests {
         let mut w = BayesWorkload::new(BayesParams::quick());
         let mut mem = MvmStore::new();
         w.setup(&mut mem, 1);
-        let (_, writes) = drive(
+        let (_, writes) = run_on_store(
             &mut mem,
-            LogicTx::boxed(EvaluateCandidate {
+            &mut LogicTx::new(EvaluateCandidate {
                 scores: w.scores.unwrap(),
                 adjacency: w.adjacency.unwrap(),
                 reads: vec![0, 1, 2],
@@ -252,9 +231,9 @@ mod tests {
         let mut w = BayesWorkload::new(BayesParams::quick());
         let mut mem = MvmStore::new();
         w.setup(&mut mem, 1);
-        let (_, writes) = drive(
+        let (_, writes) = run_on_store(
             &mut mem,
-            LogicTx::boxed(EvaluateCandidate {
+            &mut LogicTx::new(EvaluateCandidate {
                 scores: w.scores.unwrap(),
                 adjacency: w.adjacency.unwrap(),
                 reads: vec![0, 1],

@@ -22,7 +22,7 @@ use sitm_mvm::{Addr, MvmStore, Word, WORDS_PER_LINE};
 use sitm_obs::SmallRng;
 use sitm_sim::{ThreadWorkload, TxProgram, Workload};
 
-use crate::txm::{LogicTx, NeedRead, TxLogic, TxMemory};
+use crate::txm::{Diverged, LogicTx, TxLogic, TxMemory};
 
 /// Parameters of the genome kernel.
 #[derive(Debug, Clone, Copy)]
@@ -166,11 +166,11 @@ struct DedupInsert {
 }
 
 impl TxLogic for DedupInsert {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         let mut slot = (self.segment as usize * 31) % self.slots;
         for _ in 0..self.slots {
             let a = GenomeWorkload::slot_addr(self.base, slot);
-            let cur = mem.read(a)?;
+            let cur = mem.read(a).await?;
             if cur == 0 {
                 mem.write(a, self.segment);
                 return Ok(());
@@ -199,10 +199,10 @@ struct MatchChain {
 }
 
 impl MatchChain {
-    fn find_slot(&self, mem: &mut TxMemory, seg: Word) -> Result<Option<usize>, NeedRead> {
+    async fn find_slot(&self, mem: &mut TxMemory, seg: Word) -> Result<Option<usize>, Diverged> {
         let mut slot = (seg as usize * 31) % self.slots;
         for _ in 0..self.slots {
-            let cur = mem.read(GenomeWorkload::slot_addr(self.base, slot))?;
+            let cur = mem.read(GenomeWorkload::slot_addr(self.base, slot)).await?;
             if cur == seg {
                 return Ok(Some(slot));
             }
@@ -216,10 +216,10 @@ impl MatchChain {
 }
 
 impl TxLogic for MatchChain {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         let mut last_found = None;
         for &seg in &self.probes {
-            if let Some(slot) = self.find_slot(mem, seg)? {
+            if let Some(slot) = self.find_slot(mem, seg).await? {
                 last_found = Some(slot);
             }
         }
@@ -239,20 +239,7 @@ impl TxLogic for MatchChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_sim::TxOp;
-
-    fn drive(mem: &mut MvmStore, mut tx: Box<dyn TxProgram>) {
-        let mut input = None;
-        loop {
-            match tx.resume(input.take()) {
-                TxOp::Read(a) => input = Some(mem.read_word(a)),
-                TxOp::Write(a, v) => mem.write_word(a, v),
-                TxOp::Compute(_) | TxOp::Promote(_) => {}
-                TxOp::Commit => break,
-                TxOp::Restart => panic!("consistent driver cannot diverge"),
-            }
-        }
-    }
+    use crate::txm::run_on_store;
 
     #[test]
     fn setup_populates_table() {
@@ -280,9 +267,9 @@ mod tests {
         // Insert the same fresh segment twice: one slot claimed.
         let seg = 1000;
         for _ in 0..2 {
-            drive(
+            run_on_store(
                 &mut mem,
-                LogicTx::boxed(DedupInsert {
+                &mut LogicTx::new(DedupInsert {
                     base,
                     slots: GenomeParams::quick().table_slots,
                     segment: seg,
@@ -299,8 +286,8 @@ mod tests {
         w.setup(&mut mem, 1);
         let mut tw = w.thread_workload(0, 3);
         let mut n = 0;
-        while let Some(tx) = tw.next_transaction() {
-            drive(&mut mem, tx);
+        while let Some(mut tx) = tw.next_transaction() {
+            run_on_store(&mut mem, &mut *tx);
             n += 1;
         }
         assert_eq!(n, GenomeParams::quick().total_txs);

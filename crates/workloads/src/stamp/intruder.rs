@@ -24,7 +24,7 @@ use sitm_obs::SmallRng;
 use sitm_sim::{ThreadWorkload, TxProgram, Workload};
 
 use crate::list::{ListOp, ListOpKind};
-use crate::txm::{LogicTx, NeedRead, TxLogic, TxMemory};
+use crate::txm::{Diverged, LogicTx, TxLogic, TxMemory};
 
 /// Parameters of the intruder kernel.
 #[derive(Debug, Clone, Copy)]
@@ -172,8 +172,8 @@ struct PopFragment {
 }
 
 impl TxLogic for PopFragment {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
-        let head = mem.read(self.queue_head)?;
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
+        let head = mem.read(self.queue_head).await?;
         mem.write(self.queue_head, head + 1);
         Ok(())
     }
@@ -194,7 +194,7 @@ struct InsertFragment {
 }
 
 impl TxLogic for InsertFragment {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         // Insert the fragment into the flow's sorted list (duplicate
         // fragments are dropped by the insert logic).
         let insert = ListOp {
@@ -204,13 +204,13 @@ impl TxLogic for InsertFragment {
                 new_node: self.new_node,
             },
         };
-        insert.run(mem)?;
+        insert.run(mem).await?;
         // Flow completion check: an insert that completes the flow also
         // updates the flow header's sequence word (models handing the
         // assembled flow to detection).
         if self.fragment % self.complete_at == self.complete_at - 1 {
             let header = Addr(self.flow_head * WORDS_PER_LINE as u64);
-            let seq = mem.read(header)?;
+            let seq = mem.read(header).await?;
             mem.write(header, seq + 1);
         }
         Ok(())
@@ -224,20 +224,7 @@ impl TxLogic for InsertFragment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_sim::TxOp;
-
-    fn drive(mem: &mut MvmStore, mut tx: Box<dyn TxProgram>) {
-        let mut input = None;
-        loop {
-            match tx.resume(input.take()) {
-                TxOp::Read(a) => input = Some(mem.read_word(a)),
-                TxOp::Write(a, v) => mem.write_word(a, v),
-                TxOp::Compute(_) | TxOp::Promote(_) => {}
-                TxOp::Commit => break,
-                TxOp::Restart => panic!("consistent driver cannot diverge"),
-            }
-        }
-    }
+    use crate::txm::run_on_store;
 
     #[test]
     fn fragments_land_in_flow_lists_and_queue_advances() {
@@ -246,8 +233,8 @@ mod tests {
         w.setup(&mut mem, 1);
         let mut tw = w.thread_workload(0, 11);
         let mut n = 0;
-        while let Some(tx) = tw.next_transaction() {
-            drive(&mut mem, tx);
+        while let Some(mut tx) = tw.next_transaction() {
+            run_on_store(&mut mem, &mut *tx);
             n += 1;
         }
         assert_eq!(n, IntruderParams::quick().total_txs);

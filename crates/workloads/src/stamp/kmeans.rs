@@ -25,7 +25,7 @@ use sitm_mvm::{Addr, MvmConfig, MvmStore, Word, WORDS_PER_LINE};
 use sitm_obs::SmallRng;
 use sitm_sim::{ThreadWorkload, TxProgram, Workload};
 
-use crate::txm::{LogicTx, NeedRead, TxLogic, TxMemory};
+use crate::txm::{Diverged, LogicTx, TxLogic, TxMemory};
 
 /// Parameters of the kmeans kernel.
 #[derive(Debug, Clone, Copy)]
@@ -198,15 +198,15 @@ struct AccumulatePoint {
 }
 
 impl TxLogic for AccumulatePoint {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         let _ = self.dims;
         for (d, &coord) in self.point.iter().enumerate() {
             let a = KmeansWorkload::center_addr(self.base, self.cluster, d);
-            let sum = mem.read(a)?;
+            let sum = mem.read(a).await?;
             mem.write(a, sum.wrapping_add(coord));
         }
         let count_addr = KmeansWorkload::count_addr(self.counts_base, self.cluster);
-        let count = mem.read(count_addr)?;
+        let count = mem.read(count_addr).await?;
         mem.write(count_addr, count + 1);
         Ok(())
     }
@@ -222,7 +222,7 @@ impl TxLogic for AccumulatePoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_sim::TxOp;
+    use crate::txm::run_on_store;
 
     #[test]
     fn accumulation_is_rmw_on_one_center() {
@@ -236,20 +236,7 @@ mod tests {
             dims: 2,
             point: vec![10, 20],
         });
-        let mut input = None;
-        let mut writes = 0;
-        loop {
-            match tx.resume(input.take()) {
-                TxOp::Read(a) => input = Some(mem.read_word(a)),
-                TxOp::Write(a, v) => {
-                    mem.write_word(a, v);
-                    writes += 1;
-                }
-                TxOp::Compute(_) | TxOp::Promote(_) => {}
-                TxOp::Commit => break,
-                TxOp::Restart => panic!("consistent driver cannot diverge"),
-            }
-        }
+        let (_, writes) = run_on_store(&mut mem, &mut tx);
         assert_eq!(writes, 3, "two sums + count");
         assert_eq!(
             mem.read_word(KmeansWorkload::center_addr(w.base(), 1, 0)),
@@ -269,16 +256,7 @@ mod tests {
         let mut tw = w.thread_workload(0, 5);
         let mut n = 0;
         while let Some(mut tx) = tw.next_transaction() {
-            let mut input = None;
-            loop {
-                match tx.resume(input.take()) {
-                    TxOp::Read(a) => input = Some(mem.read_word(a)),
-                    TxOp::Write(a, v) => mem.write_word(a, v),
-                    TxOp::Compute(_) | TxOp::Promote(_) => {}
-                    TxOp::Commit => break,
-                    TxOp::Restart => panic!("consistent driver cannot diverge"),
-                }
-            }
+            run_on_store(&mut mem, &mut *tx);
             n += 1;
         }
         assert_eq!(

@@ -23,7 +23,7 @@ use sitm_mvm::{Addr, MvmStore, Word};
 use sitm_obs::SmallRng;
 use sitm_sim::{ThreadWorkload, TxProgram, Workload};
 
-use crate::txm::{LogicTx, NeedRead, TxLogic, TxMemory};
+use crate::txm::{Diverged, LogicTx, TxLogic, TxMemory};
 
 /// Parameters of the labyrinth kernel.
 #[derive(Debug, Clone, Copy)]
@@ -174,24 +174,28 @@ impl RouteTx {
 }
 
 impl TxLogic for RouteTx {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         let path = self.path();
         // Expansion phase: read the path cells plus neighbour probes.
         let mut free = true;
         for &(x, y, z) in &path {
-            let v = mem.read(LabyrinthWorkload::cell_addr(self.base, self.side, x, y, z))?;
+            let v = mem
+                .read(LabyrinthWorkload::cell_addr(self.base, self.side, x, y, z))
+                .await?;
             if v != 0 {
                 free = false;
             }
             // Neighbour probe (the BFS halo): one adjacent cell.
             if x + 1 < self.side {
-                let _ = mem.read(LabyrinthWorkload::cell_addr(
-                    self.base,
-                    self.side,
-                    x + 1,
-                    y,
-                    z,
-                ))?;
+                let _ = mem
+                    .read(LabyrinthWorkload::cell_addr(
+                        self.base,
+                        self.side,
+                        x + 1,
+                        y,
+                        z,
+                    ))
+                    .await?;
             }
         }
         // Claim phase: only fully free paths are claimed (occupied paths
@@ -216,20 +220,7 @@ impl TxLogic for RouteTx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_sim::TxOp;
-
-    fn drive(mem: &mut MvmStore, mut tx: Box<dyn TxProgram>) {
-        let mut input = None;
-        loop {
-            match tx.resume(input.take()) {
-                TxOp::Read(a) => input = Some(mem.read_word(a)),
-                TxOp::Write(a, v) => mem.write_word(a, v),
-                TxOp::Compute(_) | TxOp::Promote(_) => {}
-                TxOp::Commit => break,
-                TxOp::Restart => panic!("consistent driver cannot diverge"),
-            }
-        }
-    }
+    use crate::txm::run_on_store;
 
     #[test]
     fn path_is_contiguous_and_reaches_target() {
@@ -264,7 +255,7 @@ mod tests {
             to: (3, 0, 0),
             route_id: 42,
         };
-        drive(&mut mem, Box::new(LogicTx::new(tx)));
+        run_on_store(&mut mem, &mut LogicTx::new(tx));
         for x in 0..=3 {
             assert_eq!(
                 mem.read_word(LabyrinthWorkload::cell_addr(base, 8, x, 0, 0)),
@@ -279,7 +270,7 @@ mod tests {
             to: (2, 0, 0), // crosses (2,0,0) which is taken
             route_id: 43,
         };
-        drive(&mut mem, Box::new(LogicTx::new(tx2)));
+        run_on_store(&mut mem, &mut LogicTx::new(tx2));
         assert_eq!(
             mem.read_word(LabyrinthWorkload::cell_addr(base, 8, 2, 2, 0)),
             0,
@@ -294,8 +285,8 @@ mod tests {
         w.setup(&mut mem, 2);
         let mut tw = w.thread_workload(1, 9);
         let mut n = 0;
-        while let Some(tx) = tw.next_transaction() {
-            drive(&mut mem, tx);
+        while let Some(mut tx) = tw.next_transaction() {
+            run_on_store(&mut mem, &mut *tx);
             n += 1;
         }
         // Thread 1 of 2 gets its share of the fixed total.

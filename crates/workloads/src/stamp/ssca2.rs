@@ -16,7 +16,7 @@ use sitm_mvm::{Addr, MvmStore, Word, WORDS_PER_LINE};
 use sitm_obs::SmallRng;
 use sitm_sim::{ThreadWorkload, TxProgram, Workload};
 
-use crate::txm::{LogicTx, NeedRead, TxLogic, TxMemory};
+use crate::txm::{Diverged, LogicTx, TxLogic, TxMemory};
 
 /// Parameters of the ssca2 kernel.
 #[derive(Debug, Clone, Copy)]
@@ -135,9 +135,9 @@ struct AddEdge {
 }
 
 impl TxLogic for AddEdge {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         let deg_addr = Ssca2Workload::degree_addr(self.base, self.from);
-        let degree = mem.read(deg_addr)?;
+        let degree = mem.read(deg_addr).await?;
         mem.write(deg_addr, degree + 1);
         let slot = 1 + (degree as usize % (WORDS_PER_LINE - 1));
         mem.write(deg_addr.add(slot as u64), self.to + 1);
@@ -152,20 +152,7 @@ impl TxLogic for AddEdge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_sim::TxOp;
-
-    fn drive(mem: &mut MvmStore, mut tx: Box<dyn TxProgram>) {
-        let mut input = None;
-        loop {
-            match tx.resume(input.take()) {
-                TxOp::Read(a) => input = Some(mem.read_word(a)),
-                TxOp::Write(a, v) => mem.write_word(a, v),
-                TxOp::Compute(_) | TxOp::Promote(_) => {}
-                TxOp::Commit => break,
-                TxOp::Restart => panic!("consistent driver cannot diverge"),
-            }
-        }
-    }
+    use crate::txm::run_on_store;
 
     #[test]
     fn edges_accumulate_in_degree_counters() {
@@ -174,8 +161,8 @@ mod tests {
         w.setup(&mut mem, 1);
         let mut tw = w.thread_workload(0, 21);
         let mut n = 0;
-        while let Some(tx) = tw.next_transaction() {
-            drive(&mut mem, tx);
+        while let Some(mut tx) = tw.next_transaction() {
+            run_on_store(&mut mem, &mut *tx);
             n += 1;
         }
         assert_eq!(
@@ -189,9 +176,9 @@ mod tests {
         let mut w = Ssca2Workload::new(Ssca2Params::quick());
         let mut mem = MvmStore::new();
         w.setup(&mut mem, 1);
-        drive(
+        run_on_store(
             &mut mem,
-            LogicTx::boxed(AddEdge {
+            &mut LogicTx::new(AddEdge {
                 base: w.base(),
                 from: 3,
                 to: 17,

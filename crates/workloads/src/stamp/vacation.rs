@@ -17,7 +17,7 @@ use sitm_mvm::{Addr, MvmStore, Word, WORDS_PER_LINE};
 use sitm_obs::SmallRng;
 use sitm_sim::{ThreadWorkload, TxProgram, Workload};
 
-use crate::txm::{LogicTx, NeedRead, TxLogic, TxMemory};
+use crate::txm::{Diverged, LogicTx, TxLogic, TxMemory};
 
 /// Number of resource tables (flights, rooms, cars).
 const TABLES: usize = 3;
@@ -229,11 +229,11 @@ struct MakeReservation {
 }
 
 impl TxLogic for MakeReservation {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         // Index traversal: every lookup starts from the tables' index
         // headers (the tree roots in STAMP's vacation).
         for &h in &self.headers {
-            let _generation = mem.read(h)?;
+            let _generation = mem.read(h).await?;
         }
         // Query phase: inspect every queried record (price comparisons
         // and availability checks), remembering the first available
@@ -244,9 +244,15 @@ impl TxLogic for MakeReservation {
         let mut chosen: [Option<(usize, Word)>; TABLES] = [None; TABLES];
         for &(table, record) in &self.queries {
             let base = self.tables[table];
-            let slots = mem.read(VacationWorkload::record_addr(base, record, 0))?;
-            let reserved = mem.read(VacationWorkload::record_addr(base, record, 1))?;
-            let price = mem.read(VacationWorkload::record_addr(base, record, 2))?;
+            let slots = mem
+                .read(VacationWorkload::record_addr(base, record, 0))
+                .await?;
+            let reserved = mem
+                .read(VacationWorkload::record_addr(base, record, 1))
+                .await?;
+            let price = mem
+                .read(VacationWorkload::record_addr(base, record, 2))
+                .await?;
             if reserved < slots && chosen[table].is_none() {
                 chosen[table] = Some((record, price));
             }
@@ -259,7 +265,7 @@ impl TxLogic for MakeReservation {
             if let Some((record, price)) = choice {
                 let base = self.tables[table];
                 let reserved_addr = VacationWorkload::record_addr(base, *record, 1);
-                let reserved = mem.read(reserved_addr)?;
+                let reserved = mem.read(reserved_addr).await?;
                 mem.write(reserved_addr, reserved + 1);
                 spent += price;
                 booked = true;
@@ -268,8 +274,8 @@ impl TxLogic for MakeReservation {
         if booked {
             let count_addr = VacationWorkload::customer_addr(self.customers_base, self.customer, 0);
             let spent_addr = VacationWorkload::customer_addr(self.customers_base, self.customer, 1);
-            let count = mem.read(count_addr)?;
-            let prev = mem.read(spent_addr)?;
+            let count = mem.read(count_addr).await?;
+            let prev = mem.read(spent_addr).await?;
             mem.write(count_addr, count + 1);
             mem.write(spent_addr, prev + spent);
         }
@@ -289,10 +295,10 @@ struct DeleteCustomer {
 }
 
 impl TxLogic for DeleteCustomer {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         let count_addr = VacationWorkload::customer_addr(self.customers_base, self.customer, 0);
         let spent_addr = VacationWorkload::customer_addr(self.customers_base, self.customer, 1);
-        let count = mem.read(count_addr)?;
+        let count = mem.read(count_addr).await?;
         if count > 0 {
             mem.write(count_addr, 0);
             mem.write(spent_addr, 0);
@@ -314,15 +320,15 @@ struct UpdateTables {
 }
 
 impl TxLogic for UpdateTables {
-    fn run(&self, mem: &mut TxMemory) -> Result<(), NeedRead> {
+    async fn run(&self, mem: &mut TxMemory) -> Result<(), Diverged> {
         for &(table, record, price) in &self.updates {
             let addr = VacationWorkload::record_addr(self.tables[table], record, 2);
-            let _old = mem.read(addr)?;
+            let _old = mem.read(addr).await?;
             mem.write(addr, price);
         }
         // The administrative update rewrites one table's index header
         // (an index rebalance in the tree-backed original).
-        let generation = mem.read(self.header)?;
+        let generation = mem.read(self.header).await?;
         mem.write(self.header, generation + 1);
         Ok(())
     }
@@ -335,20 +341,7 @@ impl TxLogic for UpdateTables {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitm_sim::TxOp;
-
-    fn drive(mem: &mut MvmStore, mut tx: Box<dyn TxProgram>) {
-        let mut input = None;
-        loop {
-            match tx.resume(input.take()) {
-                TxOp::Read(a) => input = Some(mem.read_word(a)),
-                TxOp::Write(a, v) => mem.write_word(a, v),
-                TxOp::Compute(_) | TxOp::Promote(_) => {}
-                TxOp::Commit => break,
-                TxOp::Restart => panic!("consistent driver cannot diverge"),
-            }
-        }
-    }
+    use crate::txm::run_on_store;
 
     #[test]
     fn reservations_never_overbook_sequentially() {
@@ -356,8 +349,8 @@ mod tests {
         let mut mem = MvmStore::new();
         w.setup(&mut mem, 1);
         let mut tw = w.thread_workload(0, 2);
-        while let Some(tx) = tw.next_transaction() {
-            drive(&mut mem, tx);
+        while let Some(mut tx) = tw.next_transaction() {
+            run_on_store(&mut mem, &mut *tx);
         }
         w.check_reservations(&mem).expect("no overbooking");
     }
@@ -367,9 +360,9 @@ mod tests {
         let mut w = VacationWorkload::new(VacationParams::quick());
         let mut mem = MvmStore::new();
         w.setup(&mut mem, 1);
-        drive(
+        run_on_store(
             &mut mem,
-            LogicTx::boxed(MakeReservation {
+            &mut LogicTx::new(MakeReservation {
                 tables: w.tables.clone(),
                 headers: w.headers.clone(),
                 customers_base: w.customers_base.unwrap(),
@@ -395,9 +388,9 @@ mod tests {
         let base = w.customers_base.unwrap();
         mem.write_word(VacationWorkload::customer_addr(base, 5, 0), 2);
         mem.write_word(VacationWorkload::customer_addr(base, 5, 1), 900);
-        drive(
+        run_on_store(
             &mut mem,
-            LogicTx::boxed(DeleteCustomer {
+            &mut LogicTx::new(DeleteCustomer {
                 customers_base: base,
                 customer: 5,
             }),

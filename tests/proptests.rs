@@ -264,8 +264,7 @@ mod rbtree_props {
     /// preserve all tree invariants.
     #[test]
     fn rbtree_matches_reference() {
-        use sitm_sim::{TxOp, TxProgram};
-        use sitm_workloads::{check_tree, LogicTx, RbOp, RbOpKind, RbTree};
+        use sitm_workloads::{check_tree, run_on_store, LogicTx, RbOp, RbOpKind, RbTree};
 
         // The tree check walks the whole structure after every op, so
         // use fewer (larger) cases than the cheap properties.
@@ -289,17 +288,7 @@ mod rbtree_props {
                 } else {
                     RbOpKind::Remove
                 };
-                let mut p = LogicTx::new(RbOp { tree, key, kind });
-                let mut input = None;
-                loop {
-                    match p.resume(input.take()) {
-                        TxOp::Read(a) => input = Some(mem.read_word(a)),
-                        TxOp::Write(a, v) => mem.write_word(a, v),
-                        TxOp::Compute(_) | TxOp::Promote(_) => {}
-                        TxOp::Commit => break,
-                        TxOp::Restart => unreachable!("consistent driver"),
-                    }
-                }
+                run_on_store(&mut mem, &mut LogicTx::new(RbOp { tree, key, kind }));
                 if insert {
                     reference.insert(key);
                 } else {
