@@ -10,8 +10,9 @@
 //!   invisible readers, lazy timestamp-based write-write validation,
 //!   free read-only commits, unbounded transactions via transient
 //!   version spill.
-//! * [`SsiTm`] — serializable snapshot isolation (section 5.2):
-//!   dangerous-structure detection over type-based rw-dependency flags.
+//! * [`SsiTm`] — serializable snapshot isolation (section 5.2): SI-TM
+//!   plus a tracker of rw-edges that aborts any transaction completing a
+//!   pivot (an incoming and an outgoing rw-edge).
 //! * [`TwoPl`] — the eager requester-wins 2-phase-locking HTM baseline
 //!   with perfect signatures and a bounded version buffer (section 6.1).
 //! * [`Sontm`] — the conflict-serializable SONTM baseline with

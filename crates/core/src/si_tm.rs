@@ -26,15 +26,19 @@
 //!   starters), then for each written line check that no newer version
 //!   exists; install new versions on success, remove them and roll back
 //!   on a write-write conflict.
+//!
+//! SSI-TM (section 5.2) is this protocol with a [`PivotTracker`]
+//! attached; see [`crate::SsiTm`].
 
 use sitm_mvm::{Addr, GlobalClock, LineAddr, MvmConfig, MvmStore, ThreadId, Timestamp, Word};
-use sitm_obs::{AbortDetail, ForensicCause};
+use sitm_obs::{AbortDetail, ForensicCause, MetricsRegistry};
 use sitm_sim::{
     Abort, AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
     Victim, Victims, WriteOutcome,
 };
 
 use crate::base::{LineSet, ProtocolBase, TouchedLines, WriteBuffer};
+use crate::ssi_tm::PivotTracker;
 
 /// Tuning knobs of the SI-TM model.
 #[derive(Debug, Clone, Copy, Default)]
@@ -85,6 +89,8 @@ pub struct SiTm {
     /// L1-sized threshold above which written lines spill as transients
     /// (cost modeling only; never an abort).
     spill_threshold: usize,
+    /// SSI-TM's rw-edge tracker; `None` for plain SI-TM.
+    pivots: Option<PivotTracker>,
 }
 
 impl SiTm {
@@ -112,6 +118,15 @@ impl SiTm {
             cfg,
             txs: (0..machine.cores).map(|_| None).collect(),
             spill_threshold: machine.version_buffer_lines(),
+            pivots: None,
+        }
+    }
+
+    /// Builds SI-TM with a pivot tracker attached: the SSI-TM protocol.
+    pub(crate) fn with_pivot_tracker(machine: &MachineConfig, cfg: SiTmConfig) -> Self {
+        SiTm {
+            pivots: Some(PivotTracker::new(machine.cores)),
+            ..Self::with_config(machine, cfg)
         }
     }
 
@@ -127,8 +142,10 @@ impl SiTm {
     }
 
     /// Ends `tid`'s transaction: unregister its snapshot, flash
-    /// invalidate its transactionally marked lines, drop transients.
-    fn teardown(&mut self, tid: ThreadId) -> Option<SiTx> {
+    /// invalidate its transactionally marked lines, drop transients. A
+    /// transaction that committed passes its serialization point as
+    /// `commit_ts`, and the pivot tracker keeps its rw-edges.
+    fn teardown(&mut self, tid: ThreadId, commit_ts: Option<Timestamp>) -> Option<SiTx> {
         let tx = self.txs[tid.0].take()?;
         self.base.store.unregister_transaction(tid);
         for &line in &tx.spilled {
@@ -137,14 +154,19 @@ impl SiTm {
         self.base
             .mem
             .invalidate_own(tid.0, tx.touched.iter().copied());
+        if let Some(pivots) = &mut self.pivots {
+            let committed = commit_ts.map(|end| (end, tx.writes.lines().collect()));
+            pivots.end(tid, committed, self.base.store.active().oldest_start());
+        }
         Some(tx)
     }
 
     /// Self-abort over a conflict on `line`, `spent` cycles into the
     /// operation: rolls back and hands the engine the record, naming the
-    /// newest committed version of the line as the winner. SI-TM's
+    /// newest committed version of the line as the winner. The
     /// line-conflict causes (write-write, version overflow) classify
-    /// exactly as the generic mapping does.
+    /// exactly as the generic mapping does; the one ordering abort is a
+    /// read that completes a committed pivot.
     fn abort_on(
         &mut self,
         tid: ThreadId,
@@ -152,7 +174,11 @@ impl SiTm {
         line: LineAddr,
         spent: Cycles,
     ) -> Abort {
-        let detail = self.base.lost_to_newest(cause.fallback_forensic(), line);
+        let forensic = match cause {
+            AbortCause::Order => ForensicCause::SsiPivot,
+            _ => cause.fallback_forensic(),
+        };
+        let detail = self.base.lost_to_newest(forensic, line);
         Abort {
             cause,
             cycles: spent + self.rollback(tid),
@@ -179,7 +205,8 @@ impl SiTm {
         // their registrations and transient versions, re-bases committed
         // state to the epoch, and resets the clock.
         for victim in victims.iter().map(|v| v.tid) {
-            self.teardown(victim).expect("victim has a transaction");
+            self.teardown(victim, None)
+                .expect("victim has a transaction");
             // Re-arm the slot so the engine's rollback call (which dooms
             // the victim later) still finds state to discard idempotently.
             self.txs[victim.0] = Some(SiTx {
@@ -193,9 +220,32 @@ impl SiTm {
                 self.base.store.take_transient(tid, line);
             }
         }
+        // Every transaction is doomed and timestamps restart, so the
+        // tracker's pre-reset commit timestamps would compare as later
+        // than every new snapshot: its rw-edges go with the epoch.
+        if let Some(pivots) = &mut self.pivots {
+            *pivots = PivotTracker::new(self.txs.len());
+        }
         self.base.store.flatten_all();
         self.clock.reset_after_overflow();
         victims
+    }
+
+    /// Exports the store counters and this protocol's own under `ns`.
+    pub(crate) fn export_metrics_as(&self, ns: &str, reg: &mut MetricsRegistry) {
+        sitm_obs::Observable::export_metrics(&self.base.store, reg);
+        reg.count(&format!("{ns}.clock.overflows"), self.clock.overflows());
+        reg.count(&format!("{ns}.clock.now"), self.clock.now().0);
+        reg.count(
+            &format!("{ns}.clock.pending_commits"),
+            self.clock.pending_commits() as u64,
+        );
+        if let Some(pivots) = &self.pivots {
+            reg.count(
+                &format!("{ns}.committed_window.retained"),
+                pivots.retained() as u64,
+            );
+        }
     }
 }
 
@@ -258,8 +308,14 @@ impl TmProtocol for SiTm {
             // policy): the reader aborts.
             return ReadOutcome::Abort(self.abort_on(tid, AbortCause::VersionOverflow, line, 0));
         };
-        let cycles = self.base.mem.mvm_access(tid.0, line);
         self.tx(tid).touched.insert(line);
+        if let Some(pivots) = &mut self.pivots {
+            let overwritten = self.base.store.newer_than(line, start);
+            if pivots.read(tid, line, start, overwritten) {
+                return ReadOutcome::Abort(self.abort_on(tid, AbortCause::Order, line, 0));
+            }
+        }
+        let cycles = self.base.mem.mvm_access(tid.0, line);
         ReadOutcome::Ok {
             value,
             cycles,
@@ -305,8 +361,15 @@ impl TmProtocol for SiTm {
 
     fn promote(&mut self, tid: ThreadId, addr: Addr) -> WriteOutcome {
         let line = addr.line();
-        let tx = self.tx(tid);
-        tx.promoted.insert(line);
+        match &mut self.pivots {
+            // SSI validates every read through pivot detection, so a
+            // promotion is only a read-set membership: it bypasses the
+            // `promoted` set and its commit-time validation.
+            Some(pivots) => pivots.promote(tid, line),
+            None => {
+                self.tx(tid).promoted.insert(line);
+            }
+        }
         WriteOutcome::Ok {
             cycles: 1,
             victims: vec![],
@@ -321,7 +384,7 @@ impl TmProtocol for SiTm {
                 .as_ref()
                 .expect("commit outside transaction");
             if tx.writes.is_empty() && tx.promoted.is_empty() {
-                self.teardown(tid);
+                self.teardown(tid, Some(self.clock.now()));
                 return CommitOutcome::Committed {
                     cycles: 0,
                     victims: vec![],
@@ -346,7 +409,7 @@ impl TmProtocol for SiTm {
                     ));
                 }
             }
-            self.teardown(tid);
+            self.teardown(tid, Some(self.clock.now()));
             return CommitOutcome::Committed {
                 cycles,
                 victims: vec![],
@@ -420,6 +483,26 @@ impl TmProtocol for SiTm {
             self.clock.finish_commit(end);
             return CommitOutcome::Abort(abort);
         }
+        // Under SSI, installing would complete a pivot: the committer is
+        // the only party of the dangerous structure still abortable.
+        let pivot = self
+            .pivots
+            .as_mut()
+            .and_then(|p| p.validate(tid, start, &lines).err());
+        if let Some(line) = pivot {
+            let cycles = cycles + self.rollback(tid);
+            self.clock.finish_commit(end);
+            return CommitOutcome::Abort(Abort {
+                cause: AbortCause::Order,
+                cycles,
+                victims: vec![],
+                detail: Some(AbortDetail {
+                    cause: ForensicCause::SsiPivot,
+                    line: Some(line.0),
+                    winner_ts: None,
+                }),
+            });
+        }
 
         // The transaction is done reading: release its snapshot before
         // installing so its own start timestamp does not inhibit
@@ -459,7 +542,7 @@ impl TmProtocol for SiTm {
             return CommitOutcome::Abort(abort);
         }
 
-        self.teardown(tid);
+        self.teardown(tid, Some(end));
         self.clock.finish_commit(end);
         CommitOutcome::Committed {
             cycles,
@@ -469,7 +552,7 @@ impl TmProtocol for SiTm {
     }
 
     fn rollback(&mut self, tid: ThreadId) -> Cycles {
-        match self.teardown(tid) {
+        match self.teardown(tid, None) {
             Some(tx) => self.base.rollback_cost + tx.writes.line_count() as Cycles,
             None => 0,
         }
@@ -485,14 +568,8 @@ impl TmProtocol for SiTm {
 }
 
 impl sitm_obs::Observable for SiTm {
-    fn export_metrics(&self, reg: &mut sitm_obs::MetricsRegistry) {
-        sitm_obs::Observable::export_metrics(&self.base.store, reg);
-        reg.count("si_tm.clock.overflows", self.clock.overflows());
-        reg.count("si_tm.clock.now", self.clock.now().0);
-        reg.count(
-            "si_tm.clock.pending_commits",
-            self.clock.pending_commits() as u64,
-        );
+    fn export_metrics(&self, reg: &mut MetricsRegistry) {
+        self.export_metrics_as("si_tm", reg);
     }
 }
 

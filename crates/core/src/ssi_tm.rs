@@ -1,129 +1,229 @@
-//! SSI-TM: serializable snapshot isolation (section 5.2 of the paper).
+//! SSI-TM: serializable snapshot isolation (section 5.2 of the paper),
+//! built as SI-TM plus a [`PivotTracker`].
 //!
-//! SI permits the write-skew anomaly. The paper sketches a hardware
-//! extension that makes SI-TM fully serializable by detecting *dangerous
-//! situations*: a transaction that has both an **incoming** and an
-//! **outgoing** read-write dependency is the potential pivot of a
-//! dependency cycle and is aborted (safe, but may introduce false
-//! positives). Crucially the dependencies are *type-based*, not temporal:
-//! a transaction that only ever acts as the reader in its conflicts (like
-//! the long scan of Figure 6) accumulates dependencies of a single kind
-//! and commits, where conflict serializability would abort it.
+//! Write a committed history's dependencies as Kumar & Peri's
+//! multiversion conflict graph: an edge `T → U` whenever `U` must follow
+//! `T` in every equivalent serial order. Under SI-TM the ww- and
+//! wr-edges follow commit order: first-committer-wins orders the writers
+//! of a line, and a snapshot sees only earlier commits. The third kind,
+//! the rw-edge `T → U` (`T` read a version of a line that `U`
+//! overwrote), can point against commit order, and only between
+//! transactions whose lifetimes overlap: had `U` committed before `T`
+//! began, `T` would have read `U`'s version.
 //!
-//! On top of the SI-TM machinery this model adds:
+//! Raad, Lahav & Vafeiadis define SI declaratively over the same edges:
+//! a history is SI when `(wr ∪ ww) ; rw?` is acyclic. Every cycle an SI
+//! history can still contain therefore passes through two consecutive
+//! rw-edges `T → P → U`, and the middle transaction `P` — a *pivot*, with
+//! an incoming and an outgoing rw-edge — lies on it. First-committer-wins
+//! plus "no committed pivot" leaves no cycle: the history is
+//! serializable.
 //!
-//! * read-set tracking (SI proper needs none),
-//! * a per-transaction *reader-conflict* flag (an outgoing
-//!   rw-dependency), set when the transaction reads a line for which a
-//!   newer committed version exists (it read old data that an
-//!   overlapping transaction overwrote),
-//! * a per-transaction *writer-conflict* flag (an incoming
-//!   rw-dependency), set at commit when the write set intersects the
-//!   read set of an active transaction, or of a transaction that
-//!   committed during this transaction's lifetime,
-//! * the abort rule: a transaction observed with both flags aborts
-//!   ([`AbortCause::Order`]); the committer dooms conflicting active
-//!   readers whose flags complete a dangerous structure.
-//!
-//! Because versioning is lazy, a transaction's rw-edges can keep
-//! materialising *after* it commits: a later reader observes old data
-//! the committed transaction overwrote (completing its incoming edge),
-//! or a later committer overwrites data it read (completing its
-//! outgoing edge). The committed-transaction window therefore retains
-//! both flags alongside the read and write sets (the analogue of Cahill
-//! et al.'s committed-pivot tracking), and the transaction whose action
-//! completes a committed pivot's second flag aborts itself — it is too
-//! late to abort the pivot.
-//!
-//! Write-write conflicts abort exactly as in SI-TM.
+//! So SSI-TM adds to SI-TM what the paper adds to its hardware: read-set
+//! tracking, one flag per rw-edge direction, and one abort rule — the
+//! transaction whose read or commit would make a pivot aborts. The flags
+//! record edge *types*, not times: the long scan of Figure 6 is only
+//! ever the reader side of its rw-edges, so it commits where conflict
+//! serializability aborts it. A pivot whose cycle never closes aborts
+//! all the same (the paper's safe false positives). Snapshot reads,
+//! write buffering and spill, first-committer-wins validation, install,
+//! and version-cap and clock-overflow handling are SI-TM's own.
 
 use sitm_mvm::{Addr, GlobalClock, LineAddr, MvmStore, ThreadId, Timestamp, Word};
-use sitm_obs::{AbortDetail, ForensicCause};
 use sitm_sim::{
-    Abort, AbortCause, BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol,
-    Victim, Victims, WriteOutcome,
+    BeginOutcome, CommitOutcome, Cycles, MachineConfig, ReadOutcome, TmProtocol, WriteOutcome,
 };
 
-use crate::base::{LineSet, ProtocolBase, TouchedLines, WriteBuffer};
+use crate::base::LineSet;
+use crate::{SiTm, SiTmConfig};
 
-/// Per-transaction state.
+/// One transaction's side of its rw-edges.
 #[derive(Debug, Default)]
-struct SsiTx {
-    start: Timestamp,
-    writes: WriteBuffer,
+struct Edges {
+    /// Lines read from the snapshot, and promoted lines.
     read_set: LineSet,
-    touched: TouchedLines,
-    /// This transaction read data an overlapping transaction overwrote
-    /// (it is the reader of an rw-dependency).
+    /// Outgoing rw-edge: this transaction read a version that an
+    /// overlapping transaction overwrote.
     reader_conflict: bool,
-    /// This transaction wrote data an overlapping transaction read (it
-    /// is the writer of an rw-dependency).
+    /// Incoming rw-edge: an overlapping transaction read a version that
+    /// this transaction overwrote.
     writer_conflict: bool,
 }
 
-/// Footprint and conflict flags of a recently committed transaction,
-/// retained while active transactions overlap its lifetime: its rw-edges
-/// can still be completed by later reads and commits (lazy versioning),
-/// at which point a committed pivot can only be resolved by aborting the
-/// transaction that completed the structure.
+/// A committed transaction that some active transaction still overlaps.
 #[derive(Debug)]
 struct CommittedTx {
+    /// Its serialization point: a writer's end timestamp, or the clock
+    /// at a read-only commit.
     end: Timestamp,
-    read_set: LineSet,
     write_set: LineSet,
-    /// Incoming rw-dependency: someone read old data this transaction
-    /// overwrote (its `writer_conflict` at commit, or marked later).
-    in_conflict: bool,
-    /// Outgoing rw-dependency: this transaction read old data someone
-    /// overwrote (its `reader_conflict` at commit, or marked later).
-    out_conflict: bool,
+    edges: Edges,
 }
 
-/// The serializable-SI protocol model. See the module docs above.
+/// The rw-edges of SSI-TM's dangerous-structure detection.
+///
+/// Under lazy versioning an rw-edge `T → U` materialises in one of two
+/// ways. Either `T`'s snapshot read finds a version newer than its
+/// snapshot (`U` committed first), or `U`'s commit writes a line in an
+/// overlapping `T`'s read set (`T` read first). The tracker sees both,
+/// and keeps one flag per direction on each endpoint.
+///
+/// An in-flight transaction has no incoming edge: nobody can read around
+/// a version that is not installed yet. So when an edge completes a
+/// pivot, the reader or committer that drew it can always abort itself,
+/// and the tracker never dooms another thread.
+///
+/// Edges keep arriving after a commit. A committed `P` gains an incoming
+/// edge when a later snapshot read finds a version newer than the
+/// reader's snapshot that `P` installed, and an outgoing one when a
+/// later commit overwrites a line `P` read. Committed transactions
+/// therefore stay in a window, with their read and write sets and both
+/// flags, until no active transaction overlaps them; after that no edge
+/// can reach them. When an edge completes a committed pivot, the pivot
+/// is past aborting, so the transaction that drew the edge aborts.
 #[derive(Debug)]
-pub struct SsiTm {
-    base: ProtocolBase,
-    clock: GlobalClock,
-    txs: Vec<Option<SsiTx>>,
-    /// Committed transactions still overlapping someone.
+pub(crate) struct PivotTracker {
+    /// Per thread: the in-flight transaction's edges (empty when idle).
+    active: Vec<Edges>,
     committed_window: Vec<CommittedTx>,
 }
 
-impl SsiTm {
-    /// Builds an SSI-TM model for machine `cfg`.
-    pub fn new(machine: &MachineConfig) -> Self {
-        SsiTm {
-            base: ProtocolBase::new(MvmStore::new(), machine),
-            clock: GlobalClock::new(machine.cores),
-            txs: (0..machine.cores).map(|_| None).collect(),
+impl PivotTracker {
+    /// A tracker for `threads` hardware threads, with no edges.
+    pub(crate) fn new(threads: usize) -> Self {
+        PivotTracker {
+            active: (0..threads).map(|_| Edges::default()).collect(),
             committed_window: Vec::new(),
         }
     }
 
-    fn tx(&mut self, tid: ThreadId) -> &mut SsiTx {
-        self.txs[tid.0]
-            .as_mut()
-            .expect("operation outside a transaction")
+    /// Records `tid`'s snapshot read of `line` at snapshot `start`.
+    /// `overwritten` says a version newer than the snapshot exists: the
+    /// read is then an rw-edge to every overlapping committed writer of
+    /// the line. Returns whether such an edge completes a committed
+    /// pivot.
+    pub(crate) fn read(
+        &mut self,
+        tid: ThreadId,
+        line: LineAddr,
+        start: Timestamp,
+        overwritten: bool,
+    ) -> bool {
+        let mut pivot = false;
+        if overwritten {
+            for c in &mut self.committed_window {
+                if c.end > start && c.write_set.contains(&line) {
+                    c.edges.writer_conflict = true;
+                    pivot |= c.edges.reader_conflict;
+                }
+            }
+        }
+        let reader = &mut self.active[tid.0];
+        reader.read_set.insert(line);
+        reader.reader_conflict |= overwritten;
+        pivot
     }
 
-    fn teardown(&mut self, tid: ThreadId) -> Option<SsiTx> {
-        let tx = self.txs[tid.0].take()?;
-        self.base.store.unregister_transaction(tid);
-        self.base
-            .mem
-            .invalidate_own(tid.0, tx.touched.iter().copied());
-        self.prune_committed_window();
-        Some(tx)
+    /// Adds `line` to `tid`'s read set.
+    pub(crate) fn promote(&mut self, tid: ThreadId, line: LineAddr) {
+        self.active[tid.0].read_set.insert(line);
     }
 
-    /// Drops committed-transaction records that no active transaction
-    /// overlaps any more.
-    fn prune_committed_window(&mut self) {
-        let oldest_active = self.base.store.active().oldest_start();
+    /// Draws the rw-edges into `tid`'s commit of `writes` (snapshot
+    /// `start`): every overlapping transaction that read one of the lines
+    /// gains an outgoing edge, and the committer an incoming one. Fails
+    /// with the first line an edge runs through when the committer would
+    /// commit as a pivot, or would complete a committed one.
+    pub(crate) fn validate(
+        &mut self,
+        tid: ThreadId,
+        start: Timestamp,
+        writes: &[LineAddr],
+    ) -> Result<(), LineAddr> {
+        let overlap = |read_set: &LineSet| writes.iter().copied().find(|l| read_set.contains(l));
+        let mut first_edge = None;
+        for (i, reader) in self.active.iter_mut().enumerate() {
+            if i == tid.0 {
+                continue;
+            }
+            if let Some(line) = overlap(&reader.read_set) {
+                first_edge.get_or_insert(line);
+                reader.reader_conflict = true;
+            }
+        }
+        let mut committed_pivot = false;
+        for c in self.committed_window.iter_mut().filter(|c| c.end > start) {
+            if let Some(line) = overlap(&c.edges.read_set) {
+                first_edge.get_or_insert(line);
+                c.edges.reader_conflict = true;
+                committed_pivot |= c.edges.writer_conflict;
+            }
+        }
+        let committer = &mut self.active[tid.0];
+        match first_edge {
+            Some(line) if committer.reader_conflict || committed_pivot => Err(line),
+            _ => {
+                committer.writer_conflict = first_edge.is_some();
+                Ok(())
+            }
+        }
+    }
+
+    /// Ends `tid`'s transaction. One that committed, at `end` with
+    /// `write_set`, joins the window with its edges. Then drops every
+    /// committed transaction that `oldest_active` (the oldest live
+    /// snapshot) no longer overlaps.
+    pub(crate) fn end(
+        &mut self,
+        tid: ThreadId,
+        committed: Option<(Timestamp, LineSet)>,
+        oldest_active: Option<Timestamp>,
+    ) {
+        let edges = std::mem::take(&mut self.active[tid.0]);
+        if let Some((end, write_set)) = committed {
+            self.committed_window.push(CommittedTx {
+                end,
+                write_set,
+                edges,
+            });
+        }
+        self.prune_committed_window(oldest_active);
+    }
+
+    fn prune_committed_window(&mut self, oldest_active: Option<Timestamp>) {
         match oldest_active {
             None => self.committed_window.clear(),
             Some(oldest) => self.committed_window.retain(|c| c.end > oldest),
         }
+    }
+
+    /// Committed transactions currently in the window.
+    pub(crate) fn retained(&self) -> usize {
+        self.committed_window.len()
+    }
+}
+
+/// The serializable-SI protocol model: [`SiTm`] with a `PivotTracker`
+/// attached. Every operation is SI-TM's; only the name and the `ssi_tm.*`
+/// metric namespace are this type's own.
+#[derive(Debug)]
+pub struct SsiTm(SiTm);
+
+impl SsiTm {
+    /// Builds an SSI-TM model for machine `machine` with default protocol
+    /// configuration.
+    pub fn new(machine: &MachineConfig) -> Self {
+        Self::with_config(machine, SiTmConfig::default())
+    }
+
+    /// Builds an SSI-TM model with explicit SI-TM configuration.
+    pub fn with_config(machine: &MachineConfig, cfg: SiTmConfig) -> Self {
+        SsiTm(SiTm::with_pivot_tracker(machine, cfg))
+    }
+
+    /// The global clock (diagnostics: overflow count, current value).
+    pub fn clock(&self) -> &GlobalClock {
+        self.0.clock()
     }
 }
 
@@ -133,322 +233,49 @@ impl TmProtocol for SsiTm {
     }
 
     fn begin(&mut self, tid: ThreadId) -> BeginOutcome {
-        debug_assert!(self.txs[tid.0].is_none(), "nested begin");
-        let start = self
-            .clock
-            .begin()
-            .expect("64-bit timestamp space exhausted");
-        self.base.store.register_transaction(tid, start);
-        self.txs[tid.0] = Some(SsiTx {
-            start,
-            ..SsiTx::default()
-        });
-        BeginOutcome::Started {
-            cycles: self.base.begin_cost,
-            victims: vec![],
-            begin_ts: Some(start.0),
-            epoch: self.clock.overflows(),
-        }
+        self.0.begin(tid)
     }
 
     fn read(&mut self, tid: ThreadId, addr: Addr) -> ReadOutcome {
-        let line = addr.line();
-        if let Some(value) = self.tx(tid).writes.get(addr) {
-            let cycles = self.base.mem.l1_write(tid.0, line);
-            return ReadOutcome::Ok {
-                value,
-                cycles,
-                victims: vec![],
-                observed: None,
-            };
-        }
-        let start = self.tx(tid).start;
-        // Word-granular snapshot read: the read-own-writes check above
-        // returned `None` for this exact address, so no buffered write
-        // can affect the word read and the full line image is never
-        // needed.
-        let (value, served_ts) = self
-            .base
-            .store
-            .read_word_snapshot_ts(addr, start)
-            .expect("default policy never discards reachable snapshots");
-        // Reading old data that a later commit overwrote: this
-        // transaction is the reader of an rw-dependency.
-        let read_old = self.base.store.newer_than(line, start);
-        let mut committed_pivot = false;
-        if read_old {
-            // The overlapping committed writers of the newer versions
-            // gain an incoming rw-edge. One that committed already
-            // carrying an outgoing edge becomes a complete pivot; the
-            // only transaction left to abort is this reader.
-            for c in &mut self.committed_window {
-                if c.end > start && c.write_set.contains(&line) {
-                    c.in_conflict = true;
-                    if c.out_conflict {
-                        committed_pivot = true;
-                    }
-                }
-            }
-        }
-        let tx = self.tx(tid);
-        tx.read_set.insert(line);
-        tx.touched.insert(line);
-        if read_old {
-            tx.reader_conflict = true;
-            if tx.writer_conflict || committed_pivot {
-                // Dangerous structure: both flag kinds on one
-                // transaction (this one, or a committed writer it read
-                // around).
-                let detail = Some(self.base.lost_to_newest(ForensicCause::SsiPivot, line));
-                return ReadOutcome::Abort(Abort {
-                    cause: AbortCause::Order,
-                    cycles: self.rollback(tid),
-                    victims: vec![],
-                    detail,
-                });
-            }
-        }
-        let cycles = self.base.mem.mvm_access(tid.0, line);
-        ReadOutcome::Ok {
-            value,
-            cycles,
-            victims: vec![],
-            observed: Some(served_ts.0),
-        }
+        self.0.read(tid, addr)
     }
 
     fn write(&mut self, tid: ThreadId, addr: Addr, value: Word) -> WriteOutcome {
-        let line = addr.line();
-        let tx = self.tx(tid);
-        tx.writes.insert(addr, value);
-        tx.touched.insert(line);
-        let cycles = self.base.mem.l1_write(tid.0, line);
-        WriteOutcome::Ok {
-            cycles,
-            victims: vec![],
-        }
+        self.0.write(tid, addr, value)
     }
 
     fn promote(&mut self, tid: ThreadId, addr: Addr) -> WriteOutcome {
-        // SSI already validates the read set through dangerous-structure
-        // detection; a promotion is just a read-set membership.
-        let line = addr.line();
-        self.tx(tid).read_set.insert(line);
-        WriteOutcome::Ok {
-            cycles: 1,
-            victims: vec![],
-        }
+        self.0.promote(tid, addr)
     }
 
-    fn commit(&mut self, tid: ThreadId, _now: Cycles) -> CommitOutcome {
-        let read_only = self.txs[tid.0]
-            .as_ref()
-            .expect("commit outside transaction")
-            .writes
-            .is_empty();
-        if read_only {
-            // A read-only transaction cannot be a pivot under SI: it
-            // installs nothing, so it never gains an incoming rw-edge.
-            // Record its reads for writers that overlap it, then commit
-            // free of charge.
-            let end = self.clock.now();
-            let tx = self.txs[tid.0].as_ref().unwrap();
-            self.committed_window.push(CommittedTx {
-                end,
-                read_set: tx.read_set.clone(),
-                write_set: LineSet::new(),
-                in_conflict: false,
-                out_conflict: tx.reader_conflict,
-            });
-            self.teardown(tid);
-            return CommitOutcome::Committed {
-                cycles: 0,
-                victims: vec![],
-                commit_ts: None,
-            };
-        }
-
-        let end = self
-            .clock
-            .reserve_end()
-            .expect("64-bit timestamp space exhausted");
-        let start = self.txs[tid.0].as_ref().unwrap().start;
-        let lines: Vec<LineAddr> = self.txs[tid.0].as_ref().unwrap().writes.lines().collect();
-        let mut cycles: Cycles = 0;
-
-        // Write-write validation, exactly as SI-TM.
-        let mut ww_conflict: Option<LineAddr> = None;
-        for &line in &lines {
-            cycles += self.base.per_line_validate_cost;
-            if self.base.store.newer_than(line, start) {
-                ww_conflict = Some(line);
-                break;
-            }
-        }
-        if let Some(line) = ww_conflict {
-            let detail = Some(self.base.lost_to_newest(ForensicCause::WriteWriteFcw, line));
-            let rollback = self.rollback(tid);
-            self.clock.finish_commit(end);
-            return CommitOutcome::Abort(Abort {
-                cause: AbortCause::WriteWrite,
-                cycles: cycles + rollback,
-                victims: vec![],
-                detail,
-            });
-        }
-
-        // Dangerous-structure detection. My write set against:
-        // (a) active transactions' read sets,
-        // (b) committed transactions that overlapped me.
-        let mut writer_conflict = self.txs[tid.0].as_ref().unwrap().writer_conflict;
-        // The line through which the dangerous structure materialised,
-        // for abort forensics.
-        let mut danger_line: Option<LineAddr> = None;
-        let mut victims: Victims = vec![];
-        for i in 0..self.txs.len() {
-            if i == tid.0 {
-                continue;
-            }
-            let Some(other) = self.txs[i].as_mut() else {
-                continue;
-            };
-            if let Some(&overlap) = lines.iter().find(|l| other.read_set.contains(l)) {
-                writer_conflict = true;
-                danger_line.get_or_insert(overlap);
-                // The active reader is now the reader of an
-                // rw-dependency; if it is already a writer-conflict
-                // party, it forms a dangerous structure and aborts.
-                other.reader_conflict = true;
-                if other.writer_conflict {
-                    victims.push(Victim {
-                        tid: ThreadId(i),
-                        cause: AbortCause::Order,
-                        detail: Some(AbortDetail {
-                            cause: ForensicCause::SsiPivot,
-                            line: Some(overlap.0),
-                            winner_ts: Some(end.0),
-                        }),
-                    });
-                }
-            }
-        }
-        let mut committed_pivot = false;
-        for c in &mut self.committed_window {
-            // Overlap: the committed reader's lifetime intersected mine.
-            if c.end > start {
-                if let Some(&overlap) = lines.iter().find(|l| c.read_set.contains(l)) {
-                    writer_conflict = true;
-                    danger_line.get_or_insert(overlap);
-                    // The committed reader gains an outgoing rw-edge. If it
-                    // already carries an incoming one it is a complete
-                    // pivot, and this commit is the only abortable party.
-                    c.out_conflict = true;
-                    if c.in_conflict {
-                        committed_pivot = true;
-                    }
-                }
-            }
-        }
-        let reader_conflict = self.txs[tid.0].as_ref().unwrap().reader_conflict;
-        if (writer_conflict && reader_conflict) || committed_pivot {
-            let rollback = self.rollback(tid);
-            self.clock.finish_commit(end);
-            return CommitOutcome::Abort(Abort {
-                cause: AbortCause::Order,
-                cycles: cycles + rollback,
-                victims,
-                detail: Some(AbortDetail {
-                    cause: ForensicCause::SsiPivot,
-                    line: danger_line.map(|l| l.0),
-                    winner_ts: None,
-                }),
-            });
-        }
-
-        // Done reading: release the snapshot so the committer's own
-        // start does not inhibit coalescing.
-        self.base.store.unregister_transaction(tid);
-        // Install, as SI-TM (default policy: unbounded aborts cannot
-        // occur mid-install with the default cap unless snapshots pin
-        // versions; handle the error by aborting).
-        let mut installed = Vec::with_capacity(lines.len());
-        for &line in &lines {
-            let newest = self.base.store.read_line(line);
-            let data = self.txs[tid.0]
-                .as_ref()
-                .unwrap()
-                .writes
-                .apply_to(line, newest);
-            cycles += self.base.mem.writeback(tid.0, line);
-            if self.base.store.install(line, end, data).is_err() {
-                for &l in &installed {
-                    self.base.store.remove_installed(l, end);
-                }
-                let detail = Some(
-                    self.base
-                        .lost_to_newest(ForensicCause::CapacityEviction, line),
-                );
-                let rollback = self.rollback(tid);
-                self.clock.finish_commit(end);
-                return CommitOutcome::Abort(Abort {
-                    cause: AbortCause::VersionOverflow,
-                    cycles: cycles + rollback,
-                    victims,
-                    detail,
-                });
-            }
-            installed.push(line);
-        }
-
-        // Retain my footprint and flags while I overlap someone: later
-        // reads and commits can still complete my rw-edges.
-        let tx = self.txs[tid.0].as_ref().unwrap();
-        self.committed_window.push(CommittedTx {
-            end,
-            read_set: tx.read_set.clone(),
-            write_set: lines.iter().copied().collect(),
-            in_conflict: writer_conflict,
-            out_conflict: reader_conflict,
-        });
-        self.teardown(tid);
-        self.clock.finish_commit(end);
-        CommitOutcome::Committed {
-            cycles,
-            victims,
-            commit_ts: Some(end.0),
-        }
+    fn commit(&mut self, tid: ThreadId, now: Cycles) -> CommitOutcome {
+        self.0.commit(tid, now)
     }
 
     fn rollback(&mut self, tid: ThreadId) -> Cycles {
-        match self.teardown(tid) {
-            Some(tx) => self.base.rollback_cost + tx.writes.line_count() as Cycles,
-            None => 0,
-        }
+        self.0.rollback(tid)
     }
 
     fn store(&self) -> &MvmStore {
-        &self.base.store
+        self.0.store()
     }
 
     fn store_mut(&mut self) -> &mut MvmStore {
-        &mut self.base.store
+        self.0.store_mut()
     }
 }
 
 impl sitm_obs::Observable for SsiTm {
     fn export_metrics(&self, reg: &mut sitm_obs::MetricsRegistry) {
-        sitm_obs::Observable::export_metrics(&self.base.store, reg);
-        reg.count("ssi_tm.clock.overflows", self.clock.overflows());
-        reg.count(
-            "ssi_tm.committed_window.retained",
-            self.committed_window.len() as u64,
-        );
+        self.0.export_metrics_as("ssi_tm", reg);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sitm_obs::{ForensicCause, MetricsRegistry, Observable};
+    use sitm_sim::{Abort, AbortCause, Victims};
 
     /// Begins, returning the snapshot timestamp.
     fn begin(p: &mut SsiTm, t: usize) -> Option<u64> {
@@ -693,6 +520,52 @@ mod tests {
         let detail = abort.detail.expect("abort site hands over a detail");
         assert_eq!(detail.cause, ForensicCause::SsiPivot);
         assert!(detail.line.is_some(), "pivot names the overlapping line");
+    }
+
+    /// A clock overflow dooms every transaction and restarts the clock,
+    /// so the committed window goes with it. A stale entry's pre-reset
+    /// `end` would compare as later than every new snapshot, and its
+    /// flags would complete pivots that no longer exist.
+    #[test]
+    fn overflow_reset_forgets_the_committed_window() {
+        let si_cfg = SiTmConfig {
+            timestamp_limit: Some(64),
+            ..SiTmConfig::default()
+        };
+        let mut p = SsiTm::with_config(&MachineConfig::with_cores(3), si_cfg);
+        let a = p.store_mut().alloc_words(1);
+        let b = p.store_mut().alloc_lines(1).word(0);
+        let c = p.store_mut().alloc_lines(1).word(0);
+        let retained = |p: &SsiTm| {
+            let mut reg = MetricsRegistry::new();
+            p.export_metrics(&mut reg);
+            reg.counter("ssi_tm.committed_window.retained")
+        };
+
+        begin(&mut p, 0); // TX0: reads a, outlives TX1
+        assert_eq!(read(&mut p, 0, a).unwrap(), 0);
+        begin(&mut p, 1); // TX1: reads b, overwrites a
+        assert_eq!(read(&mut p, 1, b).unwrap(), 0);
+        write(&mut p, 1, a, 1);
+        assert_eq!(commit(&mut p, 1), Ok(vec![]));
+        // TX1 stays in the window with its incoming rw-edge from TX0.
+        // A 64-timestamp space reserves 64 / 4 = 16 per commit, so once
+        // the clock reaches 48 TX0's commit overflows it.
+        while p.clock().now().0 < 48 {
+            begin(&mut p, 2);
+            assert_eq!(commit(&mut p, 2), Ok(vec![]));
+        }
+        write(&mut p, 0, c, 1);
+        let abort = commit_full(&mut p, 0).expect_err("the clock overflows");
+        assert_eq!(abort.cause, AbortCause::ClockOverflow);
+        assert_eq!(p.clock().overflows(), 1);
+        assert_eq!(retained(&p), 0, "the window goes with the epoch");
+
+        // Overwriting TX1's read set would complete TX1 as a committed
+        // pivot had its entry survived the reset.
+        begin(&mut p, 1);
+        write(&mut p, 1, b, 2);
+        assert_eq!(commit(&mut p, 1), Ok(vec![]));
     }
 
     /// Read-only transactions always commit, even amid conflicts.

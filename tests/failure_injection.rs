@@ -1,7 +1,8 @@
 //! Failure injection through the full stack: clock overflow, version
 //! cap pressure, and zombie sandboxing, all driven by the real engine.
 
-use sitm_core::{SiTm, SiTmConfig, Sontm};
+use sitm_check::{check, Discipline};
+use sitm_core::{SiTm, SiTmConfig, Sontm, SsiTm};
 use sitm_mvm::OverflowPolicy;
 use sitm_sim::{run_simulation, AbortCause, Engine, MachineConfig, TmProtocol};
 use sitm_workloads::{
@@ -16,7 +17,7 @@ fn machine(cores: usize) -> MachineConfig {
 
 /// A tiny timestamp space forces repeated clock overflows mid-run; the
 /// interrupt path (abort-all, flatten, reset) must keep the run correct
-/// and complete.
+/// and complete, under SI-TM and under SSI-TM (which shares it).
 #[test]
 fn engine_survives_repeated_clock_overflows() {
     let cfg = machine(4);
@@ -24,16 +25,37 @@ fn engine_survives_repeated_clock_overflows() {
         timestamp_limit: Some(64),
         ..SiTmConfig::default()
     };
+    survives_clock_overflows(&cfg, SiTm::with_config(&cfg, si_cfg), |p| {
+        p.clock().overflows()
+    });
+    survives_clock_overflows(&cfg, SsiTm::with_config(&cfg, si_cfg), |p| {
+        p.clock().overflows()
+    });
+}
+
+/// Runs the list workload under `protocol`, whose clock overflows at
+/// least once, and certifies the recorded history.
+fn survives_clock_overflows<P: TmProtocol>(
+    cfg: &MachineConfig,
+    protocol: P,
+    overflows: impl Fn(&P) -> u64,
+) {
     let mut w = ListWorkload::new(ListParams::quick());
-    let (stats, protocol) = Engine::new(SiTm::with_config(&cfg, si_cfg), &mut w, &cfg, 13).run();
-    assert!(!stats.truncated, "{}", stats.summary());
+    let (stats, protocol) = Engine::new(protocol, &mut w, cfg, 13)
+        .record_history(1 << 20)
+        .run();
+    let name = protocol.name();
+    assert!(!stats.truncated, "{name}: {}", stats.summary());
     assert!(
-        protocol.clock().overflows() > 0,
-        "a 64-timestamp space must overflow during the run"
+        overflows(&protocol) > 0,
+        "{name}: a 64-timestamp space must overflow during the run"
     );
     // Overflow aborts were recorded and work still completed.
     let values = ListWorkload::snapshot_values(protocol.store(), w.head_line());
     assert!(values.windows(2).all(|p| p[0] < p[1]), "list stays sorted");
+    let history = stats.history.as_ref().expect("recording was enabled");
+    let report = check(Discipline::for_protocol(name), history);
+    assert!(report.is_ok(), "{report}");
 }
 
 /// Version-cap pressure with the abort-writer policy: the run completes
