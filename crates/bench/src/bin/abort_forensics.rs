@@ -27,7 +27,8 @@ use std::fs::File;
 use std::io::Write;
 
 use sitm_bench::{
-    machine, run_once_with_history, seed_for, Console, HarnessOpts, Protocol, SweepRunner,
+    machine, run_once_with_history, seed_for, usage_error, Console, HarnessOpts, Protocol,
+    SweepRunner,
 };
 use sitm_obs::history::DEFAULT_HISTORY_CAPACITY;
 use sitm_obs::{chrome_trace, ForensicCause, ForensicsReport, ForensicsSnapshot};
@@ -52,22 +53,21 @@ struct CellOutcome {
     timeline: Option<String>,
 }
 
-/// One line on stderr and exit status 2: a bad command line costs no
-/// computed results.
-fn usage_error(msg: String) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2)
-}
-
-/// The binary's own `--chrome PATH` flag (everything [`HarnessOpts`]
-/// knows is handled there).
-fn chrome_arg() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = args.iter().position(|a| a == "--chrome")?;
-    match args.get(flag + 1) {
-        Some(path) => Some(path.clone()),
-        None => usage_error("--chrome needs a path".to_string()),
+/// The binary's own `--chrome PATH` flag, from the arguments
+/// [`HarnessOpts::parse`] left over; anything else there is an error.
+fn chrome_arg(rest: &[String]) -> Option<String> {
+    let mut chrome = None;
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--chrome" => match it.next() {
+                Some(path) => chrome = Some(path.clone()),
+                None => usage_error("--chrome needs a path"),
+            },
+            _ => usage_error(format!("unknown argument {arg:?}")),
+        }
     }
+    chrome
 }
 
 /// Creates (and truncates) the file `flag` names.
@@ -82,13 +82,13 @@ fn write_out(flag: &str, path: &str, file: &mut File, text: &str) {
 }
 
 fn main() {
-    let opts = HarnessOpts::from_args();
+    let (opts, rest) = HarnessOpts::from_args();
+    let chrome_path = chrome_arg(&rest);
     let mut json = opts
         .json
         .as_deref()
         .filter(|path| *path != "-")
         .map(|path| (path, create("--json", path)));
-    let chrome_path = chrome_arg();
     let mut chrome = chrome_path
         .as_deref()
         .map(|path| (path, create("--chrome", path)));

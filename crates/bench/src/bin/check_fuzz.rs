@@ -19,8 +19,8 @@
 use std::collections::BTreeMap;
 
 use sitm_bench::{
-    machine, report_from_stats, run_once_with_history, seed_for, Console, HarnessOpts, Protocol,
-    ReportSink, SweepRunner,
+    machine, report_from_stats, run_once_with_history, seed_for, usage_error, Console, HarnessOpts,
+    Protocol, ReportSink, SweepRunner,
 };
 use sitm_check::{check, Discipline};
 use sitm_workloads::{all_workloads, Scale};
@@ -48,7 +48,10 @@ struct CellOutcome {
 }
 
 fn main() {
-    let mut opts = HarnessOpts::from_args();
+    let (mut opts, rest) = HarnessOpts::from_args();
+    if let Some(arg) = rest.first() {
+        usage_error(format!("unknown argument {arg:?}"));
+    }
     // The fuzzer's default seed budget is its own (the shared harness
     // default of 3 is tuned for averaging, not schedule coverage).
     if !std::env::args().any(|a| a == "--seeds") {

@@ -1,6 +1,6 @@
 //! Real-thread throughput scaling of the software STM (`sitm-stm`).
 //!
-//! Unlike the figure binaries, which replay the paper's *simulated*
+//! Unlike `sitm-bench`'s experiments, which replay the paper's *simulated*
 //! machine, this experiment measures the crate's actual commit path —
 //! per-`TVar` versioned commit locks, the sharded epoch clock,
 //! watermark-driven version GC, and capped jittered backoff — from
@@ -53,7 +53,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use sitm_bench::{seed_for, sweep_summary, Console, HarnessOpts, ReportSink, SweepRunner};
+use sitm_bench::{
+    positive, seed_for, sweep_summary, usage_error, Console, HarnessOpts, ReportSink, SweepRunner,
+};
 use sitm_obs::{MetricsRegistry, RunReport, SmallRng};
 use sitm_stm::{IsolationLevel, Stm, THashMap, TVar};
 use sitm_workloads::Scale;
@@ -366,9 +368,7 @@ fn run_cell(work: Work, level: IsolationLevel, threads: usize, ops: usize, seed:
 }
 
 fn main() {
-    let opts = HarnessOpts::from_args();
-    let sink = ReportSink::new(&opts);
-    let con = Console::new(&opts);
+    let (opts, rest) = HarnessOpts::from_args();
     let mut ops = match opts.scale {
         Scale::Quick => 500,
         _ => 20_000,
@@ -376,30 +376,26 @@ fn main() {
     // `--ops N` overrides the per-thread transaction count (scale
     // studies and CI smoke); `--workload NAME` restricts the sweep to
     // one workload (repeatable).
-    let argv: Vec<String> = std::env::args().collect();
     let mut only: Vec<&'static str> = Vec::new();
-    for (i, arg) in argv.iter().enumerate() {
-        if arg == "--ops" {
-            if let Some(n) = argv.get(i + 1).and_then(|s| s.parse::<usize>().ok()) {
-                ops = n.max(1);
-            }
-        }
-        if arg == "--workload" {
-            match argv
-                .get(i + 1)
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--ops" => ops = positive(arg, it.next()).unwrap_or_else(|msg| usage_error(msg)),
+            "--workload" => match it
+                .next()
                 .and_then(|name| WORKLOADS.iter().find(|w| w.name() == name))
             {
                 Some(w) => only.push(w.name()),
-                None => {
-                    eprintln!(
-                        "unknown --workload (expected one of: {})",
-                        WORKLOADS.map(Work::name).join(", ")
-                    );
-                    std::process::exit(2);
-                }
-            }
+                None => usage_error(format!(
+                    "unknown --workload (expected one of: {})",
+                    WORKLOADS.map(Work::name).join(", ")
+                )),
+            },
+            _ => usage_error(format!("unknown argument {arg:?}")),
         }
     }
+    let sink = ReportSink::new(&opts);
+    let con = Console::new(&opts);
     let workloads: Vec<Work> = WORKLOADS
         .into_iter()
         .filter(|w| only.is_empty() || only.contains(&w.name()))

@@ -1,26 +1,16 @@
 //! # sitm-bench — harness regenerating the paper's tables and figures
 //!
-//! One binary per experiment (see `EXPERIMENTS.md` at the repository
-//! root for the full index):
-//!
-//! | binary | reproduces |
-//! |---|---|
-//! | `fig1_aborts` | Figure 1 — read-write vs write-write abort shares under 2PL |
-//! | `fig7_abort_rates` | Figure 7 — abort rates relative to 2PL, 8/16/32 threads |
-//! | `fig8_speedup` | Figure 8 — speedup curves, 1–32 threads |
-//! | `table1_config` | Table 1 — the simulated platform |
-//! | `table2_versions` | Table 2 / Appendix A — accesses per MVM version depth |
-//! | `overheads` | Section 3.2 — indirection capacity/bandwidth overheads |
-//! | `ablate_version_cap` | Section 3.1 — cap-4 vs discard-oldest vs unbounded |
-//! | `ablate_coalescing` | Section 3.1 — version coalescing on/off |
-//! | `ablate_backoff` | Section 6.4 — exponential backoff on/off for the eager baselines |
-//! | `stm_scaling` | real-thread `sitm-stm` throughput scaling (host wall-clock, not simulated) |
+//! One binary, `sitm-bench <experiment>`, regenerates every table and
+//! figure; [`experiments::EXPERIMENTS`] is the list (see `EXPERIMENTS.md`
+//! at the repository root for paper-vs-measured results). Four more
+//! binaries stand apart: `abort_forensics`, `check_fuzz`, `stm_scaling`
+//! and `sitm_report`.
 //!
 //! This library holds the shared runner: protocol dispatch, seed
 //! averaging, plain-text table formatting, and the **parallel sweep
 //! executor**. The evaluation grid (benchmark × protocol × core count ×
 //! seed) is embarrassingly parallel *across* cells even though every
-//! cell is a sequential deterministic simulation, so each binary
+//! cell is a sequential deterministic simulation, so each experiment
 //! flattens its grid into [`Cell`]s and hands them to a [`SweepRunner`]
 //! (`--jobs N` OS threads, default [`std::thread::available_parallelism`]).
 //! Results are collected in cell order and all randomness is per-cell
@@ -40,6 +30,8 @@ use sitm_core::{SiTm, SiTmConfig, Sontm, SsiTm, TwoPl};
 use sitm_obs::{JsonlSink, PhaseCycles, RunReport};
 use sitm_sim::{AbortCause, Engine, MachineConfig, RunStats, Workload};
 use sitm_workloads::{all_workloads, Scale};
+
+pub mod experiments;
 
 /// The protocols compared in the evaluation (the paper's three, plus
 /// SSI-TM from section 5.2 as an extension).
@@ -442,7 +434,8 @@ pub fn sweep_summary(bench: &str, runner: &SweepRunner, cells: usize, wall_ms: f
 // CLI options and output routing.
 // ---------------------------------------------------------------------------
 
-/// Harness CLI options shared by the figure binaries.
+/// Harness CLI options shared by `sitm-bench` and the standalone
+/// binaries.
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
     /// Benchmark scale.
@@ -488,12 +481,19 @@ impl Default for HarnessOpts {
     }
 }
 
-/// The flags [`HarnessOpts::parse`] knows, printed after a parse error.
-const USAGE: &str =
-    "usage: [--quick] [--seeds N] [--threads N] [--jobs N] [--json PATH|-]  (N a positive integer)";
+/// The flags [`HarnessOpts::parse`] knows, for usage lines.
+pub const FLAGS: &str =
+    "[--quick] [--seeds N] [--threads N] [--jobs N] [--json PATH|-]  (N a positive integer)";
+
+/// Prints `msg` to stderr and exits with status 2: a command line the
+/// harness cannot act on costs no computed results.
+pub fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
 
 /// The value following `flag`, parsed as a positive integer.
-fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
+pub fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
     let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
     match value.parse() {
         Ok(n) if n > 0 => Ok(n),
@@ -505,11 +505,12 @@ impl HarnessOpts {
     /// Parses `--quick` (tiny instances), `--seeds N`, `--threads N`,
     /// `--jobs N` and `--json PATH` from `args` (the command line
     /// without the program name). A known flag whose value is missing,
-    /// unparsable or zero is an error naming the flag; anything else is
-    /// ignored, because some binaries parse extra flags of their own
-    /// from the same arguments.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// unparsable or zero is an error naming the flag. Every other
+    /// argument is returned, in order, for the caller to interpret or
+    /// reject.
+    pub fn parse(args: &[String]) -> Result<(Self, Vec<String>), String> {
         let mut opts = HarnessOpts::default();
+        let mut rest = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
@@ -521,21 +522,18 @@ impl HarnessOpts {
                     let path = it.next().ok_or("--json needs a path (or `-` for stdout)")?;
                     opts.json = Some(path.clone());
                 }
-                _ => {}
+                _ => rest.push(arg.clone()),
             }
         }
-        Ok(opts)
+        Ok((opts, rest))
     }
 
     /// [`HarnessOpts::parse`] over the process's command line; a parse
     /// error prints the message and the usage line to stderr and exits
     /// with status 2.
-    pub fn from_args() -> Self {
+    pub fn from_args() -> (Self, Vec<String>) {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args).unwrap_or_else(|msg| {
-            eprintln!("{msg}\n{USAGE}");
-            std::process::exit(2)
-        })
+        Self::parse(&args).unwrap_or_else(|msg| usage_error(format!("{msg}\nusage: {FLAGS}")))
     }
 
     /// The `--threads` override, or the experiment's default.
@@ -686,10 +684,7 @@ impl ReportSink {
     /// results: it is a one-line error on stderr and exit status 2
     /// before the sweep starts.
     pub fn new(opts: &HarnessOpts) -> Self {
-        Self::open(opts).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2)
-        })
+        Self::open(opts).unwrap_or_else(|msg| usage_error(msg))
     }
 
     fn open(opts: &HarnessOpts) -> Result<Self, String> {
@@ -790,14 +785,6 @@ pub fn print_row(label: &str, cells: &[String]) {
         print!(" {c:>10}");
     }
     println!();
-}
-
-/// Sanity helper used by the binaries: warns (on stderr) when a run was
-/// truncated by the safety ceiling.
-pub fn warn_truncated(name: &str, avg: &Averaged) {
-    if avg.truncated {
-        eprintln!("warning: {name} hit the simulation cycle ceiling; numbers are lower bounds");
-    }
 }
 
 #[cfg(test)]
@@ -962,22 +949,24 @@ mod tests {
     }
 
     /// Parses a whitespace-separated command line.
-    fn parse(line: &str) -> Result<HarnessOpts, String> {
+    fn parse(line: &str) -> Result<(HarnessOpts, Vec<String>), String> {
         let args: Vec<String> = line.split_whitespace().map(String::from).collect();
         HarnessOpts::parse(&args)
     }
 
     #[test]
     fn parse_defaults_and_well_formed_flags() {
-        let d = parse("").unwrap();
+        let (d, rest) = parse("").unwrap();
         assert_eq!(d.scale, Scale::Default);
         assert_eq!((d.seeds, d.threads, d.json), (3, None, None));
         assert!(d.jobs >= 1);
+        assert!(rest.is_empty());
 
-        let o = parse("--quick --seeds 5 --threads 8 --jobs 2 --json -").unwrap();
+        let (o, rest) = parse("--quick --seeds 5 --threads 8 --jobs 2 --json -").unwrap();
         assert_eq!(o.scale, Scale::Quick);
         assert_eq!((o.seeds, o.threads, o.jobs), (5, Some(8), 2));
         assert!(o.json_to_stdout());
+        assert!(rest.is_empty());
     }
 
     #[test]
@@ -995,10 +984,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_ignores_flags_it_does_not_know() {
-        let o = parse("--workload long-scan --ops 0 --seeds 2 --chrome t.json extra").unwrap();
+    fn parse_returns_what_it_does_not_consume() {
+        let (o, rest) =
+            parse("fig1 --workload long-scan --ops 0 --seeds 2 --seed 5 --chrome t.json").unwrap();
         assert_eq!(o.seeds, 2);
         assert_eq!((o.scale, o.threads, o.json), (Scale::Default, None, None));
+        let expected = "fig1 --workload long-scan --ops 0 --seed 5 --chrome t.json";
+        assert_eq!(rest, expected.split_whitespace().collect::<Vec<_>>());
     }
 
     #[test]
