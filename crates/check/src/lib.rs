@@ -1,4 +1,4 @@
-//! # sitm-check — the history-based isolation oracle
+//! # sitm-check — the history-based isolation oracle and write-skew tool
 //!
 //! Every protocol in this repository claims an isolation level: SI-TM
 //! and the software STM promise snapshot isolation, 2PL and SONTM
@@ -17,15 +17,19 @@
 //!   committer wins*). Timestamp sanity (commit after begin, unique
 //!   commit timestamps per epoch) rides along.
 //! * **Conflict serializability** ([`Discipline::ConflictSerializable`])
-//!   — for protocols without version timestamps, the precedence graph
-//!   over committed transactions (wr, ww, and rw edges derived from the
-//!   global operation order) must be acyclic.
+//!   — for protocols without version timestamps, the serialization
+//!   graph over committed transactions, with versions in the global
+//!   operation order, must be acyclic.
 //! * **Serializable SI** ([`Discipline::SerializableSnapshot`]) — the
-//!   SI axioms plus acyclicity of the multiversion serialization graph
-//!   (version order = commit-timestamp order per line). Note this
-//!   checks the *outcome* (serializability), not SSI's mechanism:
-//!   Cahill-style dangerous-structure detection is conservative, so
-//!   re-running it here would falsely reject legal SSI histories.
+//!   SI axioms plus acyclicity of the same graph with versions in
+//!   commit-timestamp order. Note this checks the *outcome*
+//!   (serializability), not SSI's mechanism: Cahill-style
+//!   dangerous-structure detection is conservative, so re-running it
+//!   here would falsely reject legal SSI histories.
+//!
+//! Both graph checks and the [`skew`] module, the paper's §5.1
+//! write-skew tool, read one graph: Adya's direct serialization graph,
+//! with ww, wr and rw edges drawn from the version each read observed.
 //!
 //! The oracle is itself machine-checked: `tests/mutation.rs` runs
 //! deliberately broken protocol shims (first-committer-wins disabled,
@@ -53,9 +57,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod conflict;
-mod mvsg;
+mod graph;
 mod oracle;
 mod si;
+pub mod skew;
 
 pub use oracle::{check, Discipline, Report, Violation};

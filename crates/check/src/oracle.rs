@@ -5,7 +5,8 @@ use std::fmt;
 
 use sitm_obs::History;
 
-use crate::{conflict, mvsg, si};
+use crate::graph::{Dsg, VersionOrder};
+use crate::si;
 
 /// Which isolation contract a history is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,11 +153,11 @@ pub fn check(discipline: Discipline, history: &History) -> Report {
                 si::check_si(history, &mut violations, &mut reads_checked);
             }
             Discipline::ConflictSerializable => {
-                conflict::check_conflict_serializable(history, &mut violations);
+                violations.extend(cycles(history, VersionOrder::EndSeq, "conflict-cycle"));
             }
             Discipline::SerializableSnapshot => {
                 si::check_si(history, &mut violations, &mut reads_checked);
-                mvsg::check_mvsg(history, &mut violations);
+                violations.extend(cycles(history, VersionOrder::CommitTs, "mvsg-cycle"));
             }
         }
     }
@@ -168,4 +169,37 @@ pub fn check(discipline: Discipline, history: &History) -> Report {
         reads_checked,
         violations,
     }
+}
+
+/// Serializability: each epoch's serialization graph must be acyclic. A
+/// cyclic one yields a `rule` violation naming its witness cycle, with
+/// the first edge drawn between each pair along it.
+///
+/// For SSI-TM this deliberately does *not* re-run Cahill's dangerous-
+/// structure rule. That rule is SSI's conservative runtime mechanism, not
+/// its contract: a legal history may hold a dangerous structure whose
+/// cycle never closes, and re-running the rule here would reject it.
+fn cycles(history: &History, order: VersionOrder, rule: &'static str) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for dsg in Dsg::per_epoch(history, order) {
+        let Some(cycle) = dsg.cycles().1 else {
+            continue;
+        };
+        let txn = |i: usize| dsg.txns[i].txn;
+        let hops = cycle.iter().zip(cycle.iter().cycle().skip(1));
+        let detail: Vec<String> = hops
+            .map(|(&from, &to)| {
+                let edge = dsg.succ[from][&to][0];
+                let (kind, line) = (edge.kind, edge.line);
+                format!("txn {} -{kind}(line {line})-> txn {}", txn(from), txn(to))
+            })
+            .collect();
+        out.push(Violation {
+            rule,
+            txns: cycle.iter().map(|&i| txn(i)).collect(),
+            line: None,
+            detail: detail.join(", "),
+        });
+    }
+    out
 }

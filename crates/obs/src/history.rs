@@ -11,9 +11,9 @@
 //! axioms against it.
 //!
 //! The same log feeds three more offline readers: the write-skew
-//! analyser (`sitm-skew`, which needs each committed attempt's lifetime
-//! and read/write/promote sets, plus the optional `line → label` table
-//! for naming variables), the abort-forensics fold
+//! analyser (`sitm_check::skew`, which reads the oracle's serialization
+//! graph, plus the optional `line → label` table for naming
+//! variables), the abort-forensics fold
 //! ([`crate::ForensicsSnapshot::from_history`], which needs the
 //! [`AbortDetail`] an abort site stamped on the record) and the
 //! [`crate::chrome_trace`] timeline.

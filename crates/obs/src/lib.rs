@@ -23,7 +23,7 @@
 //! - [`history`] — the per-transaction execution-history schema the
 //!   simulator engine and the STM commit path both record — the one
 //!   per-attempt record either runtime keeps — read by the isolation
-//!   oracle (`sitm-check`), the write-skew analyser (`sitm-skew`), the
+//!   oracle (`sitm-check`), the write-skew analyser (`sitm_check::skew`), the
 //!   abort-forensics fold and the Chrome timeline, with bounded
 //!   in-memory logging and `sitm.txn.v1` JSONL export/import.
 //! - [`cases`] — the seeded-case driver shared by the randomized tests

@@ -454,7 +454,7 @@ impl Server {
 
     /// Snapshot of the recorded transaction history (if
     /// [`ServerConfig::history_capacity`] was nonzero) — feed this to
-    /// the sitm-check oracle to certify the run, to `sitm-skew`, or
+    /// the sitm-check oracle to certify the run, to `sitm_check::skew`, or
     /// to `sitm_obs::ForensicsSnapshot::from_history` for per-variable
     /// abort attribution.
     pub fn history(&self) -> Option<History> {

@@ -25,9 +25,8 @@
 //!   transaction attempt (snapshot, commit timestamp, read/write sets
 //!   with observed versions, and for an abort the conflicting variable
 //!   and winner) as a [`sitm_obs::History`]: the one record stream the
-//!   `sitm-check` isolation oracle, the `sitm-skew` write-skew
-//!   detection tool and the abort forensics ([`Stm::forensics`]) all
-//!   read offline.
+//!   `sitm-check` isolation oracle, its write-skew detection tool and
+//!   the abort forensics ([`Stm::forensics`]) all read offline.
 //!
 //! # Examples
 //!

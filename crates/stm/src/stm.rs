@@ -261,7 +261,7 @@ impl Stm {
     /// and commit timestamps, its reads (and the version each
     /// observed), writes and promotions in one global sequence order,
     /// and, for an abort, the conflicting variable and the winner's
-    /// timestamp. The `sitm-check` oracle, the `sitm-skew` analyser
+    /// timestamp. The `sitm-check` oracle, its write-skew analyser
     /// and [`Stm::forensics`] all read that one log offline. Returns
     /// `self` for builder-style use.
     pub fn with_history(mut self, capacity: usize) -> Self {

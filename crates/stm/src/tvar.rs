@@ -288,7 +288,7 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
 
     /// Creates a labeled variable under dynamic retention (see
     /// [`TVar::new`]); the label appears in write-skew reports from the
-    /// `sitm-skew` tooling.
+    /// `sitm_check::skew` tooling.
     pub fn new_labeled(label: &str, value: T) -> Self {
         Self::build(value, DYNAMIC, Some(Arc::from(label)))
     }

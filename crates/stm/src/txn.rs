@@ -261,7 +261,7 @@ impl Drop for CommitLocks<'_> {
 pub enum IsolationLevel {
     /// Snapshot isolation: consistent snapshot reads, aborts only on
     /// write-write conflicts. Subject to the write-skew anomaly
-    /// (section 5); pair with the `sitm-skew` tooling or selective
+    /// (section 5); pair with the `sitm_check::skew` tooling or selective
     /// [`Tx::promote`] calls.
     #[default]
     Snapshot,

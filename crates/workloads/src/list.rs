@@ -14,7 +14,7 @@
 //! lost. Setting the removed node's next pointer to null (the commented
 //! line 10 of Listing 2) forces a write-write conflict in exactly that
 //! schedule. [`ListParams::skew_fix`] toggles the fix; the write-skew
-//! tooling in `sitm-skew` detects the unfixed variant.
+//! tooling in `sitm_check::skew` detects the unfixed variant.
 //!
 //! Node layout (one node per cache line, so node-granularity conflicts):
 //! word 0 = value, word 1 = next (line number of the successor, or

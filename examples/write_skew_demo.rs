@@ -4,7 +4,7 @@
 //!
 //! 1. run concurrent withdrawals under plain snapshot isolation with
 //!    history recording on — the combined balance can go negative;
-//! 2. feed the recorded history to the `sitm-skew` analyzer — it finds
+//! 2. feed the recorded history to the `sitm::skew` analyzer — it finds
 //!    the dangerous cycle over `checking`/`saving` and proposes read
 //!    promotions;
 //! 3. re-run with the proposed promotions applied — the invariant holds.

@@ -7,14 +7,14 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`obs`] | `sitm-obs` | the observability layer: feature-gated tracing, metrics, run reports, recorded histories |
+//! | [`obs`] | `sitm-obs` | the observability layer: recorded histories, metrics, run reports, abort forensics |
 //! | [`mvm`] | `sitm-mvm` | the multiversioned memory substrate: timestamped version lists, copy-on-write, coalescing, garbage collection (paper §3) |
 //! | [`sim`] | `sitm-sim` | the deterministic discrete-event multicore + cache timing model standing in for ZSim (§6 platform) |
 //! | [`core`] | `sitm-core` | the protocols: SI-TM (§4), SSI-TM (§5.2), and the 2PL / SONTM baselines (§6.1) |
 //! | [`workloads`] | `sitm-workloads` | the ten benchmarks: array, list, red-black tree and seven STAMP-like kernels (§6.2) |
 //! | [`stm`] | `sitm-stm` | a real-thread software snapshot-isolation STM with dynamically multiversioned [`stm::TVar`]s (epoch-GC'd version retention) |
-//! | [`skew`] | `sitm-skew` | write-skew detection by dependency-graph analysis, with automatic read promotion (§5.1) |
 //! | [`check`] | `sitm-check` | the isolation oracle: certifies recorded histories against each protocol's axioms |
+//! | [`skew`] | `sitm-check` | write-skew detection on the oracle's serialization graph, with automatic read promotion (§5.1) |
 //!
 //! Start with the [`stm`] module to *use* snapshot isolation from Rust
 //! threads, or with [`sim`]/[`core`]/[`workloads`] to *reproduce* the
@@ -71,11 +71,11 @@
 #![warn(missing_docs)]
 
 pub use sitm_check as check;
+pub use sitm_check::skew;
 pub use sitm_core as core;
 pub use sitm_mvm as mvm;
 pub use sitm_obs as obs;
 pub use sitm_serve as serve;
 pub use sitm_sim as sim;
-pub use sitm_skew as skew;
 pub use sitm_stm as stm;
 pub use sitm_workloads as workloads;
