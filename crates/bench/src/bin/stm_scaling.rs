@@ -4,7 +4,7 @@
 //! machine, this experiment measures the crate's actual commit path —
 //! per-`TVar` versioned commit locks, the sharded epoch clock,
 //! watermark-driven version GC, and capped jittered backoff — from
-//! real OS threads on the host, in host wall-clock time. Six workloads
+//! real OS threads on the host, in host wall-clock time. Five workloads
 //! span the contention spectrum:
 //!
 //! | workload | shape |
@@ -13,25 +13,24 @@
 //! | `hashmap-ops` | 70/20/10 get/insert/remove over a 256-key [`THashMap`] |
 //! | `bank-transfer` | two-account transfers over 64 accounts (write hot) |
 //! | `read-mostly-audit` | 90% whole-bank read-only audits, 10% transfers |
-//! | `long-scan` | 1 long-scan reader over 256 dynamic `TVar`s + hot writers |
-//! | `long-scan-capped` | the same, over 8-version capped `TVar`s (the PR 3 design) |
+//! | `long-scan` | 1 long-scan reader over 256 `TVar`s + hot writers |
 //!
 //! Each (workload × isolation level × thread count) point is repeated
 //! over the seed schedule and reported as mean commits **per second**
 //! (the `throughput` field of the JSONL line — host seconds here, not
 //! simulated cycles). The audit workload runs its auditors on their own
 //! [`Stm`] handle and reports `auditor_aborts` separately; the
-//! long-scan workloads do the same for their reader
-//! (`reader_commits`/`reader_aborts`): under snapshot isolation
-//! read-only transactions never abort, which is the property the paper
-//! builds on. The capped variant exists as the *before* column of that
-//! claim — its reader aborts with `snapshot-too-old` whenever writer
-//! churn evicts the version its snapshot needs.
+//! long-scan workload does the same for its reader
+//! (`reader_commits`/`reader_aborts`): read-only transactions never
+//! abort, which is the property the paper builds on.
 //!
 //! **Gate:** the run exits nonzero if the `long-scan` reader records
-//! any abort under Snapshot isolation — dynamic retention makes reader
-//! aborts impossible, and this binary is the regression tripwire for
-//! that guarantee. The reader runtime records its attempts
+//! any abort at either isolation level. A read-only transaction
+//! commits at its snapshot without validation under Snapshot and
+//! Serializable alike, and watermark-driven retention keeps every
+//! version its snapshot can reach, so reader aborts are impossible;
+//! this binary is the regression tripwire for that guarantee. The
+//! reader runtime records its attempts
 //! (`Stm::with_history`), and the abort attribution folded from that
 //! log is exported alongside as `reader_forensic_aborts`, so every
 //! reader abort is also *attributed* (cause, variable, winner) in every
@@ -76,21 +75,17 @@ enum Work {
     HashMapOps,
     BankTransfer,
     ReadMostlyAudit,
-    /// One long-scan reader over dynamically retained `TVar`s plus
-    /// `threads - 1` hot writers.
+    /// One long-scan reader over 256 `TVar`s plus `threads - 1` hot
+    /// writers.
     LongScan,
-    /// The same access pattern over 8-version capped `TVar`s — the
-    /// PR 3 single-clock-era design, kept as the abort-rate baseline.
-    LongScanCapped,
 }
 
-const WORKLOADS: [Work; 6] = [
+const WORKLOADS: [Work; 5] = [
     Work::CounterArray,
     Work::HashMapOps,
     Work::BankTransfer,
     Work::ReadMostlyAudit,
     Work::LongScan,
-    Work::LongScanCapped,
 ];
 
 impl Work {
@@ -101,7 +96,6 @@ impl Work {
             Work::BankTransfer => "bank-transfer",
             Work::ReadMostlyAudit => "read-mostly-audit",
             Work::LongScan => "long-scan",
-            Work::LongScanCapped => "long-scan-capped",
         }
     }
 }
@@ -112,7 +106,6 @@ impl Work {
 struct CellStats {
     commits: u64,
     write_write: u64,
-    snapshot_too_old: u64,
     read_validation: u64,
     backoffs: u64,
     backoff_ns: u64,
@@ -122,7 +115,7 @@ struct CellStats {
     auditor_commits: u64,
     auditor_aborts: u64,
     /// Commit/abort tallies of the long-scan reader's dedicated
-    /// runtime (long-scan workloads only), plus the abort count its
+    /// runtime (long-scan only), plus the abort count its
     /// recorded history attributes.
     reader_commits: u64,
     reader_aborts: u64,
@@ -131,7 +124,7 @@ struct CellStats {
 
 impl CellStats {
     fn aborts(&self) -> u64 {
-        self.write_write + self.snapshot_too_old + self.read_validation
+        self.write_write + self.read_validation
     }
 
     /// Folds an [`Stm`]'s counters into the tallies.
@@ -139,7 +132,6 @@ impl CellStats {
         let s = stm.stats();
         self.commits += s.commits();
         self.write_write += s.write_write_aborts();
-        self.snapshot_too_old += s.snapshot_too_old_aborts();
         self.read_validation += s.read_validation_aborts();
         self.backoffs += s.backoffs();
         self.backoff_ns += s.backoff_ns();
@@ -235,11 +227,7 @@ fn run_cell(work: Work, level: IsolationLevel, threads: usize, ops: usize, seed:
         }
         Work::ReadMostlyAudit => {
             const ACCOUNTS: usize = 32;
-            // Deep histories so a whole-bank audit's snapshot always
-            // stays within every account's retained versions.
-            let bank: Vec<TVar<u64>> = (0..ACCOUNTS)
-                .map(|_| TVar::with_history(1_000, 16_384))
-                .collect();
+            let bank: Vec<TVar<u64>> = (0..ACCOUNTS).map(|_| TVar::new(1_000)).collect();
             let auditors = Arc::new(Stm::with_level(level));
             thread::scope(|s| {
                 for t in 0..threads {
@@ -279,35 +267,20 @@ fn run_cell(work: Work, level: IsolationLevel, threads: usize, ops: usize, seed:
             cell.auditor_aborts = auditors.stats().aborts();
             cell.absorb(&auditors);
         }
-        Work::LongScan | Work::LongScanCapped => {
+        Work::LongScan => {
             const SCAN_VARS: usize = 256;
             // Writers concentrate on a hot range at the *end* of the
-            // scan order, so a capped history has the whole scan
-            // duration to churn a version out from under the reader's
-            // snapshot before the reader arrives there.
+            // scan order, so they have the whole scan duration to
+            // install versions newer than the reader's snapshot before
+            // the reader arrives there: the chain must still serve it.
             const HOT_VARS: usize = 32;
-            const CAP: usize = 8;
-            /// Bounded retries per scan so the capped baseline reports
-            /// its abort rate instead of livelocking against churn
-            /// (under sustained churn a capped scan never succeeds, so
-            /// every extra attempt only multiplies wall time).
-            const MAX_ATTEMPTS: usize = 8;
-            let capped = work == Work::LongScanCapped;
-            let vars: Vec<TVar<u64>> = (0..SCAN_VARS)
-                .map(|v| {
-                    if capped {
-                        TVar::with_history(v as u64, CAP)
-                    } else {
-                        TVar::new(v as u64)
-                    }
-                })
-                .collect();
+            let vars: Vec<TVar<u64>> = (0..SCAN_VARS).map(|v| TVar::new(v as u64)).collect();
             // Scans are ~256x heavier than the short transactions of
             // the other workloads (and stretched by yields), so scale
             // the count down from the per-thread op budget.
             let scans = (ops / 64).max(1);
-            // The reader's history holds every attempt it can make.
-            let reader_stm = Arc::new(Stm::with_level(level).with_history(scans * MAX_ATTEMPTS));
+            // The reader's history holds its one attempt per scan.
+            let reader_stm = Arc::new(Stm::with_level(level).with_history(scans));
             // Writers churn until the reader finishes every scan —
             // bounding them by op count instead would let them drain in
             // milliseconds and leave most scans running unopposed.
@@ -318,22 +291,19 @@ fn run_cell(work: Work, level: IsolationLevel, threads: usize, ops: usize, seed:
                     let vars = &vars;
                     let done = &done;
                     s.spawn(move || {
+                        // One attempt per scan: an abort is counted and
+                        // fails the gate, never retried away.
                         for _ in 0..scans {
-                            for _attempt in 0..MAX_ATTEMPTS {
-                                let scanned = reader_stm.try_atomically(&mut |tx| {
-                                    let mut sum = 0u64;
-                                    for (i, var) in vars.iter().enumerate() {
-                                        sum += tx.read(var)?;
-                                        if i % 32 == 31 {
-                                            thread::yield_now(); // stretch the scan
-                                        }
+                            let _ = reader_stm.try_atomically(&mut |tx| {
+                                let mut sum = 0u64;
+                                for (i, var) in vars.iter().enumerate() {
+                                    sum += tx.read(var)?;
+                                    if i % 32 == 31 {
+                                        thread::yield_now(); // stretch the scan
                                     }
-                                    Ok(sum)
-                                });
-                                if scanned.is_ok() {
-                                    break;
                                 }
-                            }
+                                Ok(sum)
+                            });
                         }
                         done.store(true, Ordering::Release);
                     });
@@ -435,7 +405,6 @@ fn main() {
                     throughput_sum += cell.commits as f64 / cell.wall_s.max(1e-9);
                     total.commits += cell.commits;
                     total.write_write += cell.write_write;
-                    total.snapshot_too_old += cell.snapshot_too_old;
                     total.read_validation += cell.read_validation;
                     total.backoffs += cell.backoffs;
                     total.backoff_ns += cell.backoff_ns;
@@ -449,7 +418,6 @@ fn main() {
                 }
                 reg.count("stm.commits", total.commits);
                 reg.count("stm.aborts.write_write", total.write_write);
-                reg.count("stm.aborts.snapshot_too_old", total.snapshot_too_old);
                 reg.count("stm.aborts.read_validation", total.read_validation);
                 reg.count("stm.backoffs", total.backoffs);
                 reg.count("stm.backoff_ns", total.backoff_ns);
@@ -461,7 +429,6 @@ fn main() {
                 report.commits = total.commits;
                 for (label, n) in [
                     ("write-write", total.write_write),
-                    ("snapshot-too-old", total.snapshot_too_old),
                     ("read-validation", total.read_validation),
                 ] {
                     if n > 0 {
@@ -487,7 +454,7 @@ fn main() {
                         .extra
                         .insert("auditor_aborts".into(), total.auditor_aborts as f64);
                 }
-                if matches!(work, Work::LongScan | Work::LongScanCapped) {
+                if work == Work::LongScan {
                     report
                         .extra
                         .insert("reader_commits".into(), total.reader_commits as f64);
@@ -498,16 +465,13 @@ fn main() {
                         "reader_forensic_aborts".into(),
                         total.reader_forensic_aborts as f64,
                     );
-                    // The regression gate: dynamic retention must make
-                    // the Snapshot-isolated long reader abort-free.
-                    if work == Work::LongScan
-                        && level == IsolationLevel::Snapshot
-                        && total.reader_aborts > 0
-                    {
+                    // The regression gate: the long reader is abort-free
+                    // at both isolation levels.
+                    if total.reader_aborts > 0 {
                         gate_failures.push(format!(
-                            "long-scan @ {t} threads: {} reader abort(s) under Snapshot \
-                             (forensic attribution: {}) — dynamic retention must keep \
-                             readers abort-free",
+                            "long-scan @ {t} threads: {} reader abort(s) under {level_name} \
+                             (forensic attribution: {}) — read-only transactions must \
+                             never abort",
                             total.reader_aborts, total.reader_forensic_aborts
                         ));
                     }

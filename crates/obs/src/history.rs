@@ -93,7 +93,7 @@ impl OpKind {
 /// closed because [`TxnOutcome::Aborted`] holds a `&'static str`:
 /// [`History::from_jsonl`] resolves `aborted:<cause>` against this table
 /// and rejects anything else.
-pub const ABORT_LABELS: [&str; 10] = [
+pub const ABORT_LABELS: [&str; 9] = [
     "read-write",
     "write-write",
     "capacity",
@@ -101,7 +101,6 @@ pub const ABORT_LABELS: [&str; 10] = [
     "order",
     "clock-overflow",
     "inconsistent",
-    "snapshot-too-old",
     "read-validation",
     "explicit",
 ];

@@ -159,7 +159,8 @@ impl Client {
     ///
     /// [`ClientError::Unexpected`] carrying [`Response::Aborted`] if
     /// the server had to kill the open transaction to serve the read
-    /// (capped-retention stores only).
+    /// (the protocol allows it; the server's snapshot reads never
+    /// conflict today).
     pub fn read(&mut self, key: u64) -> Result<Option<i64>, ClientError> {
         match self.roundtrip(&Request::Read { key })? {
             Response::Value { value } => Ok(value),

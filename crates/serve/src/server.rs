@@ -943,7 +943,6 @@ fn process_frame(ctx: &mut ReactorCtx<'_>, conn: &mut Conn, token: u64, frame: &
 fn conflict_to_wire(c: Conflict) -> WireConflict {
     match c {
         Conflict::WriteWrite => WireConflict::WriteWrite,
-        Conflict::SnapshotTooOld => WireConflict::SnapshotTooOld,
         Conflict::ReadValidation => WireConflict::ReadValidation,
     }
 }
@@ -974,8 +973,8 @@ fn exec_inline(
                 Some(var) => match tx.read(&var) {
                     Ok(value) => Response::Value { value },
                     Err(StmError::Conflict(c)) => {
-                        // Only reachable on capped variables; the store
-                        // uses dynamic retention, but handle it anyway:
+                        // `Tx::read` returns `Ok` today (DESIGN.md §14),
+                        // but its type allows a conflict: if one comes,
                         // the transaction is dead, roll it back.
                         let tx = open.take().expect("checked above");
                         shared.stm.abort(tx);
@@ -1213,8 +1212,9 @@ fn run_group(
         }
 
         if failed.is_some() {
-            // Unreachable with dynamic retention, but stay total: the
-            // attempt is recorded and rerun on a fresh snapshot.
+            // `Tx::read` returns `Ok` today, but its type allows a
+            // conflict, so stay total: the attempt is recorded and
+            // rerun on a fresh snapshot.
             shared.stm.abort(tx);
         } else if let Ok(ts) = shared.stm.commit(tx) {
             let commit_ts = ts.unwrap_or(0);

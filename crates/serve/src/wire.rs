@@ -198,13 +198,13 @@ impl ErrCode {
 }
 
 /// Why a commit was refused, as reported to the client. Mirrors
-/// [`sitm_stm::Conflict`] (the server maps it 1:1).
+/// [`sitm_stm::Conflict`] (the server maps it 1:1). Codes 1 and 3 keep
+/// their values so existing captures still parse; code 2 is retired and
+/// decodes as [`WireError::BadConflict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireConflict {
     /// First-committer-wins write-write validation failed.
     WriteWrite,
-    /// The snapshot outlived a capped variable's retained versions.
-    SnapshotTooOld,
     /// Serializable-mode read validation failed.
     ReadValidation,
 }
@@ -213,7 +213,6 @@ impl WireConflict {
     fn to_u8(self) -> u8 {
         match self {
             WireConflict::WriteWrite => 1,
-            WireConflict::SnapshotTooOld => 2,
             WireConflict::ReadValidation => 3,
         }
     }
@@ -221,7 +220,6 @@ impl WireConflict {
     fn from_u8(code: u8) -> Result<Self, WireError> {
         Ok(match code {
             1 => WireConflict::WriteWrite,
-            2 => WireConflict::SnapshotTooOld,
             3 => WireConflict::ReadValidation,
             other => return Err(WireError::BadConflict(other)),
         })
@@ -801,6 +799,25 @@ mod tests {
         ];
         for resp in resps {
             assert_eq!(Response::decode(&resp.encode()), Ok(resp));
+        }
+    }
+
+    #[test]
+    fn conflict_codes_are_pinned_and_code_2_is_retired() {
+        // Literal bytes, so captures made by older peers still parse.
+        for (conflict, code) in [
+            (WireConflict::WriteWrite, 1),
+            (WireConflict::ReadValidation, 3),
+        ] {
+            let resp = Response::Aborted { conflict };
+            assert_eq!(resp.encode(), [OP_ABORTED, code]);
+            assert_eq!(Response::decode(&[OP_ABORTED, code]), Ok(resp));
+        }
+        for code in [0, 2, 4, u8::MAX] {
+            assert_eq!(
+                Response::decode(&[OP_ABORTED, code]),
+                Err(WireError::BadConflict(code))
+            );
         }
     }
 

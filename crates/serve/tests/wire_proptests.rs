@@ -70,10 +70,10 @@ fn arb_response(rng: &mut SmallRng) -> Response {
             commit_ts: rng.next_u64(),
         },
         3 => Response::Aborted {
-            conflict: match rng.gen_range(0..3u32) {
-                0 => WireConflict::WriteWrite,
-                1 => WireConflict::SnapshotTooOld,
-                _ => WireConflict::ReadValidation,
+            conflict: if rng.gen_bool(0.5) {
+                WireConflict::WriteWrite
+            } else {
+                WireConflict::ReadValidation
             },
         },
         4 => {

@@ -1,4 +1,9 @@
 //! Error and control-flow types of the software STM.
+//!
+//! Every [`Conflict`] is a commit-time validation failure. A snapshot
+//! read has no failure path: retention is watermark-driven, so every
+//! version a live snapshot can reach is still on its chain (DESIGN.md
+//! §14).
 
 use std::fmt;
 
@@ -11,13 +16,6 @@ pub enum Conflict {
     /// transaction wrote (write-write conflict — the only conflict that
     /// aborts under plain snapshot isolation).
     WriteWrite,
-    /// A read could not be served: every retained version of the
-    /// variable is newer than this transaction's snapshot. Only
-    /// reachable on *capped* variables ([`crate::TVar::with_history`],
-    /// the paper's bounded discard-oldest policy) — dynamically
-    /// retained variables ([`crate::TVar::new`]) keep every version a
-    /// live snapshot can reach, so their readers never see this.
-    SnapshotTooOld,
     /// Under [`crate::IsolationLevel::Serializable`], a variable this
     /// transaction read (or explicitly promoted) changed before commit.
     ReadValidation,
@@ -29,7 +27,6 @@ impl Conflict {
     pub fn label(self) -> &'static str {
         match self {
             Conflict::WriteWrite => "write-write",
-            Conflict::SnapshotTooOld => "snapshot-too-old",
             Conflict::ReadValidation => "read-validation",
         }
     }
@@ -39,7 +36,6 @@ impl fmt::Display for Conflict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Conflict::WriteWrite => write!(f, "write-write conflict"),
-            Conflict::SnapshotTooOld => write!(f, "snapshot version no longer retained"),
             Conflict::ReadValidation => write!(f, "read-set validation failed"),
         }
     }
@@ -76,11 +72,7 @@ mod tests {
 
     #[test]
     fn display_is_nonempty() {
-        for c in [
-            Conflict::WriteWrite,
-            Conflict::SnapshotTooOld,
-            Conflict::ReadValidation,
-        ] {
+        for c in [Conflict::WriteWrite, Conflict::ReadValidation] {
             assert!(!c.to_string().is_empty());
             assert!(!StmError::from(c).to_string().is_empty());
             assert!(

@@ -6,12 +6,12 @@
 //! threads today:
 //!
 //! * [`TVar<T>`] — a multiversioned transactional variable (the software
-//!   analogue of an MVM cache line). By default versions are retained
+//!   analogue of an MVM cache line). Versions are retained
 //!   *dynamically*: old versions stay alive exactly while a live
 //!   snapshot can still read them and are reclaimed by epoch GC against
 //!   the live-snapshot [`watermark`] afterwards, so readers — however
-//!   long-running — never abort. [`TVar::with_history`] opts into the
-//!   paper's bounded discard-oldest policy instead.
+//!   long-running — never abort. (The paper's 4-version hardware cap
+//!   is modelled by the simulator's `sitm-mvm`, not here.)
 //! * [`Stm::atomically`] — run closures transactionally with consistent
 //!   snapshot reads and commit-time **write-write** validation only:
 //!   readers never abort writers and read-only transactions always
@@ -77,5 +77,5 @@ pub use collections::{TCounter, THashMap, TList};
 pub use epoch::{live_snapshots, refresh_watermark, watermark};
 pub use error::{Conflict, StmError};
 pub use stm::{Stm, StmStats};
-pub use tvar::{TVar, DEFAULT_HISTORY};
+pub use tvar::TVar;
 pub use txn::{IsolationLevel, Tx};

@@ -37,7 +37,6 @@ pub struct StmStats {
 struct StatsCell {
     commits: AtomicU64,
     write_write_aborts: AtomicU64,
-    snapshot_too_old_aborts: AtomicU64,
     read_validation_aborts: AtomicU64,
     /// Log2-bucketed distribution of aborted attempts per committed
     /// transaction (0 = first-try commit).
@@ -47,8 +46,8 @@ struct StatsCell {
     backoffs: AtomicU64,
     /// Total host nanoseconds spent waiting in backoff.
     backoff_ns: AtomicU64,
-    /// Versions reclaimed by epoch GC / capped eviction while this
-    /// runtime's commits installed writes.
+    /// Versions reclaimed by epoch GC while this runtime's commits
+    /// installed writes.
     versions_retired: AtomicU64,
     /// Largest observed distance from a commit timestamp down to the
     /// GC watermark it installed against — how much retention a
@@ -62,7 +61,6 @@ impl std::fmt::Debug for StmStats {
         f.debug_struct("StmStats")
             .field("commits", &self.commits())
             .field("write_write_aborts", &self.write_write_aborts())
-            .field("snapshot_too_old_aborts", &self.snapshot_too_old_aborts())
             .field("read_validation_aborts", &self.read_validation_aborts())
             .field("backoffs", &self.backoffs())
             .field("backoff_ns", &self.backoff_ns())
@@ -94,11 +92,6 @@ impl StmStats {
         self.sum(|cell| &cell.write_write_aborts)
     }
 
-    /// Aborts because a snapshot outlived the bounded version history.
-    pub fn snapshot_too_old_aborts(&self) -> u64 {
-        self.sum(|cell| &cell.snapshot_too_old_aborts)
-    }
-
     /// Aborts due to read/promotion validation (serializable mode and
     /// promoted reads).
     pub fn read_validation_aborts(&self) -> u64 {
@@ -107,7 +100,7 @@ impl StmStats {
 
     /// All aborts.
     pub fn aborts(&self) -> u64 {
-        self.write_write_aborts() + self.snapshot_too_old_aborts() + self.read_validation_aborts()
+        self.write_write_aborts() + self.read_validation_aborts()
     }
 
     /// A copy of the retry distribution (aborted attempts per committed
@@ -131,9 +124,7 @@ impl StmStats {
         self.sum(|cell| &cell.backoff_ns)
     }
 
-    /// Versions reclaimed (epoch GC on dynamically retained `TVar`s,
-    /// discard-oldest eviction on capped ones) by this runtime's
-    /// commits.
+    /// Versions reclaimed by epoch GC during this runtime's commits.
     pub fn versions_retired(&self) -> u64 {
         self.sum(|cell| &cell.versions_retired)
     }
@@ -168,7 +159,6 @@ impl StmStats {
         let cell = self.cell();
         let counter = match conflict {
             Conflict::WriteWrite => &cell.write_write_aborts,
-            Conflict::SnapshotTooOld => &cell.snapshot_too_old_aborts,
             Conflict::ReadValidation => &cell.read_validation_aborts,
         };
         counter.fetch_add(1, Ordering::Relaxed);
@@ -179,10 +169,6 @@ impl Observable for StmStats {
     fn export_metrics(&self, reg: &mut MetricsRegistry) {
         reg.count("stm.commits", self.commits());
         reg.count("stm.aborts.write_write", self.write_write_aborts());
-        reg.count(
-            "stm.aborts.snapshot_too_old",
-            self.snapshot_too_old_aborts(),
-        );
         reg.count("stm.aborts.read_validation", self.read_validation_aborts());
         reg.count("stm.backoffs", self.backoffs());
         reg.count("stm.backoff_ns", self.backoff_ns());
@@ -363,9 +349,8 @@ impl Stm {
     /// committing: buffered writes are discarded, and when history
     /// recording is on the attempt is recorded as `aborted:explicit`
     /// (so oracle-certified histories account for every attempt a
-    /// client deliberately rolled back) — or, if one of its reads had
-    /// already failed, as aborted by that conflict. Dropping a `Tx`
-    /// does exactly the same.
+    /// client deliberately rolled back). Dropping a `Tx` does exactly
+    /// the same.
     pub fn abort(&self, tx: Tx) {
         drop(tx);
     }
@@ -452,8 +437,9 @@ impl Stm {
         match body(&mut tx) {
             Ok(value) => self.commit(tx).map(|_| value),
             Err(StmError::Conflict(conflict)) => {
-                // Dropping `tx` closes its history record with the
-                // conflict the failing read stamped.
+                // The body returned this conflict itself (reads cannot
+                // fail), so dropping `tx` closes its history record as
+                // an `explicit` abort.
                 self.stats.count(conflict);
                 Err(conflict)
             }
@@ -646,8 +632,8 @@ mod tests {
         // Invariant: a+b is always 100 at every commit; a long reader
         // must never observe a violated invariant.
         let stm = Arc::new(Stm::snapshot());
-        let a = TVar::with_history(50i64, 64);
-        let b = TVar::with_history(50i64, 64);
+        let a = TVar::new(50i64);
+        let b = TVar::new(50i64);
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         thread::scope(|s| {
             for _ in 0..2 {
@@ -791,27 +777,14 @@ mod tests {
         });
         assert_eq!(result, Err(Conflict::ReadValidation));
 
-        // Snapshot-too-old: the only reachable version is evicted.
-        let bounded = TVar::with_history(0u64, 1);
-        let result = stm.try_atomically(&mut |tx| {
-            stm.atomically(|t| {
-                t.write(&bounded, 1);
-                Ok(())
-            });
-            tx.read(&bounded)?;
-            Ok(())
-        });
-        assert_eq!(result, Err(Conflict::SnapshotTooOld));
-
         let snap = stm.forensics().expect("enabled");
         assert_eq!(snap.count(ForensicCause::WriteWriteFcw), 1);
         assert_eq!(snap.count(ForensicCause::ReadValidation), 1);
-        assert_eq!(snap.count(ForensicCause::CapacityEviction), 1);
         assert_eq!(snap.total, stm.stats().aborts());
         assert!((snap.attribution_rate() - 1.0).abs() < f64::EPSILON);
         assert_eq!(
             snap.hot_lines,
-            vec![(v.id(), 2), (bounded.id(), 1)],
+            vec![(v.id(), 2)],
             "each abort names the TVar it lost on"
         );
 
@@ -820,11 +793,10 @@ mod tests {
         // the competitor that committed inside the loser's lifetime.
         let h = stm.history().expect("enabled");
         let losers: Vec<_> = h.records().iter().filter(|r| !r.committed()).collect();
-        assert_eq!(losers.len(), 3);
+        assert_eq!(losers.len(), 2);
         for (loser, (cause, var)) in losers.iter().zip([
             (ForensicCause::WriteWriteFcw, v.id()),
             (ForensicCause::ReadValidation, v.id()),
-            (ForensicCause::CapacityEviction, bounded.id()),
         ]) {
             let winner = h
                 .records()
@@ -947,22 +919,22 @@ mod tests {
     fn history_captures_body_conflicts() {
         use sitm_obs::TxnOutcome;
         let stm = Stm::snapshot().with_history(64);
-        let v = TVar::with_history(0u64, 1);
-        let result = stm.try_atomically(&mut |tx| {
-            // Evict the only version our snapshot could read (capacity
-            // 1: the competitor's install discards the initial image).
-            stm.atomically(|t| {
-                t.write(&v, 1);
-                Ok(())
-            });
+        let v = TVar::new(0u64);
+        let result = stm.try_atomically(&mut |tx| -> Result<(), StmError> {
             tx.read(&v)?;
-            Ok(())
+            tx.write(&v, 1);
+            // The body gives up on its own: no validation verdict, so
+            // the record is an explicit abort that installed nothing.
+            Err(Conflict::WriteWrite.into())
         });
-        assert_eq!(result, Err(Conflict::SnapshotTooOld));
+        assert_eq!(result, Err(Conflict::WriteWrite));
+        assert_eq!(stm.stats().write_write_aborts(), 1);
         let h = stm.history().unwrap();
+        assert_eq!(h.len(), 1);
         let last = h.records().last().unwrap();
-        assert_eq!(last.outcome, TxnOutcome::Aborted("snapshot-too-old"));
+        assert_eq!(last.outcome, TxnOutcome::Aborted("explicit"));
         assert_eq!(last.commit_ts, None);
+        assert_eq!(v.load(), 0);
     }
 
     #[test]

@@ -8,23 +8,15 @@
 //! slot (the overwhelmingly common read target), superseded versions
 //! spill into an ordered list behind it.
 //!
-//! Retention comes in two modes (see DESIGN.md §14 for the lifecycle
-//! contract):
-//!
-//! * **Dynamic** ([`TVar::new`], the default): superseded versions are
-//!   retained exactly while a live snapshot's begin timestamp can
-//!   still reach them, and reclaimed by epoch GC once the
-//!   live-snapshot watermark passes them (GC runs on installs;
-//!   [`TVar::compact`] trims a cold, no-longer-written variable on
-//!   demand). Readers of such variables
-//!   can never lose their version — [`Conflict::SnapshotTooOld`] is
-//!   unreachable — which is what makes the paper's "readers never
-//!   abort" property hold for arbitrarily long transactions.
-//! * **Capped** ([`TVar::with_history`]): at most `cap` versions are
-//!   kept under the discard-oldest policy, the software rendition of
-//!   the paper's 4-version hardware cap. A reader whose snapshot
-//!   predates the oldest retained version aborts with
-//!   [`Conflict::SnapshotTooOld`] and retries on a fresh snapshot.
+//! Retention is watermark-driven (see DESIGN.md §14 for the lifecycle
+//! contract): superseded versions are retained exactly while a live
+//! snapshot's begin timestamp can still reach them, and reclaimed by
+//! epoch GC once the live-snapshot watermark passes them (GC runs on
+//! installs; [`TVar::compact`] trims a cold, no-longer-written variable
+//! on demand). A snapshot read therefore has no failure path, which is
+//! what makes the paper's "readers never abort" property hold for
+//! arbitrarily long transactions. The paper's 4-version hardware cap is
+//! modelled by the simulator's `sitm-mvm`, not here.
 //!
 //! Each variable additionally carries a TL2-style *versioned commit
 //! lock* (an atomic word combining the newest write timestamp with a
@@ -37,7 +29,6 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::error::Conflict;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Mutex, MutexGuard};
 
@@ -51,16 +42,6 @@ pub(crate) fn lock_versions<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// scheduler yield. Model builds yield immediately: a modeled spin
 /// read burns the preemption budget without enabling anything.
 const SPIN_LIMIT: u32 = if cfg!(loom) { 1 } else { 128 };
-
-/// Suggested cap for [`TVar::with_history`] when approximating the
-/// paper's small hardware version budget (the paper finds 4 adequate;
-/// the software suggestion is more generous because software snapshots
-/// live longer). [`TVar::new`] no longer caps at all — it retains
-/// dynamically against the live-snapshot watermark.
-pub const DEFAULT_HISTORY: usize = 8;
-
-/// Retention-cap sentinel for dynamic (watermark-driven) retention.
-const DYNAMIC: usize = usize::MAX;
 
 static NEXT_VAR_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -88,10 +69,6 @@ struct Chain<T> {
     /// Superseded versions in ascending timestamp order. A snapshot
     /// `s < newest_ts` is served by the last entry with `ts <= s`.
     older: VecDeque<(u64, T)>,
-    /// Whether any version was ever dropped from this chain. While
-    /// false the chain reaches back to the initial timestamp-0 version
-    /// and every snapshot is servable.
-    truncated: bool,
 }
 
 impl<T> Chain<T> {
@@ -120,10 +97,6 @@ impl<T> Chain<T> {
 pub(crate) struct VarInner<T> {
     id: u64,
     label: Option<Arc<str>>,
-    /// Retention cap: [`DYNAMIC`] for watermark-driven retention,
-    /// otherwise the maximum total number of versions kept
-    /// (discard-oldest).
-    cap: usize,
     /// The TL2-style versioned commit-lock word:
     /// `(newest_committed_ts << 1) | lock_bit`. Commits acquire the
     /// lock bit (in ascending id order across their whole lock set),
@@ -133,9 +106,9 @@ pub(crate) struct VarInner<T> {
     /// lock bit marks an installation in flight.
     stamp: AtomicU64,
     chain: Mutex<Chain<T>>,
-    /// Lifetime count of versions reclaimed from this chain (epoch GC
-    /// and capped eviction alike) — the per-variable half of the
-    /// `stm.versions_retired` counter.
+    /// Lifetime count of versions reclaimed from this chain by epoch
+    /// GC — the per-variable half of the `stm.versions_retired`
+    /// counter.
     retired: AtomicU64,
 }
 
@@ -190,19 +163,8 @@ impl<T> VarInner<T> {
         let prev_ts = std::mem::replace(&mut chain.newest_ts, ts);
         let prev = std::mem::replace(&mut chain.newest, value);
         chain.older.push_back((prev_ts, prev));
-        let dropped = if self.cap == DYNAMIC {
-            chain.trim(watermark)
-        } else {
-            // Discard-oldest within the version cap.
-            let mut dead = 0;
-            while 1 + chain.older.len() > self.cap {
-                chain.older.pop_front();
-                dead += 1;
-            }
-            dead
-        };
+        let dropped = chain.trim(watermark);
         if dropped > 0 {
-            chain.truncated = true;
             self.retired.fetch_add(dropped, Ordering::Relaxed);
         }
         // Publish the new write stamp while still holding the lock:
@@ -283,43 +245,26 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// assert_eq!(sum, 0);
     /// ```
     pub fn new(value: T) -> Self {
-        Self::build(value, DYNAMIC, None)
+        Self::build(value, None)
     }
 
     /// Creates a labeled variable under dynamic retention (see
     /// [`TVar::new`]); the label appears in write-skew reports from the
     /// `sitm_check::skew` tooling.
     pub fn new_labeled(label: &str, value: T) -> Self {
-        Self::build(value, DYNAMIC, Some(Arc::from(label)))
+        Self::build(value, Some(Arc::from(label)))
     }
 
-    /// Creates a variable retaining at most `cap` versions under the
-    /// discard-oldest policy — the software rendition of the paper's
-    /// bounded hardware version budget. Readers whose snapshot
-    /// predates the oldest retained version abort with
-    /// [`Conflict::SnapshotTooOld`] and retry on a fresh snapshot;
-    /// use [`TVar::new`] when long readers must never abort.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn with_history(value: T, cap: usize) -> Self {
-        assert!(cap >= 1, "at least one version must be retained");
-        Self::build(value, cap, None)
-    }
-
-    fn build(value: T, cap: usize, label: Option<Arc<str>>) -> Self {
+    fn build(value: T, label: Option<Arc<str>>) -> Self {
         TVar {
             inner: Arc::new(VarInner {
                 id: NEXT_VAR_ID.fetch_add(1, Ordering::Relaxed),
                 label,
-                cap,
                 stamp: AtomicU64::new(0),
                 chain: Mutex::new(Chain {
                     newest_ts: 0,
                     newest: value,
                     older: VecDeque::new(),
-                    truncated: false,
                 }),
                 retired: AtomicU64::new(0),
             }),
@@ -346,8 +291,8 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// in-flight commit on this variable first (see
     /// [`VarInner::wait_unlocked`]).
     #[cfg(test)]
-    pub(crate) fn read_at(&self, snapshot: u64) -> Result<T, Conflict> {
-        self.read_versioned_at(snapshot).map(|(value, _)| value)
+    pub(crate) fn read_at(&self, snapshot: u64) -> T {
+        self.read_versioned_at(snapshot).0
     }
 
     /// Reads the newest version at or below `snapshot` (waiting out any
@@ -355,25 +300,29 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// commit timestamp of the version that served the read (0 for the
     /// initial value) — the observation the history recorder exports
     /// for the isolation oracle.
-    pub(crate) fn read_versioned_at(&self, snapshot: u64) -> Result<(T, u64), Conflict> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `snapshot` predates the oldest retained version. Epoch
+    /// GC only drops versions below the live-snapshot watermark, and
+    /// every live snapshot sits at or above it (DESIGN.md §14), so this
+    /// is a broken invariant, never a reader to retry: the read stops
+    /// the program rather than serve a wrong version.
+    pub(crate) fn read_versioned_at(&self, snapshot: u64) -> (T, u64) {
         self.inner.wait_unlocked();
         let chain = lock_versions(&self.inner.chain);
         if chain.newest_ts <= snapshot {
-            return Ok((chain.newest.clone(), chain.newest_ts));
+            return (chain.newest.clone(), chain.newest_ts);
         }
         // Ascending order: the last spilled entry at or below the
         // snapshot is the one this snapshot observes.
         let at = chain.older.partition_point(|&(ts, _)| ts <= snapshot);
         match at.checked_sub(1).and_then(|i| chain.older.get(i)) {
-            Some((ts, value)) => Ok((value.clone(), *ts)),
-            None => {
-                // An untruncated chain reaches back to timestamp 0 and
-                // serves every snapshot; only capped eviction (or a
-                // watermark-certified reclamation, which no live
-                // snapshot can contradict) makes this reachable.
-                debug_assert!(chain.truncated, "untruncated chains serve any snapshot");
-                Err(Conflict::SnapshotTooOld)
-            }
+            Some((ts, value)) => (value.clone(), *ts),
+            None => panic!(
+                "snapshot below the GC watermark: snapshot {snapshot} predates the oldest retained version {}",
+                chain.older.front().map_or(chain.newest_ts, |&(ts, _)| ts)
+            ),
         }
     }
 
@@ -382,10 +331,9 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
         1 + lock_versions(&self.inner.chain).older.len()
     }
 
-    /// Lifetime count of versions reclaimed from this variable, by
-    /// epoch GC (dynamic retention) or discard-oldest eviction (capped
-    /// retention). Diagnostics; see also `StmStats::versions_retired`
-    /// for the runtime-wide aggregate.
+    /// Lifetime count of versions reclaimed from this variable by epoch
+    /// GC. Diagnostics; see also `StmStats::versions_retired` for the
+    /// runtime-wide aggregate.
     pub fn retired_total(&self) -> u64 {
         self.inner.retired.load(Ordering::Relaxed)
     }
@@ -404,9 +352,7 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     ///
     /// Reclamations made here count toward [`TVar::retired_total`] but
     /// not toward any runtime's `StmStats` aggregate — no transaction
-    /// is involved. On capped variables ([`TVar::with_history`]) this
-    /// is a no-op returning 0: their retention is already bounded at
-    /// install time.
+    /// is involved.
     ///
     /// # Examples
     ///
@@ -426,14 +372,9 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// assert_eq!(cell.version_count(), 1);
     /// ```
     pub fn compact(&self) -> u64 {
-        if self.inner.cap != DYNAMIC {
-            return 0;
-        }
         let watermark = crate::epoch::refresh_watermark();
-        let mut chain = lock_versions(&self.inner.chain);
-        let dropped = chain.trim(watermark);
+        let dropped = lock_versions(&self.inner.chain).trim(watermark);
         if dropped > 0 {
-            chain.truncated = true;
             self.inner.retired.fetch_add(dropped, Ordering::Relaxed);
         }
         dropped
@@ -575,9 +516,9 @@ mod tests {
         let v = TVar::new(1u32);
         install(&v, 10, 2u32);
         install(&v, 20, 3u32);
-        assert_eq!(v.read_at(0), Ok(1));
-        assert_eq!(v.read_at(15), Ok(2));
-        assert_eq!(v.read_at(25), Ok(3));
+        assert_eq!(v.read_at(0), 1);
+        assert_eq!(v.read_at(15), 2);
+        assert_eq!(v.read_at(25), 3);
     }
 
     #[test]
@@ -591,7 +532,7 @@ mod tests {
         assert_eq!(v.version_count(), 65);
         assert_eq!(v.retired_total(), 0);
         for snap in 0..=64u64 {
-            assert_eq!(v.read_at(snap), Ok(snap as u32));
+            assert_eq!(v.read_at(snap), snap as u32);
         }
     }
 
@@ -609,12 +550,23 @@ mod tests {
         assert_eq!(v.retired_total(), 7);
         // Chain is now {7, 8, 9, 10, 11}.
         assert_eq!(v.version_count(), 5);
-        assert_eq!(v.read_at(7), Ok(7));
-        assert_eq!(v.read_at(9), Ok(9));
-        assert_eq!(v.read_at(100), Ok(11));
-        // Snapshots below the watermark are no longer servable — but
-        // the epoch invariant says none can exist.
-        assert_eq!(v.read_at(5), Err(Conflict::SnapshotTooOld));
+        assert_eq!(v.read_at(7), 7);
+        assert_eq!(v.read_at(9), 9);
+        assert_eq!(v.read_at(100), 11);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot below the GC watermark")]
+    fn read_below_the_watermark_panics() {
+        let v = TVar::new(0u32);
+        for ts in 1..=10 {
+            install(&v, ts, ts as u32);
+        }
+        // Watermark 7 trims the chain to {7, ..., 11}. Snapshot 5 is
+        // one the epoch invariant says cannot exist, so serving it is
+        // a bug: the read must stop, not return a wrong version.
+        install_at(&v, 11, 11u32, 7);
+        v.read_at(5);
     }
 
     #[test]
@@ -626,17 +578,6 @@ mod tests {
         assert_eq!(dropped, 3, "0, 5 and 10 all reclaimed");
         assert_eq!(v.version_count(), 1);
         assert_eq!(v.load(), 3);
-    }
-
-    #[test]
-    fn bounded_history_evicts_oldest() {
-        let v = TVar::with_history(0u32, 2);
-        install(&v, 1, 1u32);
-        install(&v, 2, 2u32);
-        assert_eq!(v.version_count(), 2);
-        assert_eq!(v.read_at(0), Err(Conflict::SnapshotTooOld));
-        assert_eq!(v.read_at(1), Ok(1));
-        assert_eq!(v.retired_total(), 1);
     }
 
     #[test]
@@ -665,7 +606,7 @@ mod tests {
         v.inner.install(5, 42u32, 0);
         std::thread::sleep(std::time::Duration::from_millis(10));
         v.inner.unlock_commit();
-        assert_eq!(reader.join().unwrap(), Ok(42));
+        assert_eq!(reader.join().unwrap(), 42);
     }
 
     #[test]
@@ -673,12 +614,6 @@ mod tests {
         let v = TVar::new_labeled("checking", 7u64);
         assert_eq!(v.label().as_deref(), Some("checking"));
         assert_eq!(v.load(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one version")]
-    fn zero_history_rejected() {
-        TVar::with_history(0u8, 0);
     }
 
     #[test]

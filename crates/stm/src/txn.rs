@@ -96,11 +96,6 @@ struct TxLog {
     sink: Arc<HistorySink>,
     /// The open record; `None` once the attempt's outcome is recorded.
     open: Option<TxnBuilder>,
-    /// Cause label the record closes with if the attempt never reaches
-    /// a commit verdict: `explicit` (a rollback, a panicking body, a
-    /// torn-down connection) until a failing operation stamps its
-    /// conflict.
-    cause: &'static str,
     /// Labelled variables this attempt touched, for the log's
     /// `line → label` table.
     labels: Vec<(u64, Arc<str>)>,
@@ -123,12 +118,9 @@ impl TxLog {
     /// forensic taxonomy, the variable it lost on and the commit
     /// timestamp of the winning version.
     fn doom(&mut self, conflict: Conflict, var: u64, winner_ts: u64) {
-        self.cause = conflict.label();
         let cause = match conflict {
             Conflict::WriteWrite => ForensicCause::WriteWriteFcw,
             Conflict::ReadValidation => ForensicCause::ReadValidation,
-            // The snapshot's version fell off a bounded history.
-            Conflict::SnapshotTooOld => ForensicCause::CapacityEviction,
         };
         if let Some(open) = &mut self.open {
             open.detail(AbortDetail {
@@ -159,8 +151,9 @@ impl Drop for TxLog {
     /// A `Tx` that never reached [`Tx::commit`] — rolled back, failed in
     /// its body, dropped by a panic or with its connection — still
     /// leaves its record, so the history accounts for every attempt.
+    /// With no commit verdict, its cause is `explicit`.
     fn drop(&mut self) {
-        self.finish(Err(self.cause));
+        self.finish(Err("explicit"));
     }
 }
 
@@ -365,7 +358,6 @@ impl Tx {
                     begin_seq,
                     Some(snapshot),
                 )),
-                cause: "explicit",
                 labels: Vec::new(),
             })
         });
@@ -391,12 +383,18 @@ impl Tx {
     ///
     /// # Errors
     ///
-    /// Returns [`Conflict::SnapshotTooOld`] (wrapped in [`StmError`])
-    /// if the snapshot's version was evicted from a *capped* variable
-    /// ([`TVar::with_history`]); the retry loop restarts on a fresh
-    /// snapshot. Dynamically retained variables ([`TVar::new`]) keep
-    /// every version a live snapshot can reach, so reading them cannot
-    /// fail.
+    /// None today: at both isolation levels a read returns `Ok`. Every
+    /// `TVar` retains each version a live snapshot can reach (DESIGN.md
+    /// §14), and serializable read-set validation runs at commit, not
+    /// here. The `Result` stays so that bodies propagate reads with
+    /// `?` unchanged, and so that a read may later abort early (for
+    /// example a serializable reader that is already doomed) without
+    /// changing this signature.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot's version was reclaimed, which only a
+    /// broken GC-watermark invariant can cause.
     ///
     /// # Examples
     ///
@@ -436,15 +434,7 @@ impl Tx {
                 .entry(var.id())
                 .or_insert_with(|| var.inner.clone() as Arc<dyn VarOps>);
         }
-        let (value, ts) = match var.read_versioned_at(self.snapshot) {
-            Ok(read) => read,
-            Err(err) => {
-                if let Some(log) = &mut self.log {
-                    log.doom(err, var.id(), var.inner.newest_ts());
-                }
-                return Err(err.into());
-            }
-        };
+        let (value, ts) = var.read_versioned_at(self.snapshot);
         if let Some(log) = &mut self.log {
             let observed = Some(ts);
             log.op(
@@ -633,8 +623,8 @@ pub(crate) struct CommitReceipt {
     /// read-only / promotion-only commits (which publish nothing and
     /// take no clock tick).
     pub(crate) end: Option<u64>,
-    /// Versions reclaimed by epoch GC / capped eviction while
-    /// installing this commit's writes.
+    /// Versions reclaimed by epoch GC while installing this commit's
+    /// writes.
     pub(crate) versions_retired: u64,
     /// Distance from the commit timestamp down to the GC watermark
     /// used for the install pass (`None` when nothing was installed) —

@@ -5,11 +5,10 @@
 //! auditors (who must never abort under snapshot isolation), the
 //! write-skew anomaly admitted by SI and rejected by serializable
 //! validation or read promotion, the transactional collections under
-//! structural contention, exactly-once effects, bounded-history readers,
+//! structural contention, exactly-once effects,
 //! and two isolation levels sharing variables.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
@@ -24,12 +23,10 @@ fn ops(default: usize) -> usize {
     (default * test_cases(CASES_ENV, 200) as usize).div_ceil(200)
 }
 
-/// Bank with enough version history that bounded-history reclamation
-/// can never push an auditor's snapshot out of range.
+/// Bank accounts under watermark-driven retention: epoch GC trims
+/// behind the auditors' snapshots while they run.
 fn make_bank(accounts: usize, initial: u64) -> Vec<TVar<u64>> {
-    (0..accounts)
-        .map(|_| TVar::with_history(initial, 16_384))
-        .collect()
+    (0..accounts).map(|_| TVar::new(initial)).collect()
 }
 
 #[test]
@@ -330,10 +327,6 @@ fn assert_export_matches_getters(stm: &Stm) {
         counters,
         [
             ("stm.aborts.read_validation", stats.read_validation_aborts()),
-            (
-                "stm.aborts.snapshot_too_old",
-                stats.snapshot_too_old_aborts()
-            ),
             ("stm.aborts.write_write", stats.write_write_aborts()),
             ("stm.backoff_ns", stats.backoff_ns()),
             ("stm.backoffs", stats.backoffs()),
@@ -387,9 +380,7 @@ fn sharded_stats_stay_exact_when_thread_indices_wrap() {
     assert_eq!(retries.total(), committed, "one sample per committed txn");
     assert_eq!(
         stats.aborts(),
-        stats.write_write_aborts()
-            + stats.snapshot_too_old_aborts()
-            + stats.read_validation_aborts()
+        stats.write_write_aborts() + stats.read_validation_aborts()
     );
     // Every run of the body ended in a commit or in an abort that
     // waited exactly once.
@@ -514,52 +505,6 @@ fn serializable_preserves_invariant_under_contention() {
         });
         assert!(a.load() + b.load() >= 0, "invariant must hold every round");
     }
-}
-
-/// Bounded version history: a deliberately slow reader over a hot
-/// variable retries (snapshot-too-old) but eventually completes, and
-/// the runtime counts the conflict kind.
-#[test]
-fn slow_readers_survive_bounded_history() {
-    let stm = Arc::new(Stm::snapshot());
-    let hot = TVar::with_history(0u64, 2);
-    let cold = TVar::with_history(0u64, 2);
-    let stop = Arc::new(AtomicBool::new(false));
-    thread::scope(|s| {
-        {
-            let stm = Arc::clone(&stm);
-            let hot = hot.clone();
-            let stop = Arc::clone(&stop);
-            s.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    stm.atomically(|tx| {
-                        let v = tx.read(&hot)?;
-                        tx.write(&hot, v + 1);
-                        Ok(())
-                    });
-                }
-            });
-        }
-        let stm_r = Arc::clone(&stm);
-        let (hot_r, cold_r) = (hot.clone(), cold.clone());
-        let stop_r = Arc::clone(&stop);
-        s.spawn(move || {
-            for _ in 0..200 {
-                // Read cold first so the snapshot ages before touching
-                // the churning variable.
-                let (_c, _h) = stm_r.atomically(|tx| {
-                    let c = tx.read(&cold_r)?;
-                    std::thread::yield_now();
-                    let h = tx.read(&hot_r)?;
-                    Ok((c, h))
-                });
-            }
-            stop_r.store(true, Ordering::Relaxed);
-        });
-    });
-    // The run completed; any snapshot-too-old conflicts were absorbed by
-    // the retry loop.
-    assert!(stm.stats().commits() >= 200);
 }
 
 /// TVars are usable from multiple runtimes concurrently (the clock is

@@ -117,7 +117,7 @@ fn dst_same_seed_replays_byte_identical() {
 /// at a time in an order drawn from `seed`), with history recording on
 /// or off. Returns the final balances and the runtime's commit and
 /// per-kind abort counts.
-fn stepped_run(seed: u64, record: bool) -> (Vec<i64>, [u64; 4]) {
+fn stepped_run(seed: u64, record: bool) -> (Vec<i64>, [u64; 3]) {
     model_support::reset();
     model_support::break_fcw_validation(false);
     model_support::break_commit_tick_floor(false);
@@ -162,7 +162,6 @@ fn stepped_run(seed: u64, record: bool) -> (Vec<i64>, [u64; 4]) {
             stats.commits(),
             stats.write_write_aborts(),
             stats.read_validation_aborts(),
-            stats.snapshot_too_old_aborts(),
         ],
     )
 }

@@ -85,9 +85,5 @@ fn main() {
     );
     println!("committed transactions: {}", stats.commits());
     println!("write-write aborts:     {}", stats.write_write_aborts());
-    println!(
-        "snapshot-too-old:       {}",
-        stats.snapshot_too_old_aborts()
-    );
     assert_eq!(total, ACCOUNTS as i64 * INITIAL_BALANCE);
 }
