@@ -16,6 +16,9 @@
 //!    the models have teeth, not just that they pass (a mutation
 //!    check). Knobs are process-global and only read under `cfg(loom)`;
 //!    release builds compile the checks to constant `false`.
+//!    [`break_stamp_recheck`] and [`break_lock_bit_check`] are the same
+//!    kind of check for a protocol with no past bug: each removes one
+//!    half of the lock-free newest-value read's seqlock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -33,6 +36,17 @@ static SKIP_FCW: AtomicBool = AtomicBool::new(false);
 /// a snapshot another thread already took, tearing that snapshot.
 static UNFLOORED_TICK: AtomicBool = AtomicBool::new(false);
 
+/// When set, the lock-free `TVar` read returns the mirror word without
+/// re-loading the stamp: a reader that loaded an unlocked stamp can
+/// pair it with the value of a commit that installed in between.
+static SKIP_STAMP_RECHECK: AtomicBool = AtomicBool::new(false);
+
+/// When set, the lock-free `TVar` read ignores the lock bit on its
+/// first stamp load: a reader can pair the old timestamp with the
+/// mirror word of a commit that has stored its value but not yet its
+/// new stamp.
+static IGNORE_LOCK_BIT: AtomicBool = AtomicBool::new(false);
+
 /// True while [`break_fcw_validation`] is active.
 pub(crate) fn skip_fcw_validation() -> bool {
     SKIP_FCW.load(Ordering::Relaxed)
@@ -41,6 +55,16 @@ pub(crate) fn skip_fcw_validation() -> bool {
 /// True while [`break_commit_tick_floor`] is active.
 pub(crate) fn unfloored_commit_tick() -> bool {
     UNFLOORED_TICK.load(Ordering::Relaxed)
+}
+
+/// True while [`break_stamp_recheck`] is active.
+pub(crate) fn skip_stamp_recheck() -> bool {
+    SKIP_STAMP_RECHECK.load(Ordering::Relaxed)
+}
+
+/// True while [`break_lock_bit_check`] is active.
+pub(crate) fn ignore_lock_bit() -> bool {
+    IGNORE_LOCK_BIT.load(Ordering::Relaxed)
 }
 
 /// Turns the skip-FCW mutation on or off (see [`SKIP_FCW`]).
@@ -52,6 +76,18 @@ pub fn break_fcw_validation(on: bool) {
 /// [`UNFLOORED_TICK`]).
 pub fn break_commit_tick_floor(on: bool) {
     UNFLOORED_TICK.store(on, Ordering::Relaxed);
+}
+
+/// Turns the skip-stamp-recheck mutation on or off (see
+/// [`SKIP_STAMP_RECHECK`]).
+pub fn break_stamp_recheck(on: bool) {
+    SKIP_STAMP_RECHECK.store(on, Ordering::Relaxed);
+}
+
+/// Turns the ignore-lock-bit mutation on or off (see
+/// [`IGNORE_LOCK_BIT`]).
+pub fn break_lock_bit_check(on: bool) {
+    IGNORE_LOCK_BIT.store(on, Ordering::Relaxed);
 }
 
 /// Resets all process-global STM state to boot values so one model

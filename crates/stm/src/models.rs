@@ -11,13 +11,17 @@
 //!   interleaving: commit atomicity (no lost updates), snapshot
 //!   integrity (no torn reads across clock shards), global uniqueness
 //!   of sharded clock ticks, and the watermark never passing a live
-//!   snapshot (slot and overflow registry paths alike);
+//!   snapshot (slot and overflow registry paths alike), and the
+//!   lock-free newest-value read never pairing a value with another
+//!   version's timestamp;
 //! * **mutation checks** — flip a `model_support` knob that
 //!   deliberately re-introduces a previously fixed bug (the PR 4
 //!   committed-pivot FCW escape, the PR 7 unfloored commit tick) and
 //!   assert the corresponding model *fails*. A model that cannot catch
 //!   the bug it exists to pin is decoration; these tests keep the
-//!   models honest.
+//!   models honest. Two more knobs each remove one half of the read
+//!   seqlock (the stamp re-check, the lock-bit test) and are checked
+//!   the same way.
 
 use std::sync::Arc;
 
@@ -38,6 +42,11 @@ enum Mutation {
     /// PR 7 class: floor the commit tick at the snapshot only, without
     /// the all-shard fold taken under the commit locks.
     UnflooredTick,
+    /// Lock-free read: return the mirror word without re-loading the
+    /// stamp.
+    SkipStampRecheck,
+    /// Lock-free read: ignore the lock bit on the first stamp load.
+    IgnoreLockBit,
 }
 
 /// Every model execution starts from pristine process-global state
@@ -47,6 +56,8 @@ fn pristine(mutation: Mutation) {
     model_support::reset();
     model_support::break_fcw_validation(mutation == Mutation::SkipFcw);
     model_support::break_commit_tick_floor(mutation == Mutation::UnflooredTick);
+    model_support::break_stamp_recheck(mutation == Mutation::SkipStampRecheck);
+    model_support::break_lock_bit_check(mutation == Mutation::IgnoreLockBit);
 }
 
 /// Two threads increment one counter through the full runtime retry
@@ -112,6 +123,50 @@ fn torn_snapshot_model(mutation: Mutation) {
     reader.join();
 }
 
+/// The value the [`seqlock_read_model`] installer commits; the
+/// initial version (timestamp 0) holds 0.
+const INSTALLED: u64 = 7;
+
+/// The lock-free newest-value read against a concurrent install: a
+/// reader registers a snapshot and reads a `TVar<u64>` twice while an
+/// installer commits a new value to it. Every read must return the
+/// value of the version whose timestamp it reports, at or below the
+/// reader's snapshot. On the interleavings where the snapshot is taken
+/// before the install, that is the initial version, and a seqlock with
+/// either half missing ([`Mutation::SkipStampRecheck`],
+/// [`Mutation::IgnoreLockBit`]) pairs timestamp 0 with the installed
+/// value.
+fn seqlock_read_model(mutation: Mutation) {
+    pristine(mutation);
+    let var = TVar::new(0u64);
+    let installer = {
+        let var = var.clone();
+        thread::spawn(move || {
+            let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+            tx.write(&var, INSTALLED);
+            let receipt = tx.commit().expect("uncontended writer commits");
+            receipt.end.expect("a writing commit installs")
+        })
+    };
+    let reader = thread::spawn(move || {
+        let (snapshot, _guard) = epoch::enter();
+        let reads = [
+            var.read_versioned_at(snapshot),
+            var.read_versioned_at(snapshot),
+        ];
+        (snapshot, reads)
+    });
+    let end = installer.join();
+    let (snapshot, reads) = reader.join();
+    for (value, ts) in reads {
+        let expected = if ts == 0 { 0 } else { INSTALLED };
+        assert!(
+            value == expected && (ts == 0 || ts == end) && ts <= snapshot,
+            "mismatched read: value {value} at version {ts} (commit {end}, snapshot {snapshot})"
+        );
+    }
+}
+
 #[test]
 fn loom_commit_path_loses_no_updates() {
     model(|| lost_update_model(Mutation::None));
@@ -175,6 +230,11 @@ fn loom_watermark_never_passes_a_live_snapshot() {
     });
 }
 
+#[test]
+fn loom_lock_free_reads_pair_each_value_with_its_version() {
+    model(|| seqlock_read_model(Mutation::None));
+}
+
 /// The panic message out of a failing [`model`] call.
 fn failure_text(result: std::thread::Result<()>) -> String {
     match result {
@@ -217,6 +277,39 @@ fn loom_mutation_unfloored_commit_tick_is_caught() {
     );
     assert!(
         msg.contains("torn snapshot"),
+        "failed for the wrong reason: {msg}"
+    );
+}
+
+#[test]
+fn loom_mutation_skipped_stamp_recheck_is_caught() {
+    // Drop the seqlock's closing stamp load: the reader can return a
+    // value installed after its first stamp load.
+    let result =
+        std::panic::catch_unwind(|| model(|| seqlock_read_model(Mutation::SkipStampRecheck)));
+    let msg = failure_text(result);
+    assert!(
+        msg.contains("loom model failed"),
+        "unexpected failure: {msg}"
+    );
+    assert!(
+        msg.contains("mismatched read"),
+        "failed for the wrong reason: {msg}"
+    );
+}
+
+#[test]
+fn loom_mutation_ignored_lock_bit_is_caught() {
+    // Drop the lock-bit test on the first stamp load: the reader can
+    // pair the old stamp with a mirror word stored mid-install.
+    let result = std::panic::catch_unwind(|| model(|| seqlock_read_model(Mutation::IgnoreLockBit)));
+    let msg = failure_text(result);
+    assert!(
+        msg.contains("loom model failed"),
+        "unexpected failure: {msg}"
+    );
+    assert!(
+        msg.contains("mismatched read"),
         "failed for the wrong reason: {msg}"
     );
 }

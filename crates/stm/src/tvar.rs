@@ -23,9 +23,17 @@
 //! lock bit) — the per-location software rendition of SI-TM's per-line
 //! timestamped versions. Commits lock exactly the variables they wrote
 //! or must validate, so transactions with disjoint footprints share no
-//! synchronization state at all; see `txn.rs` for the protocol.
+//! synchronization state at all; see `txn.rs` for the protocol. The
+//! stamp word is the one record of the newest version's timestamp.
+//!
+//! Readers of an `i64` or `u64` variable whose snapshot covers the
+//! newest version take no lock at all: installs mirror the newest
+//! value into a second atomic word, and a reader serves it through a
+//! seqlock read on the stamp word (stamp, mirror, stamp again; DESIGN.md
+//! §14 "The read path"). Older snapshots and every other value type
+//! read the chain under its mutex.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -60,14 +68,13 @@ const LOCK_BIT: u64 = 1;
 /// oldest-first (ascending timestamps) behind it.
 #[derive(Debug)]
 struct Chain<T> {
-    /// Commit timestamp of the inline newest version (0 for the
-    /// initial value).
-    newest_ts: u64,
     /// The newest committed value — the target of every read whose
     /// snapshot is current, served without touching the spill.
     newest: T,
     /// Superseded versions in ascending timestamp order. A snapshot
-    /// `s < newest_ts` is served by the last entry with `ts <= s`.
+    /// older than the newest version is served by the last entry with
+    /// `ts <= s`. The newest version's own timestamp lives in the
+    /// stamp word ([`VarInner::newest_ts_locked`]).
     older: VecDeque<(u64, T)>,
 }
 
@@ -78,9 +85,10 @@ impl<T> Chain<T> {
     /// watermark` (the epoch invariant), and a snapshot `s` is served
     /// by the newest version with `ts <= s` — so the newest version
     /// with `ts <= watermark`, and everything newer, must stay;
-    /// everything older is unreachable forever.
-    fn trim(&mut self, watermark: u64) -> u64 {
-        if self.newest_ts <= watermark {
+    /// everything older is unreachable forever. `newest_ts` is the
+    /// timestamp of the inline newest version.
+    fn trim(&mut self, newest_ts: u64, watermark: u64) -> u64 {
+        if newest_ts <= watermark {
             // The inline newest serves every surviving snapshot.
             let dead = self.older.len();
             self.older.clear();
@@ -103,8 +111,14 @@ pub(crate) struct VarInner<T> {
     /// validate and install while holding it, and release it after
     /// publishing the new write stamp — so `stamp >> 1` is always the
     /// timestamp of the newest *fully installed* version, and a set
-    /// lock bit marks an installation in flight.
+    /// lock bit marks an installation in flight. It is also the
+    /// sequence word of the lock-free newest-value read
+    /// ([`VarInner::read_newest_word`]).
     stamp: AtomicU64,
+    /// The newest value, mirrored as a word when `T` is `i64` or `u64`
+    /// (see [`to_word`]); unused, and left at 0, for every other type.
+    /// Written only by `install`, under the commit lock.
+    word: AtomicU64,
     chain: Mutex<Chain<T>>,
     /// Lifetime count of versions reclaimed from this chain by epoch
     /// GC — the per-variable half of the `stm.versions_retired`
@@ -112,17 +126,120 @@ pub(crate) struct VarInner<T> {
     retired: AtomicU64,
 }
 
-impl<T> VarInner<T> {
+/// Whether values of type `T` travel through the [`VarInner::word`]
+/// mirror: exactly `i64` and `u64`. A `TypeId` comparison, so it
+/// folds to a constant in each monomorphised read path.
+fn is_word<T: 'static>() -> bool {
+    TypeId::of::<T>() == TypeId::of::<u64>() || TypeId::of::<T>() == TypeId::of::<i64>()
+}
+
+/// Encodes a word-sized value for the mirror (`i64` by its two's
+/// complement bits); `None` for every type [`is_word`] rejects.
+fn to_word<T: 'static>(value: &T) -> Option<u64> {
+    let value: &dyn Any = value;
+    if let Some(&v) = value.downcast_ref::<u64>() {
+        Some(v)
+    } else {
+        value.downcast_ref::<i64>().map(|&v| v as u64)
+    }
+}
+
+/// Decodes a mirror word back into `T`, the inverse of [`to_word`];
+/// `None` for every type [`is_word`] rejects.
+fn from_word<T: 'static>(word: u64) -> Option<T> {
+    let mut out: Option<T> = None;
+    let slot: &mut dyn Any = &mut out;
+    if let Some(slot) = slot.downcast_mut::<Option<u64>>() {
+        *slot = Some(word);
+    } else if let Some(slot) = slot.downcast_mut::<Option<i64>>() {
+        *slot = Some(word as i64);
+    }
+    out
+}
+
+/// Whether the skip-stamp-recheck seqlock mutation is on (loom model
+/// builds only; see `model_support`).
+#[inline(always)]
+fn mutate_skip_stamp_recheck() -> bool {
+    #[cfg(loom)]
+    {
+        crate::model_support::skip_stamp_recheck()
+    }
+    #[cfg(not(loom))]
+    {
+        false
+    }
+}
+
+/// Whether the ignore-lock-bit seqlock mutation is on (loom model
+/// builds only; see `model_support`).
+#[inline(always)]
+fn mutate_ignore_lock_bit() -> bool {
+    #[cfg(loom)]
+    {
+        crate::model_support::ignore_lock_bit()
+    }
+    #[cfg(not(loom))]
+    {
+        false
+    }
+}
+
+impl<T: 'static> VarInner<T> {
+    /// Timestamp of the chain's inline newest version. The guard is
+    /// the proof of the chain lock: `install` publishes a new stamp
+    /// before it releases the chain, and nothing else changes the
+    /// stamp's timestamp, so under the chain lock `stamp >> 1` is
+    /// exactly the inline version's timestamp (the mutex orders the
+    /// load, so it can be `Relaxed`).
+    fn newest_ts_locked(&self, _chain: &MutexGuard<'_, Chain<T>>) -> u64 {
+        self.stamp.load(Ordering::Relaxed) >> 1
+    }
+
+    /// The lock-free read: serves the newest version through the
+    /// [`VarInner::word`] mirror when `T` is word-sized, no commit holds
+    /// the lock, and `snapshot` covers the newest version. A seqlock on
+    /// the stamp word:
+    ///
+    /// 1. load the stamp (`Acquire`, pairs with `unlock_commit`'s
+    ///    `Release`): an unlocked stamp `ts << 1` means every write of
+    ///    the commit that published `ts`, mirror included, is visible;
+    /// 2. load the mirror (`Acquire`, pairs with `install`'s `Release`
+    ///    store): if it is a newer commit's value, that commit's lock
+    ///    CAS happened before, so step 3 cannot see the step-1 stamp;
+    /// 3. load the stamp again: unchanged means no commit touched the
+    ///    variable in between (timestamps only grow, so the word cannot
+    ///    come back to the same value), and the mirror is the version
+    ///    stamped `ts`.
+    ///
+    /// `None` sends the read to the chain under its mutex.
+    #[inline(always)]
+    fn read_newest_word(&self, snapshot: u64) -> Option<(T, u64)> {
+        if !is_word::<T>() {
+            return None;
+        }
+        let stamp = self.stamp.load(Ordering::Acquire);
+        if (stamp & LOCK_BIT != 0 && !mutate_ignore_lock_bit()) || stamp >> 1 > snapshot {
+            return None;
+        }
+        let word = self.word.load(Ordering::Acquire);
+        if self.stamp.load(Ordering::Acquire) != stamp && !mutate_skip_stamp_recheck() {
+            return None;
+        }
+        Some((from_word(word)?, stamp >> 1))
+    }
+
     /// Spins (then yields) until no commit holds this variable's lock.
     ///
-    /// Readers call this before scanning the version chain: a snapshot
-    /// new enough to observe an in-flight commit's end timestamp can
-    /// only exist *after* that commit floored its clock tick over all
-    /// shards, which happens while the lock is held — so waiting for
-    /// the release guarantees the reader sees the fully installed
-    /// version (the §14 atomic-visibility argument). Commits
-    /// never wait on readers, and readers never hold commit locks, so
-    /// this cannot deadlock.
+    /// Readers on the locked path call this before scanning the version
+    /// chain: a snapshot new enough to observe an in-flight commit's end
+    /// timestamp can only exist *after* that commit floored its clock
+    /// tick over all shards, which happens while the lock is held — so
+    /// waiting for the release guarantees the reader sees the fully
+    /// installed version (the §14 atomic-visibility argument). The
+    /// lock-free word read needs no wait: it sees the same lock bit and
+    /// falls back to this path. Commits never wait on readers, and
+    /// readers never hold commit locks, so this cannot deadlock.
     fn wait_unlocked(&self) {
         let mut spins = 0u32;
         while self.stamp.load(Ordering::Acquire) & LOCK_BIT != 0 {
@@ -148,28 +265,34 @@ impl<T> VarInner<T> {
     /// Panics if `ts` is not newer than the newest version or the
     /// commit lock is not held.
     pub(crate) fn install(&self, ts: u64, value: T, watermark: u64) -> u64 {
-        assert!(
-            self.stamp.load(Ordering::Relaxed) & LOCK_BIT != 0,
-            "install requires the commit lock"
-        );
+        // Only the lock holder changes the stamp, so this load is the
+        // current newest timestamp.
+        let locked = self.stamp.load(Ordering::Relaxed);
+        assert!(locked & LOCK_BIT != 0, "install requires the commit lock");
+        let prev_ts = locked >> 1;
+        assert!(ts > prev_ts, "install out of order: {ts} <= {prev_ts}");
+        let word = to_word(&value);
         let mut chain = lock_versions(&self.chain);
-        assert!(
-            ts > chain.newest_ts,
-            "install out of order: {ts} <= {}",
-            chain.newest_ts
-        );
-        // Spill the superseded newest behind the inline slot, then
-        // trim whatever this install made unreachable.
-        let prev_ts = std::mem::replace(&mut chain.newest_ts, ts);
+        // Spill the superseded newest behind the inline slot.
         let prev = std::mem::replace(&mut chain.newest, value);
         chain.older.push_back((prev_ts, prev));
-        let dropped = chain.trim(watermark);
+        // Mirror the new value for lock-free readers. `Release` orders
+        // the lock CAS before it: a reader that loads this word then
+        // re-loads a stamp that is locked or newer, never the one it
+        // started from.
+        if let Some(word) = word {
+            self.word.store(word, Ordering::Release);
+        }
+        // Publish the new write stamp while still holding both locks:
+        // validators that acquire the commit lock next see `ts`
+        // immediately, and the chain lock's holders see the stamp and
+        // the inline version change together (`newest_ts_locked`).
+        self.stamp.store((ts << 1) | LOCK_BIT, Ordering::Release);
+        // Trim whatever this install made unreachable.
+        let dropped = chain.trim(ts, watermark);
         if dropped > 0 {
             self.retired.fetch_add(dropped, Ordering::Relaxed);
         }
-        // Publish the new write stamp while still holding the lock:
-        // validators that acquire this lock next see `ts` immediately.
-        self.stamp.store((ts << 1) | LOCK_BIT, Ordering::Release);
         dropped
     }
 }
@@ -261,8 +384,8 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
                 id: NEXT_VAR_ID.fetch_add(1, Ordering::Relaxed),
                 label,
                 stamp: AtomicU64::new(0),
+                word: AtomicU64::new(to_word(&value).unwrap_or(0)),
                 chain: Mutex::new(Chain {
-                    newest_ts: 0,
                     newest: value,
                     older: VecDeque::new(),
                 }),
@@ -295,11 +418,15 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
         self.read_versioned_at(snapshot).0
     }
 
-    /// Reads the newest version at or below `snapshot` (waiting out any
-    /// in-flight commit first), returning the value together with the
-    /// commit timestamp of the version that served the read (0 for the
-    /// initial value) — the observation the history recorder exports
-    /// for the isolation oracle.
+    /// Reads the newest version at or below `snapshot`, returning the
+    /// value together with the commit timestamp of the version that
+    /// served the read (0 for the initial value) — the observation the
+    /// history recorder exports for the isolation oracle.
+    ///
+    /// An `i64`/`u64` variable whose newest version `snapshot` covers
+    /// is served lock-free ([`VarInner::read_newest_word`]); every other
+    /// read waits out any in-flight commit on this variable and reads
+    /// the chain under its mutex.
     ///
     /// # Panics
     ///
@@ -309,10 +436,14 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// is a broken invariant, never a reader to retry: the read stops
     /// the program rather than serve a wrong version.
     pub(crate) fn read_versioned_at(&self, snapshot: u64) -> (T, u64) {
+        if let Some(hit) = self.inner.read_newest_word(snapshot) {
+            return hit;
+        }
         self.inner.wait_unlocked();
         let chain = lock_versions(&self.inner.chain);
-        if chain.newest_ts <= snapshot {
-            return (chain.newest.clone(), chain.newest_ts);
+        let newest_ts = self.inner.newest_ts_locked(&chain);
+        if newest_ts <= snapshot {
+            return (chain.newest.clone(), newest_ts);
         }
         // Ascending order: the last spilled entry at or below the
         // snapshot is the one this snapshot observes.
@@ -321,7 +452,7 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
             Some((ts, value)) => (value.clone(), *ts),
             None => panic!(
                 "snapshot below the GC watermark: snapshot {snapshot} predates the oldest retained version {}",
-                chain.older.front().map_or(chain.newest_ts, |&(ts, _)| ts)
+                chain.older.front().map_or(newest_ts, |&(ts, _)| ts)
             ),
         }
     }
@@ -373,7 +504,10 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     /// ```
     pub fn compact(&self) -> u64 {
         let watermark = crate::epoch::refresh_watermark();
-        let dropped = lock_versions(&self.inner.chain).trim(watermark);
+        let mut chain = lock_versions(&self.inner.chain);
+        let newest_ts = self.inner.newest_ts_locked(&chain);
+        let dropped = chain.trim(newest_ts, watermark);
+        drop(chain);
         if dropped > 0 {
             self.inner.retired.fetch_add(dropped, Ordering::Relaxed);
         }
@@ -429,7 +563,13 @@ impl<T: Clone + Send + Sync + 'static> VarOps for VarInner<T> {
     }
 
     fn unlock_commit(&self) {
-        self.stamp.fetch_and(!LOCK_BIT, Ordering::Release);
+        // Only the lock holder writes a locked stamp, so a load and a
+        // plain store release the lock without a locked RMW. The
+        // `Release` store is also the seqlock's closing edge: a
+        // lock-free reader whose `Acquire` load sees this unlocked
+        // stamp sees the mirror word `install` stored before it.
+        let stamp = self.stamp.load(Ordering::Relaxed);
+        self.stamp.store(stamp & !LOCK_BIT, Ordering::Release);
     }
 }
 
@@ -593,20 +733,103 @@ mod tests {
         assert_eq!(v.inner.newest_ts(), 7);
     }
 
-    #[test]
-    fn readers_wait_out_an_in_flight_commit() {
-        let v = TVar::new(0u32);
+    /// A reader whose snapshot covers an in-flight commit waits it out
+    /// and observes the installed version.
+    fn reader_waits_out_an_in_flight_commit<T>(initial: T, installed: T)
+    where
+        T: Clone + Send + Sync + PartialEq + std::fmt::Debug + 'static,
+    {
+        let v = TVar::new(initial);
         v.inner.lock_commit();
         let reader = {
             let v = v.clone();
-            std::thread::spawn(move || v.read_at(u64::MAX))
+            std::thread::spawn(move || v.read_versioned_at(u64::MAX))
         };
         // The reader spins against the held lock; install the pending
         // version, then release — the reader must observe it.
-        v.inner.install(5, 42u32, 0);
+        v.inner.install(5, installed.clone(), 0);
         std::thread::sleep(std::time::Duration::from_millis(10));
         v.inner.unlock_commit();
-        assert_eq!(reader.join().unwrap(), 42);
+        assert_eq!(reader.join().unwrap(), (installed, 5));
+    }
+
+    #[test]
+    fn readers_wait_out_an_in_flight_commit() {
+        // The locked path, and the word read falling back to it on the
+        // lock bit.
+        reader_waits_out_an_in_flight_commit(0u32, 42);
+        reader_waits_out_an_in_flight_commit(0u64, 42);
+    }
+
+    #[test]
+    fn word_sized_var_inner_fits_its_allocation() {
+        // The mirror replaced the chain's own newest timestamp; a larger
+        // variable costs setup time and memory on every workload that
+        // creates many of them.
+        assert!(std::mem::size_of::<VarInner<i64>>() <= 104);
+    }
+
+    #[test]
+    fn word_codec_round_trips_at_the_extremes() {
+        assert!(is_word::<i64>() && is_word::<u64>());
+        assert!(!is_word::<u32>() && !is_word::<Option<i64>>() && !is_word::<(u64,)>());
+        for v in [i64::MIN, -1, 0, i64::MAX] {
+            assert_eq!(from_word::<i64>(to_word(&v).unwrap()), Some(v));
+        }
+        for v in [0, 1, u64::MAX] {
+            assert_eq!(from_word::<u64>(to_word(&v).unwrap()), Some(v));
+        }
+        assert_eq!(to_word(&Some(1i64)), None);
+        assert_eq!(from_word::<Option<i64>>(1), None);
+        // End to end through the mirror: install, then a lock-free read.
+        let v = TVar::new(i64::MIN);
+        assert_eq!(v.read_versioned_at(0), (i64::MIN, 0));
+        install(&v, 3, -1i64);
+        assert_eq!(v.read_versioned_at(3), (-1, 3));
+        let u = TVar::new(0u64);
+        install(&u, 4, u64::MAX);
+        assert_eq!(u.read_versioned_at(9), (u64::MAX, 4));
+    }
+
+    #[test]
+    fn word_mirror_and_locked_chain_serve_the_same_versions() {
+        // `TVar<u64>` reads its newest version through the mirror,
+        // `TVar<(u64,)>` always through the chain mutex. Driven through
+        // the same installs, trims and compaction, both must serve the
+        // same version at every snapshot that can still exist.
+        let fast = TVar::new(0u64);
+        let slow = TVar::new((0u64,));
+        let agree = |from: u64, to: u64| {
+            for snapshot in from..=to {
+                let (value, ts) = slow.read_versioned_at(snapshot);
+                assert_eq!(
+                    fast.read_versioned_at(snapshot),
+                    (value.0, ts),
+                    "snapshot {snapshot}"
+                );
+            }
+        };
+        let mut floor = 0;
+        for step in 1..=40u64 {
+            let ts = 2 * step;
+            // Every eighth install trims against a watermark just below it.
+            if step % 8 == 0 {
+                floor = ts - 3;
+            }
+            let value = step.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            assert_eq!(
+                install_at(&fast, ts, value, floor),
+                install_at(&slow, ts, (value,), floor)
+            );
+            assert_eq!(fast.version_count(), slow.version_count());
+            agree(floor, ts + 3);
+        }
+        fast.compact();
+        slow.compact();
+        // Each compact trimmed against some watermark at or below the
+        // one now cached; snapshots from there up are readable on both.
+        let newest = 80;
+        agree(floor.max(crate::epoch::watermark().min(newest)), newest + 3);
     }
 
     #[test]

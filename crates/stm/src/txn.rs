@@ -23,8 +23,9 @@
 //! argument without needing it — while transactions with disjoint
 //! footprints proceed fully in parallel, sharing nothing but one read
 //! fold of the clock shards and one CAS on the committing thread's own
-//! shard (`epoch::commit_tick`). Snapshot reads never take a lock:
-//! they only wait out a commit caught mid-install on the variable
+//! shard (`epoch::commit_tick`). Snapshot reads never take a commit
+//! lock (a current read of an `i64`/`u64` variable takes no lock at
+//! all): they only wait out a commit caught mid-install on the variable
 //! being read (`VarInner::wait_unlocked`), which is the section 4.2
 //! half-published-write-set race — a snapshot can only cover an
 //! in-flight commit's end timestamp if it folded the clock after that
