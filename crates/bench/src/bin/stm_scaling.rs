@@ -2,7 +2,7 @@
 //!
 //! Unlike `sitm-bench`'s experiments, which replay the paper's *simulated*
 //! machine, this experiment measures the crate's actual commit path —
-//! per-`TVar` versioned commit locks, the sharded epoch clock,
+//! per-`TVar` versioned commit locks, the one-word commit clock,
 //! watermark-driven version GC, and capped jittered backoff — from
 //! real OS threads on the host, in host wall-clock time. Five workloads
 //! span the contention spectrum:

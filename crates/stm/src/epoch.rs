@@ -1,22 +1,15 @@
-//! The epoch layer: a sharded commit clock and a live-snapshot
-//! registry whose watermark drives version garbage collection.
+//! The epoch layer: the commit clock and a live-snapshot registry
+//! whose watermark drives version garbage collection.
 //!
 //! Two process-global structures live here (DESIGN.md §14):
 //!
-//! * **The sharded commit clock.** Instead of one fetch-add atomic that
-//!   every committing thread serializes on, the clock is [`SHARDS`]
-//!   cache-line-padded counters. A commit ticks only its own shard
-//!   (chosen by thread index), and the timestamps shard `s` issues are
-//!   exactly the values congruent to `s` modulo [`SHARDS`] — so every
-//!   timestamp in the process is globally unique without any
-//!   cross-shard coordination. Reading the clock ([`clock_now`]) takes
-//!   the maximum over all shards, which is a valid snapshot point: it
-//!   is at least as new as every commit that finished before the scan
-//!   began. A committing transaction must floor its tick above a fold
-//!   of *all* shards taken while its commit locks are held (see
-//!   [`commit_tick`]) — ticking only its own shard would let a commit
-//!   publish an end timestamp below an already-issued snapshot and
-//!   tear that snapshot's view of the write set.
+//! * **The commit clock.** One cache-line-padded counter. A snapshot
+//!   is one load of it ([`clock_now`]); a commit timestamp is one
+//!   `fetch_add` on it ([`commit_tick`]), which the commit path takes
+//!   while holding every commit lock of its write set. A snapshot at
+//!   or above a commit's end timestamp was therefore loaded after that
+//!   commit locked its write set, so it waits out the installs and
+//!   sees every one of them — atomic visibility in one sentence.
 //!
 //! * **The live-snapshot registry.** Every transaction registers its
 //!   begin timestamp in a cache-padded per-thread slot for the
@@ -36,14 +29,14 @@
 //! 1. A beginning transaction *first* publishes a conservative
 //!    timestamp into its slot (the last clock value its thread
 //!    observed, which is `<=` the begin timestamp it is about to draw)
-//!    and *then* reads the clock shards to form its begin timestamp.
-//! 2. A watermark scan *first* reads the clock shards (call the
-//!    maximum `bound`) and *then* reads the slots, folding `min` over
-//!    `bound` and every non-idle slot value.
+//!    and *then* reads the clock to form its begin timestamp.
+//! 2. A watermark scan *first* reads the clock (call it `bound`) and
+//!    *then* reads the slots, folding `min` over `bound` and every
+//!    non-idle slot value.
 //!
 //! For any transaction T and any scan C, either C's slot read precedes
-//! T's slot publish in the total order — then T's later clock reads see
-//! every shard value C saw, so `begin_ts(T) >= bound(C) >= result(C)`
+//! T's slot publish in the total order — then T's later clock read sees
+//! at least the value C saw, so `begin_ts(T) >= bound(C) >= result(C)`
 //! — or C observes T's published value, which is `<=` `begin_ts(T)` by
 //! construction. Either way the scan result is `<= begin_ts(T)`, and
 //! since the watermark only moves up to a scan result (`fetch_max`),
@@ -55,15 +48,6 @@ use std::cell::Cell;
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use crate::sync::Mutex;
 use crate::tvar::lock_versions as lock;
-
-/// Number of commit-clock shards. Timestamps issued by shard `s` are
-/// congruent to `s` modulo `SHARDS`, so ticks on different shards can
-/// never collide. 16 shards give 16 independent cache lines of commit
-/// bandwidth — past the thread counts where the old single fetch-add
-/// clock saturated. Model builds shrink to 2 so two model threads
-/// always land on distinct shards (the smallest model in which a
-/// trailing shard can exist at all).
-pub(crate) const SHARDS: usize = if cfg!(loom) { 2 } else { 16 };
 
 /// Registry slots available before thread registration falls back to
 /// the mutex-protected overflow table. One slot is claimed per OS
@@ -78,19 +62,20 @@ pub(crate) const SLOT_COUNT: usize = if cfg!(loom) { 2 } else { 256 };
 const IDLE: u64 = u64::MAX;
 
 /// How far (in clock units) the cached watermark may trail the clock
-/// before a commit triggers a rescan. Clock values advance by about
-/// [`SHARDS`] per commit, so this is roughly a rescan every 64 commits
-/// — cheap amortization with a bounded retention overhang. Model
-/// builds rescan almost every commit so GC interleavings are in the
-/// explored space.
-const REFRESH_TICKS: u64 = if cfg!(loom) { 4 } else { 1024 };
+/// before a commit triggers a rescan. Each writing commit advances the
+/// clock by exactly 1, so this is one rescan per 64 commits — cheap
+/// amortization with a retention overhang bounded by the rescan
+/// interval. Model builds rescan almost every commit so GC
+/// interleavings are in the explored space.
+const REFRESH_TICKS: u64 = if cfg!(loom) { 4 } else { 64 };
 
-/// One commit-clock shard, alone on its cache line so ticks on
-/// different shards never false-share.
+/// The commit clock, alone on its cache line so no neighbouring static
+/// shares the line every commit writes. 0 is the timestamp of initial
+/// versions; commits draw 1, 2, 3, …
 #[repr(align(128))]
-struct ClockShard(AtomicU64);
+struct Clock(AtomicU64);
 
-static CLOCK: [ClockShard; SHARDS] = [const { ClockShard(AtomicU64::new(0)) }; SHARDS];
+static CLOCK: Clock = Clock(AtomicU64::new(0));
 
 /// One live-snapshot slot, alone on its cache line. `begin` holds the
 /// (conservative) begin timestamp of the slot-owning thread's
@@ -135,8 +120,8 @@ static WATERMARK: AtomicU64 = AtomicU64::new(0);
 static WATERMARK_STAMP: AtomicU64 = AtomicU64::new(0);
 
 /// Dense per-thread indices: each OS thread draws one on first
-/// transactional use. Doubles as the commit-clock shard selector and
-/// as the thread id in history records and forensics.
+/// transactional use. Selects the thread's `StmStats` cell and is the
+/// thread id in history records and forensics.
 static NEXT_THREAD_INDEX: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
@@ -158,49 +143,20 @@ pub(crate) fn thread_index() -> usize {
 /// A snapshot point: at least as new as every commit that completed
 /// before this call started.
 pub(crate) fn clock_now() -> u64 {
-    let mut now = 0;
-    for shard in &CLOCK {
-        now = now.max(shard.0.load(SeqCst));
-    }
-    now
+    CLOCK.0.load(SeqCst)
 }
 
-/// Draws a commit timestamp from this thread's clock shard:
-/// the smallest unissued value of the shard's residue class strictly
-/// greater than both the shard's current value and `at_least`.
-///
-/// The commit path passes `at_least = max(snapshot, clock_now())`,
-/// with the [`clock_now`] fold taken **while holding every commit
-/// lock**. The snapshot half guarantees `end > begin` per transaction;
-/// the fold half guarantees atomic visibility of the whole write set:
-/// no shard holds a value `>= end` until this tick, so a reader whose
-/// snapshot covers `end` must have folded the clock after the
-/// committer did — after the locks were taken — and waits out the
-/// complete install on every written variable. Flooring at the
-/// snapshot alone is not enough: a shard that trails the others could
-/// issue an `end` below an already-issued snapshot, making the commit
-/// visible mid-transaction to a live reader (a torn snapshot).
-pub(crate) fn commit_tick(at_least: u64) -> u64 {
-    let shard = thread_index() % SHARDS;
-    let cell = &CLOCK[shard].0;
-    let mut cur = cell.load(SeqCst);
-    loop {
-        let floor = cur.max(at_least);
-        // Smallest value > floor with value % SHARDS == shard.
-        let aligned = floor - floor % SHARDS as u64 + shard as u64;
-        let next = if aligned > floor {
-            aligned
-        } else {
-            aligned + SHARDS as u64
-        };
-        match cell.compare_exchange_weak(cur, next, SeqCst, SeqCst) {
-            Ok(_) => {
-                LAST_SEEN.with(|c| c.set(c.get().max(next)));
-                return next;
-            }
-            Err(seen) => cur = seen,
-        }
-    }
+/// Draws a commit timestamp: one more than every value the clock held
+/// before, so it is unique, and above every snapshot already loaded
+/// (`end > begin` needs no floor). The commit path calls it **while
+/// holding every commit lock**: no snapshot can cover the returned
+/// value until this tick, so a reader whose snapshot does cover it
+/// loaded the clock after the locks were taken and waits out the
+/// complete install on every written variable.
+pub(crate) fn commit_tick() -> u64 {
+    let end = CLOCK.0.fetch_add(1, SeqCst) + 1;
+    LAST_SEEN.with(|c| c.set(c.get().max(end)));
+    end
 }
 
 /// Registration of one live transaction in the epoch registry,
@@ -297,7 +253,7 @@ pub fn watermark() -> u64 {
 /// (monotonically — the watermark never moves backwards). Returns the
 /// updated watermark.
 ///
-/// Commits call this automatically about every 64 commits; it is
+/// Commits call this automatically once per 64 commits; it is
 /// public for tests and diagnostics that need the bound fresh *now*.
 pub fn refresh_watermark() -> u64 {
     // Read the clock before the slots (watermark invariant step 2):
@@ -375,9 +331,7 @@ impl Drop for SlotHandle {
 /// of the root closure, before any model thread spawns).
 #[cfg(loom)]
 pub(crate) fn model_reset() {
-    for shard in &CLOCK {
-        shard.0.store(0, SeqCst);
-    }
+    CLOCK.0.store(0, SeqCst);
     for slot in &SLOTS {
         slot.begin.store(IDLE, SeqCst);
         slot.depth.store(0, SeqCst);
@@ -396,28 +350,19 @@ mod tests {
 
     // These tests share the process-global clock and registry with
     // every other test in the binary (the harness runs tests on
-    // threads), so they assert relative properties — monotonicity,
-    // residue classes, bounds against values this test observed — not
-    // absolute clock values.
+    // threads), so they assert relative properties — monotonicity and
+    // bounds against values this test observed — not absolute clock
+    // values.
 
     #[test]
-    fn ticks_are_monotone_unique_and_shard_aligned() {
-        let shard = (thread_index() % SHARDS) as u64;
-        let mut prev = 0;
+    fn ticks_are_monotone_and_visible() {
+        let mut prev = clock_now();
         for _ in 0..100 {
-            let t = commit_tick(prev);
+            let t = commit_tick();
             assert!(t > prev, "ticks strictly increase");
-            assert_eq!(t % SHARDS as u64, shard, "shard residue class");
+            assert!(clock_now() >= t, "the tick is visible to the clock");
             prev = t;
         }
-    }
-
-    #[test]
-    fn tick_exceeds_at_least_even_far_ahead() {
-        let base = clock_now();
-        let t = commit_tick(base + 1_000_000);
-        assert!(t > base + 1_000_000);
-        assert!(clock_now() >= t, "the tick is visible to the clock");
     }
 
     #[test]
@@ -447,7 +392,7 @@ mod tests {
     #[test]
     fn watermark_is_monotone() {
         let a = refresh_watermark();
-        let _ = commit_tick(0);
+        let _ = commit_tick();
         let b = refresh_watermark();
         assert!(b >= a);
         assert!(watermark() >= b, "cache holds the latest scan");
@@ -461,7 +406,7 @@ mod tests {
         // begin, a scan must be free to move beyond it (other tests'
         // concurrent transactions may still hold it lower, so assert
         // only against the clock bound).
-        let t = commit_tick(begin);
+        let t = commit_tick();
         assert!(refresh_watermark() <= clock_now());
         assert!(t > begin);
     }

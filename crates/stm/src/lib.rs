@@ -15,9 +15,9 @@
 //! * [`Stm::atomically`] — run closures transactionally with consistent
 //!   snapshot reads and commit-time **write-write** validation only:
 //!   readers never abort writers and read-only transactions always
-//!   commit, exactly the SI-TM property. Commit timestamps come from a
-//!   sharded clock (one padded shard per thread group), so commits
-//!   never serialize on a single atomic.
+//!   commit, exactly the SI-TM property. Begin and commit timestamps
+//!   come from one padded counter, ticked under the commit locks, which
+//!   gives every snapshot one commit order to observe.
 //! * [`IsolationLevel::Serializable`] — opt-in serializability by
 //!   read-set validation, and [`Tx::promote`] for the paper's selective
 //!   *read promotion* remedy against write skew.

@@ -2,23 +2,25 @@
 //!
 //! Two jobs:
 //!
-//! 1. [`reset`] — returns the crate's process-global state (the sharded
-//!    commit clock, the epoch registry, the TVar id counter, attempt
+//! 1. [`reset`] — returns the crate's process-global state (the commit
+//!    clock, the epoch registry, the TVar id counter, attempt
 //!    ids and mutation knobs) to its boot values. The model checker
 //!    re-runs one closure across thousands of interleavings in a single
 //!    process, so every execution must start from identical state; the
 //!    model calls this first, before spawning any model thread.
-//! 2. The **mutation knobs** — [`break_fcw_validation`] and
-//!    [`break_commit_tick_floor`] deliberately re-introduce two bugs
-//!    this repo has already fixed (the PR 4 committed-pivot escape and
-//!    the PR 7 torn-snapshot clock hole). The loom models assert that
-//!    with a knob on, the checker *finds* a failing interleaving: proof
-//!    the models have teeth, not just that they pass (a mutation
-//!    check). Knobs are process-global and only read under `cfg(loom)`;
-//!    release builds compile the checks to constant `false`.
+//! 2. The **mutation knobs** — [`break_fcw_validation`] re-introduces
+//!    a bug this repo has already fixed (a committed winner escaping
+//!    first-committer-wins), and [`break_tick_under_locks`] moves the
+//!    commit tick out from under the commit locks, the one ordering
+//!    the commit clock's atomic-visibility argument rests on. The loom
+//!    models assert that with a knob on, the checker *finds* a failing
+//!    interleaving: proof the models have teeth, not just that they
+//!    pass (a mutation check). Knobs are process-global and only read
+//!    under `cfg(loom)`; release builds compile the checks to constant
+//!    `false`.
 //!    [`break_stamp_recheck`] and [`break_lock_bit_check`] are the same
-//!    kind of check for a protocol with no past bug: each removes one
-//!    half of the lock-free newest-value read's seqlock.
+//!    kind of check for the lock-free newest-value read: each removes
+//!    one half of its seqlock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -29,12 +31,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// detection) and admits lost updates.
 static SKIP_FCW: AtomicBool = AtomicBool::new(false);
 
-/// When set, the commit timestamp is issued without folding the other
-/// clock shards in — `commit_tick(snapshot)` instead of
-/// `commit_tick(snapshot.max(clock_now()))`. This is the PR 7
-/// torn-snapshot bug: a commit on a lagging shard can publish *below*
-/// a snapshot another thread already took, tearing that snapshot.
-static UNFLOORED_TICK: AtomicBool = AtomicBool::new(false);
+/// When set, a commit draws its end timestamp *before* it takes its
+/// commit locks. A reader can then load a snapshot that covers `end`,
+/// read one written variable before the commit locks it, and read
+/// another after the install: a torn snapshot.
+static TICK_BEFORE_LOCKS: AtomicBool = AtomicBool::new(false);
 
 /// When set, the lock-free `TVar` read returns the mirror word without
 /// re-loading the stamp: a reader that loaded an unlocked stamp can
@@ -52,9 +53,9 @@ pub(crate) fn skip_fcw_validation() -> bool {
     SKIP_FCW.load(Ordering::Relaxed)
 }
 
-/// True while [`break_commit_tick_floor`] is active.
-pub(crate) fn unfloored_commit_tick() -> bool {
-    UNFLOORED_TICK.load(Ordering::Relaxed)
+/// True while [`break_tick_under_locks`] is active.
+pub(crate) fn tick_before_locks() -> bool {
+    TICK_BEFORE_LOCKS.load(Ordering::Relaxed)
 }
 
 /// True while [`break_stamp_recheck`] is active.
@@ -72,10 +73,10 @@ pub fn break_fcw_validation(on: bool) {
     SKIP_FCW.store(on, Ordering::Relaxed);
 }
 
-/// Turns the unfloored-commit-tick mutation on or off (see
-/// [`UNFLOORED_TICK`]).
-pub fn break_commit_tick_floor(on: bool) {
-    UNFLOORED_TICK.store(on, Ordering::Relaxed);
+/// Turns the tick-before-locks mutation on or off (see
+/// [`TICK_BEFORE_LOCKS`]).
+pub fn break_tick_under_locks(on: bool) {
+    TICK_BEFORE_LOCKS.store(on, Ordering::Relaxed);
 }
 
 /// Turns the skip-stamp-recheck mutation on or off (see

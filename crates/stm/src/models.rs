@@ -9,16 +9,15 @@
 //!
 //! * **protocol models** — assert an invariant holds on *every*
 //!   interleaving: commit atomicity (no lost updates), snapshot
-//!   integrity (no torn reads across clock shards), global uniqueness
-//!   of sharded clock ticks, and the watermark never passing a live
-//!   snapshot (slot and overflow registry paths alike), and the
-//!   lock-free newest-value read never pairing a value with another
-//!   version's timestamp;
+//!   integrity (no torn reads of one commit's write set), the
+//!   watermark never passing a live snapshot (slot and overflow
+//!   registry paths alike), and the lock-free newest-value read never
+//!   pairing a value with another version's timestamp;
 //! * **mutation checks** — flip a `model_support` knob that
-//!   deliberately re-introduces a previously fixed bug (the PR 4
-//!   committed-pivot FCW escape, the PR 7 unfloored commit tick) and
-//!   assert the corresponding model *fails*. A model that cannot catch
-//!   the bug it exists to pin is decoration; these tests keep the
+//!   deliberately breaks the protocol (a committed winner escaping
+//!   first-committer-wins, a commit tick drawn before the commit locks)
+//!   and assert the corresponding model *fails*. A model that cannot
+//!   catch the bug it exists to pin is decoration; these tests keep the
 //!   models honest. Two more knobs each remove one half of the read
 //!   seqlock (the stamp re-check, the lock-bit test) and are checked
 //!   the same way.
@@ -39,9 +38,8 @@ enum Mutation {
     None,
     /// PR 4 class: skip first-committer-wins validation at commit.
     SkipFcw,
-    /// PR 7 class: floor the commit tick at the snapshot only, without
-    /// the all-shard fold taken under the commit locks.
-    UnflooredTick,
+    /// Draw the commit tick before taking the commit locks.
+    TickBeforeLocks,
     /// Lock-free read: return the mirror word without re-loading the
     /// stamp.
     SkipStampRecheck,
@@ -50,19 +48,19 @@ enum Mutation {
 }
 
 /// Every model execution starts from pristine process-global state
-/// with both mutation knobs set explicitly (the reset deliberately
+/// with every mutation knob set explicitly (the reset deliberately
 /// leaves them alone, and test binaries run models from many threads).
 fn pristine(mutation: Mutation) {
     model_support::reset();
     model_support::break_fcw_validation(mutation == Mutation::SkipFcw);
-    model_support::break_commit_tick_floor(mutation == Mutation::UnflooredTick);
+    model_support::break_tick_under_locks(mutation == Mutation::TickBeforeLocks);
     model_support::break_stamp_recheck(mutation == Mutation::SkipStampRecheck);
     model_support::break_lock_bit_check(mutation == Mutation::IgnoreLockBit);
 }
 
 /// Two threads increment one counter through the full runtime retry
 /// loop. Exercises the whole commit protocol — lock acquisition in id
-/// order, FCW validation, the clock fold + tick, install, release —
+/// order, FCW validation, the clock tick, install, release —
 /// and the abort/retry path of the loser. Any interleaving that loses
 /// an update fails the final assert.
 fn lost_update_model(mutation: Mutation) {
@@ -88,15 +86,12 @@ fn lost_update_model(mutation: Mutation) {
     assert_eq!(counter.load(), 2, "lost update");
 }
 
-/// The PR 7 torn-snapshot scenario as a model: a writer updates `x`
-/// and `y` in one transaction while a reader — whose clock shard it
-/// first drives far ahead of the writer's — reads both in one
-/// transaction. The two spawned threads draw distinct thread indices,
-/// so with the 2-shard model clock they always sit on different
-/// shards. On every interleaving the reader must see `x == y`: with
-/// the commit tick floored only at the writer's snapshot (the
-/// [`Mutation::UnflooredTick`] variant), a lagging writer shard can
-/// publish *below* the reader's already-issued snapshot and tear it.
+/// Atomic visibility as a model: a writer updates `x` and `y` in one
+/// transaction while a reader reads both in one transaction. On every
+/// interleaving the reader must see `x == y`. With the commit tick
+/// drawn before the commit locks ([`Mutation::TickBeforeLocks`]), the
+/// reader can load a snapshot that covers the writer's end, read `x`
+/// before the writer locks it, and read `y` after the install.
 fn torn_snapshot_model(mutation: Mutation) {
     pristine(mutation);
     let x = TVar::new(0u64);
@@ -111,8 +106,6 @@ fn torn_snapshot_model(mutation: Mutation) {
         })
     };
     let reader = thread::spawn(move || {
-        // Race this thread's own shard far ahead of the writer's.
-        epoch::commit_tick(epoch::clock_now() + 64);
         let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
         let sx = tx.read(&x).expect("dynamic retention never evicts");
         let sy = tx.read(&y).expect("dynamic retention never evicts");
@@ -173,33 +166,8 @@ fn loom_commit_path_loses_no_updates() {
 }
 
 #[test]
-fn loom_snapshots_are_never_torn_across_shards() {
+fn loom_snapshots_are_never_torn() {
     model(|| torn_snapshot_model(Mutation::None));
-}
-
-#[test]
-fn loom_sharded_clock_ticks_are_globally_unique() {
-    model(|| {
-        pristine(Mutation::None);
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                thread::spawn(|| {
-                    let shard = (epoch::thread_index() % epoch::SHARDS) as u64;
-                    let a = epoch::commit_tick(0);
-                    let b = epoch::commit_tick(a);
-                    assert!(b > a, "ticks strictly increase");
-                    assert_eq!(a % epoch::SHARDS as u64, shard, "residue class");
-                    assert_eq!(b % epoch::SHARDS as u64, shard, "residue class");
-                    [a, b]
-                })
-            })
-            .collect();
-        let mut ticks: Vec<u64> = handles.into_iter().flat_map(|h| h.join()).collect();
-        let issued = ticks.len();
-        ticks.sort_unstable();
-        ticks.dedup();
-        assert_eq!(ticks.len(), issued, "two shards issued a colliding tick");
-    });
 }
 
 #[test]
@@ -217,7 +185,7 @@ fn loom_watermark_never_passes_a_live_snapshot() {
                     let wm = epoch::refresh_watermark();
                     assert!(wm <= begin, "watermark {wm} passed live snapshot {begin}");
                     drop(guard);
-                    epoch::commit_tick(begin);
+                    epoch::commit_tick();
                 })
             })
             .collect();
@@ -265,11 +233,11 @@ fn loom_mutation_skipped_fcw_validation_is_caught() {
 }
 
 #[test]
-fn loom_mutation_unfloored_commit_tick_is_caught() {
-    // Re-break the PR 7 torn-snapshot bug (no all-shard fold under the
-    // commit locks): the snapshot-integrity model must fail.
+fn loom_mutation_tick_before_locks_is_caught() {
+    // Tick the commit clock before taking the commit locks: the
+    // snapshot-integrity model must fail.
     let result =
-        std::panic::catch_unwind(|| model(|| torn_snapshot_model(Mutation::UnflooredTick)));
+        std::panic::catch_unwind(|| model(|| torn_snapshot_model(Mutation::TickBeforeLocks)));
     let msg = failure_text(result);
     assert!(
         msg.contains("loom model failed"),

@@ -16,19 +16,22 @@ use crate::epoch;
 use crate::error::{Conflict, StmError};
 use crate::txn::{CommitReceipt, HistorySink, IsolationLevel, Tx};
 
+/// Number of [`StmStats`] cells: a thread counts into cell
+/// `thread_index % STATS_CELLS`.
+const STATS_CELLS: usize = 16;
+
 /// Commit/abort counters of an [`Stm`] runtime, sharded by thread: a
 /// committing thread counts into the cache-line-aligned cell its
-/// thread index selects — the index that already picks its commit-clock
-/// shard — with plain relaxed atomics, so recording from the commit
-/// path takes no lock and writes no line another thread's transactions
-/// write (until more threads than cells are committing, when indices
-/// wrap and two threads share one). Every getter folds the cells: sums
-/// for the counters and the retry distribution, the maximum for the
-/// watermark lag. A fold taken while threads are committing is a lower
-/// bound, not an atomic cut; it is exact once they quiesce.
+/// thread index selects, with plain relaxed atomics, so recording from
+/// the commit path takes no lock and writes no line another thread's
+/// transactions write (until more than 16 threads are committing, when
+/// indices wrap and two threads share one). Every getter folds the
+/// cells: sums for the counters and the retry distribution, the maximum
+/// for the watermark lag. A fold taken while threads are committing is
+/// a lower bound, not an atomic cut; it is exact once they quiesce.
 #[derive(Default)]
 pub struct StmStats {
-    cells: [StatsCell; epoch::SHARDS],
+    cells: [StatsCell; STATS_CELLS],
 }
 
 /// One thread group's share of the [`StmStats`] counters.
@@ -73,7 +76,7 @@ impl std::fmt::Debug for StmStats {
 impl StmStats {
     /// The calling thread's cell.
     fn cell(&self) -> &StatsCell {
-        &self.cells[epoch::thread_index() % epoch::SHARDS]
+        &self.cells[epoch::thread_index() % STATS_CELLS]
     }
 
     /// Sum of one counter over every cell.
@@ -130,9 +133,9 @@ impl StmStats {
     }
 
     /// Largest observed gap between a commit timestamp and the GC
-    /// watermark it installed against, in clock units — the retention
-    /// overhang long-lived snapshots imposed at their worst. Zero until
-    /// the first write commit.
+    /// watermark it installed against, in clock units (one per writing
+    /// commit) — the retention overhang long-lived snapshots imposed at
+    /// their worst. Zero until the first write commit.
     pub fn watermark_lag_max(&self) -> u64 {
         let lag = |cell: &StatsCell| cell.watermark_lag_max.load(Ordering::Relaxed);
         self.cells.iter().map(lag).max().unwrap_or(0)

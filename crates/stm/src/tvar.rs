@@ -233,8 +233,8 @@ impl<T: 'static> VarInner<T> {
     ///
     /// Readers on the locked path call this before scanning the version
     /// chain: a snapshot new enough to observe an in-flight commit's end
-    /// timestamp can only exist *after* that commit floored its clock
-    /// tick over all shards, which happens while the lock is held — so
+    /// timestamp can only exist *after* that commit ticked the clock,
+    /// which happens while the lock is held — so
     /// waiting for the release guarantees the reader sees the fully
     /// installed version (the §14 atomic-visibility argument). The
     /// lock-free word read needs no wait: it sees the same lock bit and

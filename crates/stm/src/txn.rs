@@ -21,16 +21,16 @@
 //! of every variable involved, the commit point is atomic with respect
 //! to conflicting commits, mirroring the paper's delta-reservation
 //! argument without needing it — while transactions with disjoint
-//! footprints proceed fully in parallel, sharing nothing but one read
-//! fold of the clock shards and one CAS on the committing thread's own
-//! shard (`epoch::commit_tick`). Snapshot reads never take a commit
-//! lock (a current read of an `i64`/`u64` variable takes no lock at
-//! all): they only wait out a commit caught mid-install on the variable
-//! being read (`VarInner::wait_unlocked`), which is the section 4.2
+//! footprints proceed in parallel, sharing nothing but the commit
+//! clock: one load at begin and one `fetch_add` under the commit locks
+//! (`epoch::commit_tick`). Snapshot reads never take a commit lock (a
+//! current read of an `i64`/`u64` variable takes no lock at all): they
+//! only wait out a commit caught mid-install on the variable being read
+//! (`VarInner::wait_unlocked`), which is the section 4.2
 //! half-published-write-set race — a snapshot can only cover an
-//! in-flight commit's end timestamp if it folded the clock after that
-//! commit floored its tick over all shards, which happens while its
-//! locks are held (the atomic-visibility argument of DESIGN.md §14).
+//! in-flight commit's end timestamp if it loaded the clock after that
+//! commit's tick, which the commit takes while its locks are held (the
+//! atomic-visibility argument of DESIGN.md §14).
 //!
 //! Every transaction also registers in the epoch registry for its
 //! lifetime (the `epoch::SnapshotGuard` field of [`Tx`]): the
@@ -324,14 +324,14 @@ fn mutate_skip_fcw() -> bool {
     }
 }
 
-/// Whether the `MUTATE_UNFLOORED_COMMIT_TICK` mutation knob is on
-/// (model builds only): re-breaks the PR 7 torn-snapshot bug by
-/// flooring the commit tick at the snapshot alone, without the
-/// all-shard fold taken under the commit locks.
-fn mutate_unfloored_tick() -> bool {
+/// Whether the tick-before-locks mutation knob is on (model builds
+/// only): the commit draws its end timestamp before it takes its commit
+/// locks, so a snapshot can cover `end` while the write set is still
+/// unlocked and read part of it before the installs.
+fn mutate_tick_before_locks() -> bool {
     #[cfg(loom)]
     {
-        crate::model_support::unfloored_commit_tick()
+        crate::model_support::tick_before_locks()
     }
     #[cfg(not(loom))]
     {
@@ -549,6 +549,8 @@ impl Tx {
         if read_only && validate.is_empty() {
             return Ok(CommitReceipt::UNPUBLISHED);
         }
+        // Only the tick-before-locks mutant ticks here (model builds).
+        let early_tick = mutate_tick_before_locks().then(epoch::commit_tick);
         // Acquire the commit locks of exactly this transaction's write
         // + validation sets in ascending var-id order, in one pass over
         // the two sets where they lie. Disjoint transactions touch
@@ -587,26 +589,18 @@ impl Tx {
             return Ok(CommitReceipt::UNPUBLISHED);
         }
 
-        // Publish. The end timestamp comes from this thread's clock
-        // shard, floored — while every commit lock is held — above
-        // both the snapshot (so `end > begin` per transaction) and a
-        // fold of all shards (`clock_now`). The fold is what makes the
-        // installs atomically visible: no shard held a value >= `end`
-        // before this thread's tick, so any snapshot that covers `end`
-        // was folded after this point — i.e. after the locks were
-        // acquired — and waits out the install on every written
-        // variable (`wait_unlocked`). A snapshot therefore observes
-        // this commit's whole write set or none of it, never a prefix
+        // Publish. The end timestamp is ticked while every commit lock
+        // is held, which is what makes the installs atomically visible:
+        // the clock held no value >= `end` before this tick, so any
+        // snapshot that covers `end` was loaded after the locks were
+        // acquired and waits out the install on every written variable
+        // (`wait_unlocked`). A snapshot therefore observes this
+        // commit's whole write set or none of it, never a prefix
         // (DESIGN.md §14). Each install also trims versions the
         // live-snapshot watermark proves unreachable. (The watermark
         // cannot pass our own snapshot: this transaction is still
         // registered.)
-        let floor = if mutate_unfloored_tick() {
-            self.snapshot // the re-broken PR 7 variant: no all-shard fold
-        } else {
-            self.snapshot.max(epoch::clock_now())
-        };
-        let end = epoch::commit_tick(floor);
+        let end = early_tick.unwrap_or_else(epoch::commit_tick);
         let watermark = epoch::gc_watermark(end);
         let retired = locks.install(end, watermark);
         Ok(CommitReceipt {
@@ -660,43 +654,39 @@ mod tests {
 
     #[test]
     fn commit_end_covers_snapshots_issued_before_publish() {
-        // Regression test for a torn-snapshot bug: begin a writer
-        // early (while its own clock shard lags), advance a *different*
-        // shard far ahead, then issue a snapshot. The writer's commit
-        // must land above that snapshot — flooring the tick only at
-        // the writer's own begin timestamp published an `end` below
-        // the already-issued snapshot, so the installs became visible
-        // inside a live reader's view mid-transaction.
+        // A writer begins, then a foreign thread commits and a reader
+        // takes a snapshot that covers that commit. The writer's end
+        // must land above the reader's snapshot: an end derived from
+        // the writer's own begin, or drawn before the foreign commit,
+        // would publish below an already-issued snapshot, and the
+        // installs would appear inside a live reader's view
+        // mid-transaction.
         let var = TVar::new(0u32);
         let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
         tx.write(&var, 1);
 
-        let own_shard = epoch::thread_index() % epoch::SHARDS;
-        let mut advanced = false;
-        for _ in 0..64 {
-            advanced = std::thread::spawn(move || {
-                if epoch::thread_index() % epoch::SHARDS == own_shard {
-                    return false; // same shard: ticking it would mask the bug
-                }
-                epoch::commit_tick(epoch::clock_now() + 1_000);
-                true
-            })
-            .join()
-            .expect("shard-advancing thread");
-            if advanced {
-                break;
-            }
-        }
-        assert!(advanced, "no spawned thread landed on a foreign shard");
+        let foreign = std::thread::spawn(|| {
+            let other = TVar::new(0u32);
+            let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+            tx.write(&other, 1);
+            tx.commit().unwrap().end.expect("a writer takes a tick")
+        })
+        .join()
+        .expect("foreign committer");
 
-        let reader_snapshot = epoch::clock_now();
-        tx.commit().unwrap();
+        let reader = Tx::begin(IsolationLevel::Snapshot, None);
         assert!(
-            var.inner.newest_ts() > reader_snapshot,
-            "a commit must never publish below an already-issued snapshot \
-             (end {} <= snapshot {reader_snapshot})",
-            var.inner.newest_ts()
+            reader.snapshot() >= foreign,
+            "the reader covers the foreign commit"
         );
+        let end = tx.commit().unwrap().end.expect("a writer takes a tick");
+        assert!(
+            end > reader.snapshot(),
+            "a commit must never publish below an already-issued snapshot \
+             (end {end} <= snapshot {})",
+            reader.snapshot()
+        );
+        assert_eq!(var.inner.newest_ts(), end);
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn a_two_write_transfer_allocates_three_times_and_an_audit_never() {
         let total = stm.atomically(|tx| Ok(tx.read(&a)? + tx.read(&b)?));
         assert_eq!(total, 2_000);
     };
-    // The watermark is rescanned about every 64 commits, so a chain
+    // The watermark is rescanned once per 64 commits, so a chain
     // written back to back spills that many versions before its first
     // trim; let both spills reach their full capacity first.
     for _ in 0..4 * TXNS {

@@ -105,14 +105,12 @@ fn transfers_conserve_money_and_auditors_never_abort() {
     });
 }
 
-/// Atomic visibility across the sharded commit clock: one commit's
-/// whole write set must enter a snapshot together or miss it together.
-/// Every writer advances both halves of a pair in one transaction, so
-/// any snapshot that observes the pair unequal has seen a commit's
-/// installs appear mid-transaction — the torn-snapshot failure a
-/// commit whose clock shard trails the others could produce if its
-/// end timestamp were not floored over a fold of all shards while the
-/// commit locks are held.
+/// Atomic visibility through the commit clock: one commit's whole
+/// write set must enter a snapshot together or miss it together. Every
+/// writer advances both halves of a pair in one transaction, so any
+/// snapshot that observes the pair unequal has seen a commit's installs
+/// appear mid-transaction — the torn-snapshot failure a commit could
+/// produce if it ticked the clock before taking its commit locks.
 #[test]
 fn snapshots_are_never_torn_across_clock_shards() {
     const WRITER_THREADS: usize = 8;
@@ -124,8 +122,9 @@ fn snapshots_are_never_torn_across_clock_shards() {
     let stm = Arc::new(Stm::snapshot());
 
     thread::scope(|s| {
-        // Many writer threads spread commits across clock shards at
-        // uneven rates, so some committer's shard is always trailing.
+        // Many writer threads commit at uneven rates, so readers take
+        // snapshots while some committer is between its tick and its
+        // last install.
         for _ in 0..WRITER_THREADS {
             let stm = Arc::clone(&stm);
             let (a, b) = (a.clone(), b.clone());

@@ -38,7 +38,7 @@ const TRANSFERS: usize = 3;
 fn bank_run(seed: u64) -> (Vec<i64>, History) {
     model_support::reset();
     model_support::break_fcw_validation(false);
-    model_support::break_commit_tick_floor(false);
+    model_support::break_tick_under_locks(false);
     let stm = Arc::new(Stm::snapshot().with_history(4096));
     let accounts: Vec<TVar<i64>> = (0..ACCOUNTS).map(|_| TVar::new(BALANCE)).collect();
     let handles: Vec<_> = (0..THREADS)
@@ -120,7 +120,7 @@ fn dst_same_seed_replays_byte_identical() {
 fn stepped_run(seed: u64, record: bool) -> (Vec<i64>, [u64; 3]) {
     model_support::reset();
     model_support::break_fcw_validation(false);
-    model_support::break_commit_tick_floor(false);
+    model_support::break_tick_under_locks(false);
     let stm = if record {
         Stm::snapshot().with_history(4096)
     } else {
@@ -215,7 +215,7 @@ fn dst_skip_fcw_mutation_is_caught_by_the_oracle() {
         let ((total, history), _report) = dst::run_seeded(seed, FaultPlan::default(), move || {
             model_support::reset();
             model_support::break_fcw_validation(true);
-            model_support::break_commit_tick_floor(false);
+            model_support::break_tick_under_locks(false);
             let stm = Arc::new(Stm::snapshot().with_history(4096));
             let counter = TVar::new(0u64);
             let handles: Vec<_> = (0..2)

@@ -192,7 +192,7 @@ fn gc_bounds_spill_growth_under_write_heavy_load() {
             Ok(())
         });
     }
-    // The watermark rescans about every 64 commits; between scans a
+    // The watermark rescans once per 64 commits; between scans a
     // chain can accumulate at most that overhang (plus scan slack).
     // The essential claim: retention is O(rescan interval), not
     // O(commits).
