@@ -251,50 +251,6 @@ impl<T: 'static> VarInner<T> {
             }
         }
     }
-
-    /// Installs `value` at `ts`, then garbage-collects the chain
-    /// against `watermark` — the live-snapshot lower bound from
-    /// `epoch::gc_watermark` — and returns the number of versions
-    /// reclaimed. The caller must hold the commit lock; the new write
-    /// stamp is published into the lock word (still locked) so it
-    /// becomes the validation timestamp the instant the lock is
-    /// released.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ts` is not newer than the newest version or the
-    /// commit lock is not held.
-    pub(crate) fn install(&self, ts: u64, value: T, watermark: u64) -> u64 {
-        // Only the lock holder changes the stamp, so this load is the
-        // current newest timestamp.
-        let locked = self.stamp.load(Ordering::Relaxed);
-        assert!(locked & LOCK_BIT != 0, "install requires the commit lock");
-        let prev_ts = locked >> 1;
-        assert!(ts > prev_ts, "install out of order: {ts} <= {prev_ts}");
-        let word = to_word(&value);
-        let mut chain = lock_versions(&self.chain);
-        // Spill the superseded newest behind the inline slot.
-        let prev = std::mem::replace(&mut chain.newest, value);
-        chain.older.push_back((prev_ts, prev));
-        // Mirror the new value for lock-free readers. `Release` orders
-        // the lock CAS before it: a reader that loads this word then
-        // re-loads a stamp that is locked or newer, never the one it
-        // started from.
-        if let Some(word) = word {
-            self.word.store(word, Ordering::Release);
-        }
-        // Publish the new write stamp while still holding both locks:
-        // validators that acquire the commit lock next see `ts`
-        // immediately, and the chain lock's holders see the stamp and
-        // the inline version change together (`newest_ts_locked`).
-        self.stamp.store((ts << 1) | LOCK_BIT, Ordering::Release);
-        // Trim whatever this install made unreachable.
-        let dropped = chain.trim(ts, watermark);
-        if dropped > 0 {
-            self.retired.fetch_add(dropped, Ordering::Relaxed);
-        }
-        dropped
-    }
 }
 
 /// A transactional variable holding multiversioned values of type `T`.
@@ -515,6 +471,38 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
     }
 }
 
+/// One buffered write's value, type-erased: the [`VarOps::install`]
+/// argument and what a transaction reads back of its own write. An
+/// `i64` or `u64` travels inline as its [`to_word`] encoding, so a
+/// write to a word-sized variable allocates nothing; every other type
+/// is boxed, once per write, as an `Option<T>` that install takes the
+/// value out of: the box is freed with the write set, after the commit
+/// locks are released, not while they are held.
+pub(crate) enum Value {
+    Word(u64),
+    Boxed(Box<dyn Any + Send>),
+}
+
+impl Value {
+    /// Erases `value`: inline when [`to_word`] encodes it, boxed
+    /// otherwise.
+    pub(crate) fn new<T: Send + 'static>(value: T) -> Value {
+        match to_word(&value) {
+            Some(word) => Value::Word(word),
+            None => Value::Boxed(Box::new(Some(value))),
+        }
+    }
+
+    /// A copy of the erased value as a `T`; `None` if it is not one or
+    /// was already installed.
+    pub(crate) fn get<T: Clone + 'static>(&self) -> Option<T> {
+        match self {
+            Value::Word(word) => from_word(*word),
+            Value::Boxed(boxed) => boxed.downcast_ref::<Option<T>>()?.clone(),
+        }
+    }
+}
+
 /// Type-erased per-variable operations used by the commit protocol.
 ///
 /// The locking methods implement the per-variable half of the TL2-style
@@ -522,7 +510,7 @@ impl<T: Clone + Send + Sync + 'static> TVar<T> {
 /// every written *and* validated variable in ascending id order (the
 /// global order that makes concurrent commits deadlock-free), then
 /// [`VarOps::newest_ts`] to validate first-committer-wins, then
-/// [`PendingWrite::install`] for its writes, and finally
+/// [`VarOps::install`] for its writes, and finally
 /// [`VarOps::unlock_commit`] on everything. Transactions with disjoint
 /// lock sets never touch a shared lock.
 pub(crate) trait VarOps: Send + Sync {
@@ -534,6 +522,20 @@ pub(crate) trait VarOps: Send + Sync {
     fn lock_commit(&self);
     /// Releases the commit lock, preserving the write stamp.
     fn unlock_commit(&self);
+    /// Installs `value` at `ts`, then garbage-collects the chain
+    /// against `watermark` — the live-snapshot lower bound from
+    /// `epoch::gc_watermark` — and returns the number of versions
+    /// reclaimed. The caller must hold the commit lock; the new write
+    /// stamp is published into the lock word (still locked) so it
+    /// becomes the validation timestamp the instant the lock is
+    /// released.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ts` is not newer than the newest version, the commit
+    /// lock is not held, or `value` is not of the variable's type or
+    /// was already installed.
+    fn install(&self, ts: u64, value: &mut Value, watermark: u64) -> u64;
 }
 
 impl<T: Clone + Send + Sync + 'static> VarOps for VarInner<T> {
@@ -571,46 +573,44 @@ impl<T: Clone + Send + Sync + 'static> VarOps for VarInner<T> {
         let stamp = self.stamp.load(Ordering::Relaxed);
         self.stamp.store(stamp & !LOCK_BIT, Ordering::Release);
     }
-}
 
-/// One buffered write of a transaction, type-erased: the single heap
-/// allocation a [`crate::Tx::write`] makes. It owns the typed variable
-/// handle and the value, so it can install itself at commit without a
-/// downcast, and it keeps the handle afterwards so the commit can
-/// still release the variable's lock.
-pub(crate) trait PendingWrite: Send {
-    /// The written variable (id, stamp, commit lock).
-    fn var(&self) -> &dyn VarOps;
-    /// The concrete [`Buffered<T>`], for reads of the transaction's
-    /// own write.
-    fn as_any(&self) -> &dyn Any;
-    /// Installs the buffered value at `ts` ([`VarInner::install`]) and
-    /// returns the number of versions reclaimed; a second call
-    /// installs nothing.
-    fn install(&mut self, ts: u64, watermark: u64) -> u64;
-}
-
-/// The concrete [`PendingWrite`] of a `TVar<T>`.
-pub(crate) struct Buffered<T> {
-    pub(crate) var: Arc<VarInner<T>>,
-    /// `None` once installed.
-    pub(crate) value: Option<T>,
-}
-
-impl<T: Clone + Send + Sync + 'static> PendingWrite for Buffered<T> {
-    fn var(&self) -> &dyn VarOps {
-        &*self.var
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn install(&mut self, ts: u64, watermark: u64) -> u64 {
-        match self.value.take() {
-            Some(value) => self.var.install(ts, value, watermark),
-            None => 0,
+    fn install(&self, ts: u64, value: &mut Value, watermark: u64) -> u64 {
+        // Only the lock holder changes the stamp, so this load is the
+        // current newest timestamp.
+        let locked = self.stamp.load(Ordering::Relaxed);
+        assert!(locked & LOCK_BIT != 0, "install requires the commit lock");
+        let prev_ts = locked >> 1;
+        assert!(ts > prev_ts, "install out of order: {ts} <= {prev_ts}");
+        let (value, word) = match value {
+            Value::Word(word) => (from_word::<T>(*word), Some(*word)),
+            Value::Boxed(boxed) => (
+                boxed.downcast_mut::<Option<T>>().and_then(Option::take),
+                None,
+            ),
+        };
+        let value = value.expect("one install per write of a TVar<T>");
+        let mut chain = lock_versions(&self.chain);
+        // Spill the superseded newest behind the inline slot.
+        let prev = std::mem::replace(&mut chain.newest, value);
+        chain.older.push_back((prev_ts, prev));
+        // Mirror the new value for lock-free readers. `Release` orders
+        // the lock CAS before it: a reader that loads this word then
+        // re-loads a stamp that is locked or newer, never the one it
+        // started from.
+        if let Some(word) = word {
+            self.word.store(word, Ordering::Release);
         }
+        // Publish the new write stamp while still holding both locks:
+        // validators that acquire the commit lock next see `ts`
+        // immediately, and the chain lock's holders see the stamp and
+        // the inline version change together (`newest_ts_locked`).
+        self.stamp.store((ts << 1) | LOCK_BIT, Ordering::Release);
+        // Trim whatever this install made unreachable.
+        let dropped = chain.trim(ts, watermark);
+        if dropped > 0 {
+            self.retired.fetch_add(dropped, Ordering::Relaxed);
+        }
+        dropped
     }
 }
 
@@ -627,7 +627,7 @@ mod tests {
         wm: u64,
     ) -> u64 {
         v.inner.lock_commit();
-        let dropped = v.inner.install(ts, value, wm);
+        let dropped = v.inner.install(ts, &mut Value::new(value), wm);
         v.inner.unlock_commit();
         dropped
     }
@@ -747,7 +747,7 @@ mod tests {
         };
         // The reader spins against the held lock; install the pending
         // version, then release — the reader must observe it.
-        v.inner.install(5, installed.clone(), 0);
+        v.inner.install(5, &mut Value::new(installed.clone()), 0);
         std::thread::sleep(std::time::Duration::from_millis(10));
         v.inner.unlock_commit();
         assert_eq!(reader.join().unwrap(), (installed, 5));
@@ -851,6 +851,6 @@ mod tests {
     #[should_panic(expected = "requires the commit lock")]
     fn unlocked_install_panics() {
         let v = TVar::new(0u32);
-        v.inner.install(5, 1u32, 0);
+        v.inner.install(5, &mut Value::new(1u32), 0);
     }
 }

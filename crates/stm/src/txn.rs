@@ -46,7 +46,7 @@ use crate::epoch;
 use crate::error::{Conflict, StmError};
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::Mutex;
-use crate::tvar::{lock_versions, Buffered, PendingWrite, TVar, VarOps};
+use crate::tvar::{lock_versions, TVar, Value, VarOps};
 
 /// Thread-safe collector of finished transaction records plus the
 /// global operation sequence counter, shared by every [`Tx`] an
@@ -159,11 +159,13 @@ impl Drop for TxLog {
 }
 
 /// One entry of a transaction's write set: the written variable's id
-/// (inline, so searching the set touches no other allocation) and the
-/// boxed write itself.
+/// (inline, so searching the set touches no other allocation), its
+/// handle, and the buffered value — inline for an `i64`/`u64`, boxed
+/// otherwise.
 struct WriteEntry {
     id: u64,
-    write: Box<dyn PendingWrite>,
+    var: Arc<dyn VarOps>,
+    value: Value,
 }
 
 /// A variable of a commit's lock set, with its id alongside.
@@ -193,7 +195,7 @@ fn lock_order<'s>(
     validate: &'s [VarRef<'s>],
 ) -> impl Iterator<Item = VarRef<'s>> {
     merge_by_id(
-        writes.iter().map(|w| (w.id, w.write.var())),
+        writes.iter().map(|w| (w.id, &*w.var)),
         validate.iter().copied(),
     )
 }
@@ -237,7 +239,7 @@ impl<'a> CommitLocks<'a> {
     fn install(&mut self, end: u64, watermark: u64) -> u64 {
         self.writes
             .iter_mut()
-            .map(|w| w.write.install(end, watermark))
+            .map(|w| w.var.install(end, &mut w.value, watermark))
             .sum()
     }
 }
@@ -272,11 +274,12 @@ pub enum IsolationLevel {
 /// An in-flight transaction. Obtained from [`crate::Stm::atomically`]
 /// or [`crate::Stm::begin`].
 ///
-/// Reads go to the snapshot drawn at begin; writes are buffered — one
-/// heap allocation each, in a set kept sorted by variable id — and
-/// published together at commit. A `Snapshot`-level transaction that
-/// promotes nothing keeps no other per-access state, and its commit
-/// locks exactly that set, in the order it already lies in.
+/// Reads go to the snapshot drawn at begin; writes are buffered in a
+/// set kept sorted by variable id — an `i64` or `u64` inline, any other
+/// value in one heap allocation — and published together at commit. A
+/// `Snapshot`-level transaction that promotes nothing keeps no other
+/// per-access state, and its commit locks exactly that set, in the
+/// order it already lies in.
 pub struct Tx {
     snapshot: u64,
     level: IsolationLevel,
@@ -308,6 +311,14 @@ impl std::fmt::Debug for Tx {
             .finish_non_exhaustive()
     }
 }
+
+// A serve connection keeps its open `Tx` across requests, and the
+// connection is handed from the accepting thread to a reactor thread:
+// a write set that stopped being `Send` must fail to compile here.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Tx>();
+};
 
 /// Whether the `MUTATE_SKIP_FCW_VALIDATION` mutation knob is on (model
 /// builds only): re-breaks the PR 4 bug class by letting a commit that
@@ -417,7 +428,7 @@ impl Tx {
         // never touched shared state, so it needs no read logging (the
         // write itself is validated at commit, which subsumes any
         // read-set check) and costs no validation work.
-        if let Some(value) = self.buffered(var).cloned() {
+        if let Some(value) = self.buffered(var) {
             if let Some(log) = &mut self.log {
                 let observed = None; // served from the write buffer
                 log.op(
@@ -457,25 +468,28 @@ impl Tx {
             log.op(OpKind::Write { line: var.id() }, var.label());
         }
         let id = var.id();
-        let write: Box<dyn PendingWrite> = Box::new(Buffered {
-            var: Arc::clone(&var.inner),
-            value: Some(value),
-        });
+        let value = Value::new(value);
+        let entry = |value| WriteEntry {
+            id,
+            var: var.inner.clone(),
+            value,
+        };
         // Keep the set ascending by id: most bodies write in ascending
         // order anyway, so try the end first. A second write to one
         // variable replaces the first in place.
         if self.writes.last().is_none_or(|last| last.id < id) {
-            self.writes.push(WriteEntry { id, write });
+            self.writes.push(entry(value));
         } else {
             match self.writes.binary_search_by_key(&id, |w| w.id) {
-                Ok(at) => self.writes[at].write = write,
-                Err(at) => self.writes.insert(at, WriteEntry { id, write }),
+                Ok(at) => self.writes[at].value = value,
+                Err(at) => self.writes.insert(at, entry(value)),
             }
         }
     }
 
-    /// This transaction's buffered value for `var`, if it wrote one.
-    fn buffered<T: Clone + Send + Sync + 'static>(&self, var: &TVar<T>) -> Option<&T> {
+    /// A copy of this transaction's buffered value for `var`, if it
+    /// wrote one.
+    fn buffered<T: Clone + Send + Sync + 'static>(&self, var: &TVar<T>) -> Option<T> {
         let id = var.id();
         if self.writes.last().is_none_or(|last| last.id < id) {
             // Nothing written (every read of a read-only transaction),
@@ -483,11 +497,8 @@ impl Tx {
             return None;
         }
         let at = self.writes.binary_search_by_key(&id, |w| w.id).ok()?;
-        let write = self.writes[at].write.as_any().downcast_ref::<Buffered<T>>();
-        write
-            .expect("a variable id names one TVar<T>")
-            .value
-            .as_ref()
+        let value = self.writes[at].value.get();
+        Some(value.expect("a variable id names one TVar<T>"))
     }
 
     /// Promotes a read: the variable is validated at commit as if
@@ -564,7 +575,7 @@ impl Tx {
         // stamps, so a concurrent commit can neither slip a version in
         // under us nor observe ours until we release.
         for w in locks.writes.iter() {
-            let newest = w.write.var().newest_ts();
+            let newest = w.var.newest_ts();
             if newest > self.snapshot && !mutate_skip_fcw() {
                 // First-committer-wins: the winner's install stamped
                 // `newest`, which names it for forensics.
@@ -835,21 +846,26 @@ mod tests {
         assert_unlocked(&vars);
     }
 
-    #[test]
-    fn a_second_write_replaces_the_first_and_installs_one_version() {
-        let low = TVar::new(0u32);
-        let var = TVar::new(0u32);
-        let high = TVar::new(0u32);
+    /// Writes `var` twice between writes to a lower and a higher
+    /// variable: the set keeps one entry for it, a self-read sees the
+    /// second value, and the commit installs one version.
+    fn second_write_replaces_the_first<T>(first: T, second: T)
+    where
+        T: Clone + Send + Sync + PartialEq + std::fmt::Debug + 'static,
+    {
+        let low = TVar::new(first.clone());
+        let var = TVar::new(first.clone());
+        let high = TVar::new(first.clone());
         let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
-        tx.write(&high, 1);
-        tx.write(&var, 1);
-        tx.write(&low, 1);
-        tx.write(&var, 2);
+        tx.write(&high, first.clone());
+        tx.write(&var, first.clone());
+        tx.write(&low, first);
+        tx.write(&var, second.clone());
         assert_eq!(write_ids(&tx), [low.id(), var.id(), high.id()]);
-        assert_eq!(tx.read(&var).unwrap(), 2);
+        assert_eq!(tx.read(&var).unwrap(), second);
         let before = var.version_count() as u64 + var.retired_total();
         tx.commit().unwrap();
-        assert_eq!(var.load(), 2);
+        assert_eq!(var.load(), second);
         assert_eq!(
             var.version_count() as u64 + var.retired_total(),
             before + 1,
@@ -858,16 +874,79 @@ mod tests {
     }
 
     #[test]
-    fn self_reads_of_two_value_types() {
-        let count = TVar::new(1u64);
-        let name = TVar::new(String::from("old"));
+    fn a_second_write_replaces_the_first_and_installs_one_version() {
+        // `u32` is buffered boxed, `i64` inline.
+        second_write_replaces_the_first(1u32, 2);
+        second_write_replaces_the_first(1i64, -2);
+    }
+
+    #[test]
+    fn inline_writes_round_trip_the_word_extremes() {
+        let signed = TVar::new(0i64);
+        let unsigned = TVar::new(0u64);
+        for (s, u) in [(i64::MIN, u64::MAX), (-1, 1), (i64::MAX, u64::MAX - 1)] {
+            let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+            tx.write(&signed, s);
+            tx.write(&unsigned, u);
+            assert_eq!(
+                (tx.read(&signed).unwrap(), tx.read(&unsigned).unwrap()),
+                (s, u)
+            );
+            tx.commit().unwrap();
+            assert_eq!((signed.load(), unsigned.load()), (s, u));
+        }
+    }
+
+    #[test]
+    fn inline_and_boxed_writes_share_one_lock_pass_and_one_timestamp() {
+        let a = TVar::new(0i64);
+        let b = TVar::new(0u64);
+        let c = TVar::new(None::<i64>);
+        let d = TVar::new(String::new());
+        let ascending = vec![a.id(), b.id(), c.id(), d.id()];
         let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
-        tx.write(&name, String::from("new"));
-        tx.write(&count, 2);
-        assert_eq!(tx.read(&name).unwrap(), "new");
-        assert_eq!(tx.read(&count).unwrap(), 2);
-        tx.commit().unwrap();
-        assert_eq!((count.load(), name.load()), (2, String::from("new")));
+        // Descending: every write after the first is an insert.
+        tx.write(&d, String::from("d"));
+        tx.write(&c, Some(-3));
+        tx.write(&b, u64::MAX);
+        tx.write(&a, i64::MIN);
+        assert_eq!(write_ids(&tx), ascending);
+        assert_eq!(tx.read(&a).unwrap(), i64::MIN);
+        assert_eq!(tx.read(&b).unwrap(), u64::MAX);
+        assert_eq!(tx.read(&c).unwrap(), Some(-3));
+        assert_eq!(tx.read(&d).unwrap(), "d");
+        let end = tx.commit().unwrap().end.expect("a writer takes a tick");
+        assert_eq!(
+            [
+                a.inner.newest_ts(),
+                b.inner.newest_ts(),
+                c.inner.newest_ts(),
+                d.inner.newest_ts()
+            ],
+            [end; 4]
+        );
+        assert_eq!(
+            (a.load(), b.load(), c.load(), d.load()),
+            (i64::MIN, u64::MAX, Some(-3), String::from("d"))
+        );
+    }
+
+    #[test]
+    fn a_tx_with_inline_writes_commits_on_another_thread() {
+        let (a, b) = (TVar::new(10i64), TVar::new(10i64));
+        let mut tx = Tx::begin(IsolationLevel::Snapshot, None);
+        tx.write(&a, 9);
+        tx.write(&b, 11);
+        let end = std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(tx.read(&a).unwrap() + tx.read(&b).unwrap(), 20);
+                tx.commit().unwrap().end
+            })
+            .join()
+            .expect("committing thread")
+        });
+        assert!(end.is_some());
+        assert_eq!((a.load(), b.load()), (9, 11));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Heap allocations on the per-transaction path, counted.
 //!
-//! A transaction's write set is one `Vec` plus one boxed entry per
-//! buffered write; nothing else on begin / read / write / commit
-//! allocates once the written chains have their spill capacity. This
-//! binary installs a counting global allocator (counts are per thread,
-//! so the harness's own threads do not disturb them) and holds the
-//! commit path to that budget.
+//! A transaction's write set is one `Vec`. A write to an `i64` or
+//! `u64` variable is buffered inline in it; a write of any other type
+//! adds one box. Under `Serializable` the read log adds its map.
+//! Nothing else on begin / read / write / commit allocates once the
+//! written chains have their spill capacity. This binary installs a
+//! counting global allocator (counts are per thread, so the harness's
+//! own threads do not disturb them) and holds the commit path to that
+//! budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -53,21 +55,47 @@ fn allocations_in(work: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-#[test]
-fn a_two_write_transfer_allocates_three_times_and_an_audit_never() {
-    const TXNS: u64 = 256;
-    let stm = Stm::snapshot();
-    let (a, b) = (TVar::new(1_000i64), TVar::new(1_000i64));
+/// An account balance of the value type under test.
+trait Balance: Clone + Send + Sync + 'static {
+    fn of(v: i64) -> Self;
+    fn get(&self) -> i64;
+}
+
+impl Balance for i64 {
+    fn of(v: i64) -> Self {
+        v
+    }
+    fn get(&self) -> i64 {
+        *self
+    }
+}
+
+/// Serve's value type: not word-sized, so its writes are boxed.
+impl Balance for Option<i64> {
+    fn of(v: i64) -> Self {
+        Some(v)
+    }
+    fn get(&self) -> i64 {
+        self.expect("funded")
+    }
+}
+
+const TXNS: u64 = 256;
+
+/// Allocations made by `TXNS` two-write transfers and by `TXNS`
+/// two-read audits on two fresh accounts of type `B`, after warm-up.
+fn transfers_and_audits<B: Balance>(stm: &Stm) -> (u64, u64) {
+    let (a, b) = (TVar::new(B::of(1_000)), TVar::new(B::of(1_000)));
     let transfer = || {
         stm.atomically(|tx| {
-            let (va, vb) = (tx.read(&a)?, tx.read(&b)?);
-            tx.write(&a, va - 1);
-            tx.write(&b, vb + 1);
+            let (va, vb) = (tx.read(&a)?.get(), tx.read(&b)?.get());
+            tx.write(&a, B::of(va - 1));
+            tx.write(&b, B::of(vb + 1));
             Ok(())
         });
     };
     let audit = || {
-        let total = stm.atomically(|tx| Ok(tx.read(&a)? + tx.read(&b)?));
+        let total = stm.atomically(|tx| Ok(tx.read(&a)?.get() + tx.read(&b)?.get()));
         assert_eq!(total, 2_000);
     };
     // The watermark is rescanned once per 64 commits, so a chain
@@ -77,9 +105,25 @@ fn a_two_write_transfer_allocates_three_times_and_an_audit_never() {
         transfer();
     }
     audit();
+    (
+        allocations_in(|| (0..TXNS).for_each(|_| transfer())),
+        allocations_in(|| (0..TXNS).for_each(|_| audit())),
+    )
+}
 
-    // The write set's `Vec` and one box per buffered write.
-    let transfers = allocations_in(|| (0..TXNS).for_each(|_| transfer()));
-    assert_eq!(transfers, 3 * TXNS);
-    assert_eq!(allocations_in(|| (0..TXNS).for_each(|_| audit())), 0);
+#[test]
+fn a_word_transfer_allocates_once_a_boxed_one_three_times_and_a_snapshot_audit_never() {
+    // One test, so no other test's live snapshot holds the watermark
+    // back while the chains are at their warmed-up capacity.
+    let snapshot = Stm::snapshot();
+    // The write set's `Vec`; both writes are inline.
+    assert_eq!(transfers_and_audits::<i64>(&snapshot), (TXNS, 0));
+    // The `Vec` and one box per buffered write.
+    assert_eq!(
+        transfers_and_audits::<Option<i64>>(&snapshot),
+        (3 * TXNS, 0)
+    );
+    // The read log's map adds one node to each transaction.
+    let serializable = Stm::serializable();
+    assert_eq!(transfers_and_audits::<i64>(&serializable), (2 * TXNS, TXNS));
 }
