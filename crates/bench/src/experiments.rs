@@ -6,19 +6,26 @@
 //! for byte; `tests/pinned_results.rs` checks every row), and the `bench`
 //! field of its JSONL reports.
 
+use std::sync::Mutex;
 use std::time::Instant;
 
+use sitm_check::{check, Discipline};
 use sitm_core::SiTmConfig;
 use sitm_mvm::{Addr, MvmStore, OverflowPolicy, OverheadModel, VersionDepthCensus};
-use sitm_obs::{MetricsRegistry, Observable, RunReport, SmallRng};
+use sitm_obs::{
+    ForensicCause, ForensicsSnapshot, MetricsRegistry, Observable, OpKind, RunReport, SmallRng,
+    TxnRecord,
+};
 use sitm_sim::{
     AbortCause, MachineConfig, RunStats, ThreadWorkload, TmProtocol, TxProgram, Workload,
 };
+use sitm_stm::IsolationLevel;
 use sitm_workloads::{all_workloads, microbenchmarks, Diverged, LogicTx, TxLogic, TxMemory};
 
+use crate::stm_driver::run_on_stm;
 use crate::{
     fmt_ratio, machine, report_from_grid, report_from_stats, run_grid, run_once, run_si_tm,
-    Console, GridOutcome, GridPoint, HarnessOpts, Protocol, ReportSink, SweepRunner,
+    seed_for, Console, GridOutcome, GridPoint, HarnessOpts, Protocol, ReportSink, SweepRunner,
 };
 
 /// What the driver hands every experiment: the parsed flags and the
@@ -35,6 +42,19 @@ pub struct Ctx {
     pub sink: ReportSink,
     /// Prints the table.
     pub con: Console,
+    /// The gate failures the experiment found. The driver prints them
+    /// and exits 1 once the reports are written.
+    pub failures: Mutex<Vec<String>>,
+}
+
+impl Ctx {
+    /// Records a gate failure (see [`Ctx::failures`]).
+    fn fail(&self, failure: String) {
+        self.failures
+            .lock()
+            .expect("no experiment panics while logging a failure")
+            .push(failure);
+    }
 }
 
 /// One experiment: prints its table, pushes its reports, and returns the
@@ -44,7 +64,7 @@ pub struct Ctx {
 pub type Experiment = fn(&Ctx) -> Option<(usize, f64)>;
 
 /// Every experiment, in the paper's order.
-pub const EXPERIMENTS: [(&str, Experiment); 11] = [
+pub const EXPERIMENTS: [(&str, Experiment); 12] = [
     ("table1_config", table1_config),
     ("fig1_aborts", fig1_aborts),
     ("fig7_abort_rates", fig7_abort_rates),
@@ -56,6 +76,7 @@ pub const EXPERIMENTS: [(&str, Experiment); 11] = [
     ("ablate_backoff", ablate_backoff),
     ("ablate_granularity", ablate_granularity),
     ("ablate_ssi", ablate_ssi),
+    ("stm_abort_rates", stm_abort_rates),
 ];
 
 /// The workloads' names, in order.
@@ -702,6 +723,157 @@ fn ablate_ssi(ctx: &Ctx) -> Option<(usize, f64)> {
     con.line("needed) for the extra aborts shown; read-only transactions still");
     con.line("commit unconditionally under both.");
     Some(sweep)
+}
+
+/// The paper's three claims on real threads: every registry workload
+/// runs on the software STM ([`crate::stm_driver`]) at both isolation
+/// levels and 2, 4 and 8 threads, each seed's history recorded,
+/// certified by `sitm-check` (Snapshot under snapshot isolation,
+/// Serializable under serializable SI) and folded by
+/// [`ForensicsSnapshot::from_history`].
+///
+/// Each row prints commits, the read-only ones among them, aborts per
+/// commit in total and by cause, the read-only transactions' aborts and
+/// how many histories certified. A read-only abort or a rejected
+/// history is a gate failure, and a program that restarts panics: a
+/// snapshot cannot diverge. The runs go one at a time whatever `--jobs`
+/// says (the sweep record only echoes it), each owning the host's
+/// cores, and the abort counts depend on the host:
+/// `results/stm_abort_rates.txt` is gated by shape.
+fn stm_abort_rates(ctx: &Ctx) -> Option<(usize, f64)> {
+    const THREADS: [usize; 3] = [2, 4, 8];
+    const LEVELS: [(IsolationLevel, &str, Discipline); 2] = [
+        (
+            IsolationLevel::Snapshot,
+            "Snapshot",
+            Discipline::SnapshotIsolation,
+        ),
+        (
+            IsolationLevel::Serializable,
+            "Serializable",
+            Discipline::SerializableSnapshot,
+        ),
+    ];
+    let (con, scale, seeds) = (&ctx.con, ctx.opts.scale, ctx.opts.seeds);
+    let threads = ctx.opts.threads.map_or(THREADS.to_vec(), |n| vec![n]);
+    con.line("Real threads: the paper's workloads on the software STM (sitm-stm)");
+    con.line(format!(
+        "per row: {seeds} seed(s); ro = read-only (no write, no promotion);"
+    ));
+    con.line("/c = aborts per commit; certified = histories the oracle accepts");
+    con.blank();
+
+    let sweep = Instant::now();
+    let names = names(all_workloads(scale));
+    let mut runs = 0;
+    for (index, name) in names.iter().enumerate() {
+        con.line(format!("== {name} =="));
+        con.row(
+            "level",
+            &[
+                "threads",
+                "commits",
+                "ro commits",
+                "aborts/c",
+                "ww/c",
+                "rv/c",
+                "ro aborts",
+                "certified",
+            ]
+            .map(String::from),
+        );
+        for &(level, label, discipline) in &LEVELS {
+            for &t in &threads {
+                let (mut commits, mut ro_commits, mut ro_aborts, mut certified) = (0, 0, 0, 0);
+                let mut folded = ForensicsSnapshot::default();
+                let mut wall_ms = 0.0;
+                for s in 0..seeds {
+                    let mut workloads = all_workloads(scale);
+                    let run = run_on_stm(workloads[index].as_mut(), level, t, seed_for(s));
+                    runs += 1;
+                    wall_ms += run.wall_ms;
+                    let history = &run.history;
+                    folded.merge(&ForensicsSnapshot::from_history(history));
+                    for record in history.records() {
+                        match (record.committed(), is_read_only(record)) {
+                            (true, ro) => {
+                                commits += 1;
+                                ro_commits += u64::from(ro);
+                            }
+                            (false, true) => ro_aborts += 1,
+                            (false, false) => {}
+                        }
+                    }
+                    let report = check(discipline, history);
+                    if report.is_ok() {
+                        certified += 1;
+                    } else {
+                        ctx.fail(format!("{name} {label} {t}T seed {s}: {report}"));
+                    }
+                }
+                if ro_aborts > 0 {
+                    ctx.fail(format!(
+                        "{name} {label} {t}T: {ro_aborts} read-only transaction(s) aborted"
+                    ));
+                }
+                let per_commit = |n: u64| format!("{:.4}", n as f64 / commits.max(1) as f64);
+                con.row(
+                    label,
+                    &[
+                        t.to_string(),
+                        commits.to_string(),
+                        ro_commits.to_string(),
+                        per_commit(folded.total),
+                        per_commit(folded.count(ForensicCause::WriteWriteFcw)),
+                        per_commit(folded.count(ForensicCause::ReadValidation)),
+                        ro_aborts.to_string(),
+                        format!("{certified}/{seeds}"),
+                    ],
+                );
+
+                let mut report = RunReport::new(ctx.name, label, name);
+                report.threads = t as u64;
+                report.seeds = seeds;
+                report.commits = commits;
+                for cause in ForensicCause::ALL {
+                    let n = folded.count(cause);
+                    if n > 0 {
+                        report.aborts.insert(cause.label().to_string(), n);
+                    }
+                }
+                report.abort_rate = folded.total as f64 / (commits + folded.total).max(1) as f64;
+                for (key, value) in [
+                    ("ro_commits", ro_commits as f64),
+                    ("ro_aborts", ro_aborts as f64),
+                    ("certified", certified as f64),
+                    ("wall_ms", wall_ms),
+                ] {
+                    report.extra.insert(key.into(), value);
+                }
+                ctx.sink.push(&report);
+            }
+        }
+        con.blank();
+    }
+    let wall_ms = sweep.elapsed().as_secs_f64() * 1e3;
+    con.line("paper expectation: ro aborts 0 in every row, since a read-only");
+    con.line("transaction commits at its snapshot; under Snapshot, rv/c counts only");
+    con.line("promoted reads (rbtree's updates), never a plain read.");
+    con.line(format!(
+        "wall time: {:.1} s for {runs} runs, one at a time",
+        wall_ms / 1e3
+    ));
+    Some((runs, wall_ms))
+}
+
+/// Whether a recorded attempt neither wrote nor promoted anything: a
+/// read-only transaction, which commits at its snapshot at both
+/// isolation levels and so must never abort.
+fn is_read_only(record: &TxnRecord) -> bool {
+    record
+        .ops
+        .iter()
+        .all(|op| matches!(op.kind, OpKind::Read { .. }))
 }
 
 /// Thread 0 runs a handful of very long scans over a cold region (each

@@ -2,9 +2,9 @@
 //!
 //! One binary, `sitm-bench <experiment>`, regenerates every table and
 //! figure; [`experiments::EXPERIMENTS`] is the list (see `EXPERIMENTS.md`
-//! at the repository root for paper-vs-measured results). Four more
-//! binaries stand apart: `abort_forensics`, `check_fuzz`, `stm_scaling`
-//! and `sitm_report`.
+//! at the repository root for paper-vs-measured results). Three more
+//! binaries stand apart: `abort_forensics`, `check_fuzz` and
+//! `sitm_report`.
 //!
 //! This library holds the shared runner: protocol dispatch, seed
 //! averaging, plain-text table formatting, and the **parallel sweep
@@ -16,6 +16,9 @@
 //! Results are collected in cell order and all randomness is per-cell
 //! seeded, so tables and `--json` output are byte-identical regardless
 //! of job count (wall-clock fields excepted).
+//!
+//! [`stm_driver`] runs the same workloads on real threads over the
+//! software STM, for the `stm_abort_rates` row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +35,7 @@ use sitm_sim::{AbortCause, Engine, MachineConfig, RunStats, Workload};
 use sitm_workloads::{all_workloads, Scale};
 
 pub mod experiments;
+pub mod stm_driver;
 
 /// The protocols compared in the evaluation (the paper's three, plus
 /// SSI-TM from section 5.2 as an extension).
@@ -442,8 +446,9 @@ pub struct HarnessOpts {
     pub scale: Scale,
     /// Seeds averaged per data point.
     pub seeds: u64,
-    /// Simulated-core override (`--threads N`); binaries fall back to
-    /// their experiment's default via [`HarnessOpts::threads_or`].
+    /// Simulated-core override (`--threads N`; the real thread count
+    /// for `stm_abort_rates`); binaries fall back to their experiment's
+    /// default via [`HarnessOpts::threads_or`].
     pub threads: Option<usize>,
     /// JSONL output path (`--json PATH`, `-` for stdout); see
     /// [`ReportSink`].
@@ -493,7 +498,7 @@ pub fn usage_error(msg: impl std::fmt::Display) -> ! {
 }
 
 /// The value following `flag`, parsed as a positive integer.
-pub fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
+fn positive(flag: &str, value: Option<&String>) -> Result<usize, String> {
     let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
     match value.parse() {
         Ok(n) if n > 0 => Ok(n),

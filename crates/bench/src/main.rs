@@ -39,6 +39,7 @@ fn main() {
         runner: SweepRunner::from_opts(&opts),
         sink: ReportSink::new(&opts),
         con: Console::new(&opts),
+        failures: Default::default(),
         opts,
     };
     if let Some((cells, wall_ms)) = experiment(&ctx) {
@@ -46,4 +47,14 @@ fn main() {
             .push(&sweep_summary(name, &ctx.runner, cells, wall_ms));
     }
     ctx.sink.finish();
+    let failures = ctx
+        .failures
+        .into_inner()
+        .expect("no experiment panics while logging a failure");
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("GATE FAILED: {failure}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -59,7 +59,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod collections;
 mod epoch;
 mod error;
 mod stm;
@@ -73,7 +72,6 @@ pub mod model_support;
 #[cfg(all(loom, test))]
 mod models;
 
-pub use collections::{TCounter, THashMap, TList};
 pub use epoch::{live_snapshots, refresh_watermark, watermark};
 pub use error::{Conflict, StmError};
 pub use stm::{Stm, StmStats};

@@ -4,16 +4,17 @@
 //! money-conservation under concurrent transfers with read-only
 //! auditors (who must never abort under snapshot isolation), the
 //! write-skew anomaly admitted by SI and rejected by serializable
-//! validation or read promotion, the transactional collections under
-//! structural contention, exactly-once effects,
-//! and two isolation levels sharing variables.
+//! validation or read promotion, exactly-once effects, and two
+//! isolation levels sharing variables. The registry workloads, the
+//! paper's list with its Listing 2 fix among them, run on real threads
+//! through `sitm-bench`'s STM driver.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
 use std::thread;
 
 use sitm_obs::{run_seeded_cases, test_cases, SmallRng, CASES_ENV};
-use sitm_stm::{Conflict, Stm, THashMap, TList, TVar};
+use sitm_stm::{Conflict, Stm, TVar};
 
 /// Per-thread operation count for the stress tests: the default,
 /// scaled by `SITM_PROPTEST_CASES` (relative to its own default of
@@ -235,85 +236,6 @@ fn write_skew_is_rejected_by_read_promotion_under_snapshot() {
     let commits = outcomes.iter().filter(|o| o.is_ok()).count();
     assert_eq!(commits, 1, "promotion makes the cross-reads conflict");
     assert!(x + y >= 0, "the invariant survives: x={x} y={y}");
-}
-
-#[test]
-fn thashmap_concurrent_increments_lose_no_updates() {
-    const KEYS: u64 = 16;
-    const THREADS: usize = 4;
-    const PER_THREAD: usize = 200;
-
-    run_seeded_cases(2, 0x4A5, |_, rng| {
-        let salt = rng.next_u64();
-        let stm = Arc::new(Stm::snapshot());
-        let map: Arc<THashMap<u64>> = Arc::new(THashMap::new(8));
-
-        thread::scope(|s| {
-            for t in 0..THREADS {
-                let stm = Arc::clone(&stm);
-                let map = Arc::clone(&map);
-                s.spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(
-                        salt ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    );
-                    for _ in 0..PER_THREAD {
-                        let key = rng.gen_range(0..KEYS);
-                        stm.atomically(|tx| {
-                            let current = map.get(tx, key)?.unwrap_or(0);
-                            map.insert(tx, key, current + 1)?;
-                            Ok(())
-                        });
-                    }
-                });
-            }
-        });
-
-        let total: u64 =
-            stm.atomically(|tx| Ok(map.entries(tx)?.into_iter().map(|(_, v)| v).sum()));
-        assert_eq!(
-            total,
-            (THREADS * PER_THREAD) as u64,
-            "read-modify-write increments must serialize via write-write conflicts"
-        );
-    });
-}
-
-#[test]
-fn tlist_survives_adjacent_structural_churn() {
-    const THREADS: u64 = 4;
-    const SPAN: u64 = 64;
-    let rounds = ops(8);
-
-    let stm = Arc::new(Stm::snapshot());
-    let list = TList::new();
-
-    // Thread t owns the keys congruent to t mod THREADS, so every
-    // structural neighbour of a key belongs to a different thread and
-    // adjacent insert/remove pairs constantly interleave — the exact
-    // shape of the paper's Listing 2 anomaly.
-    thread::scope(|s| {
-        for t in 0..THREADS {
-            let stm = Arc::clone(&stm);
-            let list = list.clone();
-            s.spawn(move || {
-                for _ in 0..rounds {
-                    for key in (t..SPAN).step_by(THREADS as usize) {
-                        stm.atomically(|tx| list.insert(tx, key).map(|_| ()));
-                    }
-                    for key in (t..SPAN).step_by(THREADS as usize) {
-                        assert!(stm.atomically(|tx| list.remove(tx, key)));
-                    }
-                }
-            });
-        }
-    });
-
-    let (contents, len) = stm.atomically(|tx| Ok((list.to_vec(tx)?, list.len(tx)?)));
-    assert!(
-        contents.is_empty(),
-        "all inserted keys were removed: {contents:?}"
-    );
-    assert_eq!(len, 0);
 }
 
 /// The folded `StmStats` getters as `export_metrics` must name them.

@@ -1,11 +1,15 @@
 //! Kernel-specific correctness invariants, checked on the committed
-//! memory image after full engine runs under every protocol. These are
-//! the semantic guarantees concurrency must not break — complementary
-//! to the abort/throughput measurements of the figure harnesses.
+//! memory image after full engine runs under every protocol, and after
+//! real-thread runs on the software STM at both isolation levels (its
+//! final `TVar` image written back into an `MvmStore`). These are the
+//! semantic guarantees concurrency must not break — complementary to
+//! the abort/throughput measurements of the figure harnesses.
 
+use sitm_bench::stm_driver::run_on_stm;
 use sitm_core::{SiTm, Sontm, SsiTm, TwoPl};
 use sitm_mvm::{MvmStore, Word, WORDS_PER_LINE};
-use sitm_sim::{Engine, MachineConfig, RunStats, TmProtocol, Workload};
+use sitm_sim::{Engine, MachineConfig, TmProtocol, Workload};
+use sitm_stm::IsolationLevel;
 use sitm_workloads::stamp::{
     GenomeParams, GenomeWorkload, IntruderParams, IntruderWorkload, LabyrinthParams,
     LabyrinthWorkload, Ssca2Params, Ssca2Workload,
@@ -17,11 +21,14 @@ fn machine(cores: usize) -> MachineConfig {
     cfg
 }
 
+/// Runs a fresh workload from `make` under each simulated protocol and
+/// on `cores` real threads over the STM at both isolation levels, and
+/// hands `check` each run's name, commit count and final memory.
 fn run_all_protocols(
     make: impl Fn() -> Box<dyn Workload>,
     cores: usize,
     seed: u64,
-    check: impl Fn(usize, &RunStats, &MvmStore, &dyn Workload),
+    check: impl Fn(&str, u64, &MvmStore),
 ) {
     let cfg = machine(cores);
     for p in 0..4usize {
@@ -44,8 +51,16 @@ fn run_all_protocols(
                 (s, pr.store().clone())
             }
         };
-        assert!(!stats.truncated, "protocol {p}: {}", stats.summary());
-        check(p, &stats, &store, w.as_ref());
+        assert!(!stats.truncated, "{}: {}", stats.protocol, stats.summary());
+        check(&stats.protocol, stats.commits(), &store);
+    }
+    for (level, name) in [
+        (IsolationLevel::Snapshot, "STM Snapshot"),
+        (IsolationLevel::Serializable, "STM Serializable"),
+    ] {
+        let run = run_on_stm(make().as_mut(), level, cores, seed);
+        let commits = run.history.committed().count() as u64;
+        check(name, commits, &run.memory.to_store());
     }
 }
 
@@ -59,20 +74,14 @@ fn genome_never_duplicates_segments() {
         move || Box::new(GenomeWorkload::new(params)),
         8,
         17,
-        move |p, _stats, store, _w| {
+        move |p, _commits, store| {
             // Slots start at line 0 (first allocation of setup).
             let mut seen = std::collections::HashSet::new();
             for slot in 0..params.table_slots {
                 let v = store.read_word(sitm_mvm::Addr((slot as u64) * WORDS_PER_LINE as u64));
                 if v != 0 {
-                    assert!(
-                        v <= params.segments as Word,
-                        "protocol {p}: slot holds garbage {v}"
-                    );
-                    assert!(
-                        seen.insert(v),
-                        "protocol {p}: segment {v} occupies two slots"
-                    );
+                    assert!(v <= params.segments as Word, "{p}: slot holds garbage {v}");
+                    assert!(seen.insert(v), "{p}: segment {v} occupies two slots");
                 }
             }
         },
@@ -88,13 +97,9 @@ fn ssca2_degree_equals_commits() {
         move || Box::new(Ssca2Workload::new(params)),
         8,
         23,
-        move |p, stats, store, _w| {
+        move |p, commits, store| {
             let total = Ssca2Workload::total_degree(store, 0, params.nodes);
-            assert_eq!(
-                total,
-                stats.commits(),
-                "protocol {p}: lost or doubled edge insertions"
-            );
+            assert_eq!(total, commits, "{p}: lost or doubled edge insertions");
         },
     );
 }
@@ -109,13 +114,13 @@ fn intruder_flow_lists_stay_consistent() {
         move || Box::new(IntruderWorkload::new(params)),
         8,
         29,
-        move |p, _stats, store, _w| {
+        move |p, _commits, store| {
             // Flow heads occupy lines 1..=flows (line 0 is the queue).
             for head in 1..=params.flows as u64 {
                 let values = sitm_workloads::ListWorkload::snapshot_values(store, head);
                 assert!(
                     values.windows(2).all(|w| w[0] < w[1]),
-                    "protocol {p}: flow list {head} corrupt: {values:?}"
+                    "{p}: flow list {head} corrupt: {values:?}"
                 );
             }
         },
@@ -132,7 +137,7 @@ fn labyrinth_claims_are_all_or_nothing_per_route() {
         move || Box::new(LabyrinthWorkload::new(params)),
         4,
         31,
-        move |p, _stats, store, _w| {
+        move |p, _commits, store| {
             let cells = (params.side * params.side * params.side) as u64;
             let mut claims: std::collections::HashMap<Word, u64> = std::collections::HashMap::new();
             for c in 0..cells {
@@ -142,12 +147,12 @@ fn labyrinth_claims_are_all_or_nothing_per_route() {
                 }
             }
             for (route, count) in claims {
-                assert!(count >= 1, "protocol {p}: route {route} claimed no cells");
+                assert!(count >= 1, "{p}: route {route} claimed no cells");
                 // A rectilinear path in an 8^3 grid spans at most
                 // 3*(side-1)+1 cells.
                 assert!(
                     count <= (3 * (params.side as u64 - 1) + 1),
-                    "protocol {p}: route {route} claimed {count} cells — \
+                    "{p}: route {route} claimed {count} cells — \
                      more than any single path"
                 );
             }
