@@ -12,6 +12,7 @@ use std::time::Instant;
 use sitm_check::{check, Discipline};
 use sitm_core::SiTmConfig;
 use sitm_mvm::{Addr, MvmStore, OverflowPolicy, OverheadModel, VersionDepthCensus};
+use sitm_obs::history::DEFAULT_HISTORY_CAPACITY;
 use sitm_obs::{
     ForensicCause, ForensicsSnapshot, MetricsRegistry, Observable, OpKind, RunReport, SmallRng,
     TxnRecord,
@@ -22,10 +23,10 @@ use sitm_sim::{
 use sitm_stm::IsolationLevel;
 use sitm_workloads::{all_workloads, microbenchmarks, Diverged, LogicTx, TxLogic, TxMemory};
 
-use crate::stm_driver::run_on_stm;
 use crate::{
-    fmt_ratio, machine, report_from_grid, report_from_stats, run_grid, run_once, run_si_tm,
-    seed_for, Console, GridOutcome, GridPoint, HarnessOpts, Protocol, ReportSink, SweepRunner,
+    fmt_ratio, machine, report_from_grid, report_from_stats, run_grid, run_once,
+    run_once_with_history, run_si_tm, seed_for, Cell, Console, GridOutcome, GridPoint, HarnessOpts,
+    Protocol, ReportSink, SweepRunner,
 };
 
 /// What the driver hands every experiment: the parsed flags and the
@@ -725,23 +726,21 @@ fn ablate_ssi(ctx: &Ctx) -> Option<(usize, f64)> {
     Some(sweep)
 }
 
-/// The paper's three claims on real threads: every registry workload
-/// runs on the software STM ([`crate::stm_driver`]) at both isolation
-/// levels and 2, 4 and 8 threads, each seed's history recorded,
-/// certified by `sitm-check` (Snapshot under snapshot isolation,
-/// Serializable under serializable SI) and folded by
+/// The paper's three claims on the software STM: every registry
+/// workload runs under the engine's schedules through
+/// [`crate::stm_driver::StmProtocol`], at both isolation levels and
+/// Figure 7's 8, 16 and 32 simulated threads. Each seed's history is the
+/// STM's own record, certified by `sitm-check` (Snapshot under snapshot
+/// isolation, Serializable under serializable SI) and folded by
 /// [`ForensicsSnapshot::from_history`].
 ///
 /// Each row prints commits, the read-only ones among them, aborts per
 /// commit in total and by cause, the read-only transactions' aborts and
-/// how many histories certified. A read-only abort or a rejected
-/// history is a gate failure, and a program that restarts panics: a
-/// snapshot cannot diverge. The runs go one at a time whatever `--jobs`
-/// says (the sweep record only echoes it), each owning the host's
-/// cores, and the abort counts depend on the host:
-/// `results/stm_abort_rates.txt` is gated by shape.
+/// how many histories certified. A read-only abort, an `inconsistent`
+/// abort (a program restarted, which a snapshot cannot make it do), a
+/// dropped history record or a rejected history is a gate failure.
 fn stm_abort_rates(ctx: &Ctx) -> Option<(usize, f64)> {
-    const THREADS: [usize; 3] = [2, 4, 8];
+    const THREADS: [usize; 3] = [8, 16, 32];
     const LEVELS: [(IsolationLevel, &str, Discipline); 2] = [
         (
             IsolationLevel::Snapshot,
@@ -756,17 +755,43 @@ fn stm_abort_rates(ctx: &Ctx) -> Option<(usize, f64)> {
     ];
     let (con, scale, seeds) = (&ctx.con, ctx.opts.scale, ctx.opts.seeds);
     let threads = ctx.opts.threads.map_or(THREADS.to_vec(), |n| vec![n]);
-    con.line("Real threads: the paper's workloads on the software STM (sitm-stm)");
+    con.line("The paper's workloads on the software STM (sitm-stm), scheduled by the engine");
     con.line(format!(
         "per row: {seeds} seed(s); ro = read-only (no write, no promotion);"
     ));
     con.line("/c = aborts per commit; certified = histories the oracle accepts");
     con.blank();
 
-    let sweep = Instant::now();
     let names = names(all_workloads(scale));
-    let mut runs = 0;
-    for (index, name) in names.iter().enumerate() {
+    let mut cells = Vec::new();
+    for workload in 0..names.len() {
+        for &(level, _, discipline) in &LEVELS {
+            for &cores in &threads {
+                for s in 0..seeds {
+                    let cell = Cell {
+                        protocol: Protocol::Stm(level),
+                        scale,
+                        workload,
+                        cores,
+                        seed: seed_for(s),
+                    };
+                    cells.push((cell, discipline));
+                }
+            }
+        }
+    }
+    let runs = cells.len();
+    let (tallies, wall_ms) = ctx.runner.run_timed(cells, |(cell, discipline)| {
+        let mut workloads = all_workloads(cell.scale);
+        let w = workloads[cell.workload].as_mut();
+        let cfg = machine(cell.cores);
+        let stats =
+            run_once_with_history(cell.protocol, w, &cfg, cell.seed, DEFAULT_HISTORY_CAPACITY);
+        StmTally::of(&stats, discipline)
+    });
+
+    let mut tallies = tallies.into_iter();
+    for name in &names {
         con.line(format!("== {name} =="));
         con.row(
             "level",
@@ -782,52 +807,39 @@ fn stm_abort_rates(ctx: &Ctx) -> Option<(usize, f64)> {
             ]
             .map(String::from),
         );
-        for &(level, label, discipline) in &LEVELS {
+        for &(_, label, _) in &LEVELS {
             for &t in &threads {
-                let (mut commits, mut ro_commits, mut ro_aborts, mut certified) = (0, 0, 0, 0);
-                let mut folded = ForensicsSnapshot::default();
-                let mut wall_ms = 0.0;
+                let mut row = StmTally::default();
                 for s in 0..seeds {
-                    let mut workloads = all_workloads(scale);
-                    let run = run_on_stm(workloads[index].as_mut(), level, t, seed_for(s));
-                    runs += 1;
-                    wall_ms += run.wall_ms;
-                    let history = &run.history;
-                    folded.merge(&ForensicsSnapshot::from_history(history));
-                    for record in history.records() {
-                        match (record.committed(), is_read_only(record)) {
-                            (true, ro) => {
-                                commits += 1;
-                                ro_commits += u64::from(ro);
-                            }
-                            (false, true) => ro_aborts += 1,
-                            (false, false) => {}
-                        }
-                    }
-                    let report = check(discipline, history);
-                    if report.is_ok() {
-                        certified += 1;
-                    } else {
+                    let tally = tallies.next().expect("one tally per cell");
+                    if let Some(report) = &tally.rejected {
                         ctx.fail(format!("{name} {label} {t}T seed {s}: {report}"));
                     }
+                    row.merge(tally);
                 }
-                if ro_aborts > 0 {
-                    ctx.fail(format!(
-                        "{name} {label} {t}T: {ro_aborts} read-only transaction(s) aborted"
-                    ));
+                let row_name = format!("{name} {label} {t}T");
+                for (n, what) in [
+                    (row.ro_aborts, "read-only transaction(s) aborted"),
+                    (row.inconsistent, "inconsistent abort(s)"),
+                    (row.dropped, "history record(s) dropped"),
+                ] {
+                    if n > 0 {
+                        ctx.fail(format!("{row_name}: {n} {what}"));
+                    }
                 }
+                let commits = row.commits;
                 let per_commit = |n: u64| format!("{:.4}", n as f64 / commits.max(1) as f64);
                 con.row(
                     label,
                     &[
                         t.to_string(),
                         commits.to_string(),
-                        ro_commits.to_string(),
-                        per_commit(folded.total),
-                        per_commit(folded.count(ForensicCause::WriteWriteFcw)),
-                        per_commit(folded.count(ForensicCause::ReadValidation)),
-                        ro_aborts.to_string(),
-                        format!("{certified}/{seeds}"),
+                        row.ro_commits.to_string(),
+                        per_commit(row.folded.total),
+                        per_commit(row.folded.count(ForensicCause::WriteWriteFcw)),
+                        per_commit(row.folded.count(ForensicCause::ReadValidation)),
+                        row.ro_aborts.to_string(),
+                        format!("{}/{seeds}", row.certified),
                     ],
                 );
 
@@ -836,34 +848,89 @@ fn stm_abort_rates(ctx: &Ctx) -> Option<(usize, f64)> {
                 report.seeds = seeds;
                 report.commits = commits;
                 for cause in ForensicCause::ALL {
-                    let n = folded.count(cause);
+                    let n = row.folded.count(cause);
                     if n > 0 {
                         report.aborts.insert(cause.label().to_string(), n);
                     }
                 }
-                report.abort_rate = folded.total as f64 / (commits + folded.total).max(1) as f64;
+                report.abort_rate =
+                    row.folded.total as f64 / (commits + row.folded.total).max(1) as f64;
                 for (key, value) in [
-                    ("ro_commits", ro_commits as f64),
-                    ("ro_aborts", ro_aborts as f64),
-                    ("certified", certified as f64),
-                    ("wall_ms", wall_ms),
+                    ("ro_commits", row.ro_commits),
+                    ("ro_aborts", row.ro_aborts),
+                    ("certified", row.certified),
                 ] {
-                    report.extra.insert(key.into(), value);
+                    report.extra.insert(key.into(), value as f64);
                 }
                 ctx.sink.push(&report);
             }
         }
         con.blank();
     }
-    let wall_ms = sweep.elapsed().as_secs_f64() * 1e3;
     con.line("paper expectation: ro aborts 0 in every row, since a read-only");
     con.line("transaction commits at its snapshot; under Snapshot, rv/c counts only");
-    con.line("promoted reads (rbtree's updates), never a plain read.");
-    con.line(format!(
-        "wall time: {:.1} s for {runs} runs, one at a time",
-        wall_ms / 1e3
-    ));
+    con.line("promoted reads (rbtree's updates), never a plain read. The STM");
+    con.line("conflicts per word, where fig7_abort_rates' SI-TM conflicts per line.");
     Some((runs, wall_ms))
+}
+
+/// What one or more recorded STM runs contribute to a `stm_abort_rates`
+/// row.
+#[derive(Debug, Default)]
+struct StmTally {
+    commits: u64,
+    ro_commits: u64,
+    ro_aborts: u64,
+    /// Aborts of programs that restarted.
+    inconsistent: u64,
+    /// History records lost to the recorder's capacity.
+    dropped: u64,
+    /// Histories the oracle accepted.
+    certified: u64,
+    /// The oracle's report on a history it rejected (one run only).
+    rejected: Option<String>,
+    folded: ForensicsSnapshot,
+}
+
+impl StmTally {
+    /// One run, its history certified under `discipline`.
+    fn of(stats: &RunStats, discipline: Discipline) -> Self {
+        let history = stats.history.as_ref().expect("the run was recorded");
+        let mut tally = StmTally {
+            inconsistent: stats.aborts_by(AbortCause::Inconsistent),
+            dropped: history.dropped(),
+            folded: ForensicsSnapshot::from_history(history),
+            ..StmTally::default()
+        };
+        for record in history.records() {
+            match (record.committed(), is_read_only(record)) {
+                (true, ro) => {
+                    tally.commits += 1;
+                    tally.ro_commits += u64::from(ro);
+                }
+                (false, true) => tally.ro_aborts += 1,
+                (false, false) => {}
+            }
+        }
+        let report = check(discipline, history);
+        if report.is_ok() {
+            tally.certified = 1;
+        } else {
+            tally.rejected = Some(report.to_string());
+        }
+        tally
+    }
+
+    /// Adds `other`'s counts to these.
+    fn merge(&mut self, other: StmTally) {
+        self.commits += other.commits;
+        self.ro_commits += other.ro_commits;
+        self.ro_aborts += other.ro_aborts;
+        self.inconsistent += other.inconsistent;
+        self.dropped += other.dropped;
+        self.certified += other.certified;
+        self.folded.merge(&other.folded);
+    }
 }
 
 /// Whether a recorded attempt neither wrote nor promoted anything: a

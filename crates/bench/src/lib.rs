@@ -17,8 +17,9 @@
 //! seeded, so tables and `--json` output are byte-identical regardless
 //! of job count (wall-clock fields excepted).
 //!
-//! [`stm_driver`] runs the same workloads on real threads over the
-//! software STM, for the `stm_abort_rates` row.
+//! [`stm_driver`] puts the software STM behind the same engine
+//! ([`Protocol::Stm`]), so the `stm_abort_rates` row is a grid of
+//! deterministic cells like every other.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,14 +32,18 @@ use std::time::Instant;
 
 use sitm_core::{SiTm, SiTmConfig, Sontm, SsiTm, TwoPl};
 use sitm_obs::{JsonlSink, PhaseCycles, RunReport};
-use sitm_sim::{AbortCause, Engine, MachineConfig, RunStats, Workload};
+use sitm_sim::{AbortCause, Engine, MachineConfig, RunStats, TmProtocol, Workload};
+use sitm_stm::{IsolationLevel, Stm};
 use sitm_workloads::{all_workloads, Scale};
+
+use crate::stm_driver::StmProtocol;
 
 pub mod experiments;
 pub mod stm_driver;
 
 /// The protocols compared in the evaluation (the paper's three, plus
-/// SSI-TM from section 5.2 as an extension).
+/// SSI-TM from section 5.2 as an extension), and the software STM
+/// under the same engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
     /// Eager requester-wins 2-phase locking (baseline).
@@ -49,6 +54,8 @@ pub enum Protocol {
     SiTm,
     /// Serializable snapshot isolation (section 5.2 extension).
     SsiTm,
+    /// The software STM at an isolation level ([`StmProtocol`]).
+    Stm(IsolationLevel),
 }
 
 impl Protocol {
@@ -62,6 +69,8 @@ impl Protocol {
             Protocol::Sontm => "SONTM",
             Protocol::SiTm => "SI-TM",
             Protocol::SsiTm => "SSI-TM",
+            Protocol::Stm(IsolationLevel::Snapshot) => "STM Snapshot",
+            Protocol::Stm(IsolationLevel::Serializable) => "STM Serializable",
         }
     }
 }
@@ -73,18 +82,15 @@ pub fn run_once(
     cfg: &MachineConfig,
     seed: u64,
 ) -> RunStats {
-    match protocol {
-        Protocol::TwoPl => Engine::new(TwoPl::new(cfg), workload, cfg, seed).run().0,
-        Protocol::Sontm => Engine::new(Sontm::new(cfg), workload, cfg, seed).run().0,
-        Protocol::SiTm => Engine::new(SiTm::new(cfg), workload, cfg, seed).run().0,
-        Protocol::SsiTm => Engine::new(SsiTm::new(cfg), workload, cfg, seed).run().0,
-    }
+    run(protocol, workload, cfg, seed, None)
 }
 
 /// Runs `workload` under `protocol` once with history recording enabled
 /// (bounded at `capacity` finished attempts) and returns the statistics.
 /// `RunStats::history` is always `Some`; the `check_fuzz` harness feeds
-/// it to the [`sitm_check`] oracle and `abort_forensics` folds it.
+/// it to the [`sitm_check`] oracle and `abort_forensics` folds it. A
+/// [`Protocol::Stm`] run's history is the STM's own record, which names
+/// the words it detects conflicts on; the engine records lines.
 pub fn run_once_with_history(
     protocol: Protocol,
     workload: &mut dyn Workload,
@@ -92,30 +98,37 @@ pub fn run_once_with_history(
     seed: u64,
     capacity: usize,
 ) -> RunStats {
+    run(protocol, workload, cfg, seed, Some(capacity))
+}
+
+/// [`run_once`], recording at most `capacity` attempts if given.
+fn run(
+    protocol: Protocol,
+    w: &mut dyn Workload,
+    cfg: &MachineConfig,
+    seed: u64,
+    capacity: Option<usize>,
+) -> RunStats {
+    fn go<P: TmProtocol>(engine: Engine<P>, capacity: Option<usize>) -> (RunStats, P) {
+        match capacity {
+            Some(capacity) => engine.record_history(capacity).run(),
+            None => engine.run(),
+        }
+    }
     match protocol {
-        Protocol::TwoPl => {
-            Engine::new(TwoPl::new(cfg), workload, cfg, seed)
-                .record_history(capacity)
-                .run()
-                .0
-        }
-        Protocol::Sontm => {
-            Engine::new(Sontm::new(cfg), workload, cfg, seed)
-                .record_history(capacity)
-                .run()
-                .0
-        }
-        Protocol::SiTm => {
-            Engine::new(SiTm::new(cfg), workload, cfg, seed)
-                .record_history(capacity)
-                .run()
-                .0
-        }
-        Protocol::SsiTm => {
-            Engine::new(SsiTm::new(cfg), workload, cfg, seed)
-                .record_history(capacity)
-                .run()
-                .0
+        Protocol::TwoPl => go(Engine::new(TwoPl::new(cfg), w, cfg, seed), capacity).0,
+        Protocol::Sontm => go(Engine::new(Sontm::new(cfg), w, cfg, seed), capacity).0,
+        Protocol::SiTm => go(Engine::new(SiTm::new(cfg), w, cfg, seed), capacity).0,
+        Protocol::SsiTm => go(Engine::new(SsiTm::new(cfg), w, cfg, seed), capacity).0,
+        Protocol::Stm(level) => {
+            // The engine's recorder stays off: the STM's names words.
+            let mut stm = Stm::with_level(level);
+            if let Some(capacity) = capacity {
+                stm = stm.with_history(capacity);
+            }
+            let (mut stats, stm) = Engine::new(StmProtocol::new(cfg, stm), w, cfg, seed).run();
+            stats.history = stm.stm().history();
+            stats
         }
     }
 }
@@ -446,9 +459,8 @@ pub struct HarnessOpts {
     pub scale: Scale,
     /// Seeds averaged per data point.
     pub seeds: u64,
-    /// Simulated-core override (`--threads N`; the real thread count
-    /// for `stm_abort_rates`); binaries fall back to their experiment's
-    /// default via [`HarnessOpts::threads_or`].
+    /// Simulated-core override (`--threads N`); binaries fall back to
+    /// their experiment's default via [`HarnessOpts::threads_or`].
     pub threads: Option<usize>,
     /// JSONL output path (`--json PATH`, `-` for stdout); see
     /// [`ReportSink`].
@@ -815,13 +827,16 @@ mod tests {
     fn history_recording_does_not_perturb_results() {
         // The acceptance bar for the one record stream: turning it on
         // must leave every other observable output identical, under
-        // every real protocol (their abort sites are what gets stamped).
+        // every real protocol (their abort sites are what gets stamped),
+        // and the STM's recorder no less than the engine's.
         let cfg = machine(4);
         for protocol in [
             Protocol::TwoPl,
             Protocol::Sontm,
             Protocol::SiTm,
             Protocol::SsiTm,
+            Protocol::Stm(IsolationLevel::Snapshot),
+            Protocol::Stm(IsolationLevel::Serializable),
         ] {
             let mut workloads = all_workloads(Scale::Quick);
             let plain = run_once(protocol, workloads[0].as_mut(), &cfg, 21);

@@ -7,20 +7,27 @@
 //! fixed order, so tables and JSONL are byte-identical at `--jobs 1`
 //! and `--jobs 4` — modulo the host wall-clock fields, which are the
 //! only part of a report allowed to vary between runs.
+//!
+//! The grid includes the software STM's cells. Their sweep workers
+//! share the STM's process-wide commit clock and snapshot registry, so
+//! timestamps interleave across cells; what a cell decides must depend
+//! on its own order only.
 
 use sitm_bench::{
     report_from_grid, run_grid, strip_wall_clock, sweep_summary, GridPoint, Protocol, SweepRunner,
 };
 use sitm_obs::JsonlSink;
+use sitm_stm::IsolationLevel;
 use sitm_workloads::{all_workloads, Scale};
 
-/// A small fig7-style grid: every paper protocol over two workloads at
-/// two core counts, averaged over two seeds.
+/// A small fig7-style grid: every paper protocol and both STM levels
+/// over two workloads at two core counts, averaged over two seeds.
 fn fig7_style_points() -> Vec<GridPoint> {
+    let stm = [IsolationLevel::Snapshot, IsolationLevel::Serializable].map(Protocol::Stm);
     let mut points = Vec::new();
     for workload in [0, 1] {
         for cores in [2, 4] {
-            for protocol in Protocol::PAPER {
+            for protocol in Protocol::PAPER.into_iter().chain(stm) {
                 points.push(GridPoint {
                     protocol,
                     workload,

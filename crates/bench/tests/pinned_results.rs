@@ -1,7 +1,6 @@
 //! Every pinned `results/<name>.txt` table is `sitm-bench <name>`'s
-//! stdout at no flags, byte for byte — except the real-thread table,
-//! whose counts depend on the host and which is compared by shape — and
-//! `sitm-bench` refuses a command line it does not understand.
+//! stdout at no flags, byte for byte, and `sitm-bench` refuses a
+//! command line it does not understand.
 //!
 //! The cheap rows run in the default suite; the sweeps take seconds in
 //! release and minutes in debug, so they run with `--include-ignored`
@@ -23,37 +22,11 @@ const CHEAP: [&str; 7] = [
     "ablate_ssi",
 ];
 
-/// The rows run on real threads, compared by [`shape`].
-const SHAPED: [&str; 1] = ["stm_abort_rates"];
-
 /// Pinned tables no row regenerates, and the gate that covers each.
 const NOT_ROWS: [(&str, &str); 1] = [(
     "abort_forensics",
     "CI regenerates it with `abort_forensics --seeds 3` and cmps it",
 )];
-
-/// What a real-thread table keeps on any host: every line verbatim,
-/// except that a data row keeps only its level, thread count, cell
-/// count, read-only aborts and certified histories, and the wall-time
-/// line only its label.
-fn shape(table: &str) -> Vec<String> {
-    table
-        .lines()
-        .map(|line| {
-            let cells: Vec<&str> = line.split_whitespace().collect();
-            match cells[..] {
-                [level @ ("Snapshot" | "Serializable"), threads, .., ro_aborts, certified] => {
-                    format!(
-                        "{level} {threads} [{} cells] ro aborts {ro_aborts}, certified {certified}",
-                        cells.len()
-                    )
-                }
-                ["wall", "time:", ..] => "wall time: ...".to_string(),
-                _ => line.to_string(),
-            }
-        })
-        .collect()
-}
 
 fn pinned(name: &str) -> String {
     std::fs::read_to_string(results().join(format!("{name}.txt"))).expect("pinned table")
@@ -100,64 +73,27 @@ fn sweep_tables_regenerate() {
         EXPERIMENTS
             .map(|(name, _)| name)
             .into_iter()
-            .filter(|name| !CHEAP.contains(name) && !SHAPED.contains(name)),
+            .filter(|name| !CHEAP.contains(name)),
     );
 }
 
+/// The pinned STM table shows the paper's claims in every row: no
+/// read-only transaction aborts, and every history certifies.
 #[test]
-#[ignore = "runs every workload on real threads; run with --include-ignored in release"]
-fn real_thread_tables_keep_their_shape() {
-    for name in SHAPED {
-        let out = sitm_bench(&[name]);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "sitm-bench {name} failed: {stderr}");
-        let fresh = shape(&String::from_utf8(out.stdout).expect("utf-8 table"));
-        let pinned = shape(&pinned(name));
-        if let Some(at) =
-            (0..fresh.len().max(pinned.len())).find(|&i| fresh.get(i) != pinned.get(i))
-        {
-            panic!(
-                "results/{name}.txt changed shape at line {}: pinned {:?}, fresh {:?}; if the \
-                 change is meant, regenerate it with\n  \
-                 cargo run --release -p sitm-bench -- {name} > results/{name}.txt",
-                at + 1,
-                pinned.get(at),
-                fresh.get(at)
-            );
-        }
-    }
-}
-
-/// The pinned real-thread table shows the paper's claims in every row,
-/// and [`shape`] keeps the columns that show them.
-#[test]
-fn pinned_real_thread_tables_show_no_read_only_abort() {
-    for name in SHAPED {
-        let table = pinned(name);
-        let rows: Vec<Vec<&str>> = table
-            .lines()
-            .map(|line| line.split_whitespace().collect::<Vec<_>>())
-            .filter(|cells| matches!(cells.first(), Some(&("Snapshot" | "Serializable"))))
-            .collect();
-        assert_eq!(rows.len(), 10 * 2 * 3, "workloads x levels x thread counts");
-        for cells in &rows {
-            let [.., ro_aborts, certified] = cells[..] else {
-                unreachable!("a data row has cells")
-            };
-            let (k, n) = certified.split_once('/').expect("certified k/n");
-            assert!(ro_aborts == "0" && k == n, "{name}: {cells:?}");
-        }
-
-        let planted_abort = table.replacen("          0        3/3", "          1        3/3", 1);
-        let renamed_row = table.replacen("== list ==", "== lists ==", 1);
-        for mutant in [planted_abort, renamed_row] {
-            assert_ne!(mutant, table, "the mutation applies");
-            assert_ne!(
-                shape(&mutant),
-                shape(&table),
-                "{name}: a mutant kept its shape"
-            );
-        }
+fn pinned_stm_abort_rates_show_no_read_only_abort() {
+    let table = pinned("stm_abort_rates");
+    let rows: Vec<Vec<&str>> = table
+        .lines()
+        .map(|line| line.split_whitespace().collect::<Vec<_>>())
+        .filter(|cells| matches!(cells.first(), Some(&("Snapshot" | "Serializable"))))
+        .collect();
+    assert_eq!(rows.len(), 10 * 2 * 3, "workloads x levels x thread counts");
+    for cells in &rows {
+        let [.., ro_aborts, certified] = cells[..] else {
+            unreachable!("a data row has cells")
+        };
+        let (k, n) = certified.split_once('/').expect("certified k/n");
+        assert!(ro_aborts == "0" && k == n, "{cells:?}");
     }
 }
 

@@ -5,13 +5,19 @@
 //! exactly the schedule in which snapshot isolation lets the unfixed
 //! removals skew. A second test churns adjacent inserts and removals on
 //! real threads and checks, after every round, that what a thread
-//! removed is no longer linked.
+//! removed is no longer linked. A third runs the STM under the engine
+//! beside SI-TM, on a schedule where the two detect conflicts at
+//! different granularities.
 
-use sitm_bench::stm_driver::StmMemory;
+use sitm_bench::stm_driver::{StmMemory, StmProtocol};
 use sitm_check::{check, Discipline};
+use sitm_core::SiTm;
 use sitm_mvm::{Addr, MvmStore, Word, WORDS_PER_LINE};
 use sitm_obs::History;
-use sitm_sim::{TxOp, TxProgram};
+use sitm_sim::{
+    AbortCause, Engine, MachineConfig, QueueWorkload, ScriptedTx, ThreadWorkload, TxOp, TxProgram,
+    Workload,
+};
 use sitm_stm::{Conflict, Stm};
 use sitm_workloads::list::NULL;
 use sitm_workloads::{ListOp, ListOpKind, ListWorkload, LogicTx};
@@ -210,4 +216,62 @@ fn adjacent_structural_churn_on_real_threads_leaves_the_list_empty() {
     let history = stm.history().expect("recording is on");
     let report = check(Discipline::SnapshotIsolation, &history);
     assert!(report.is_ok(), "{report}");
+}
+
+/// Two threads, one transaction each: thread `t` reads and writes word
+/// `t` of line 0. Both begin before either commits.
+struct NeighbouringWords;
+
+impl Workload for NeighbouringWords {
+    fn name(&self) -> &str {
+        "neighbouring-words"
+    }
+
+    fn setup(&mut self, mem: &mut MvmStore, _n_threads: usize) {
+        mem.alloc_lines(1);
+    }
+
+    fn thread_workload(&self, tid: usize, _seed: u64) -> Box<dyn ThreadWorkload> {
+        let a = word(0, tid as u64);
+        let ops = vec![TxOp::Read(a), TxOp::Write(a, 1), TxOp::Commit];
+        Box::new(QueueWorkload::new(vec![Box::new(ScriptedTx::new(ops))]))
+    }
+}
+
+/// Why an STM cell certifies through the STM's own recorder: the STM
+/// detects conflicts per word and the engine records lines, so two
+/// legal commits to different words of one line look, in the engine's
+/// record, like a first-committer-wins violation.
+#[test]
+fn the_stm_conflicts_per_word_where_si_tm_conflicts_per_line() {
+    let cfg = MachineConfig::with_cores(2);
+
+    let (si_tm, _) = Engine::new(SiTm::new(&cfg), &mut NeighbouringWords, &cfg, 1).run();
+    assert_eq!(si_tm.commits(), 2);
+    assert_eq!(
+        si_tm.aborts_by(AbortCause::WriteWrite),
+        1,
+        "one line, one committer"
+    );
+
+    let stm = Stm::snapshot().with_history(16);
+    let engine = Engine::new(StmProtocol::new(&cfg, stm), &mut NeighbouringWords, &cfg, 1);
+    let (stats, protocol) = engine.record_history(16).run();
+    assert_eq!((stats.commits(), stats.aborts()), (2, 0), "two words");
+    let history = protocol.stm().history().expect("recording is on");
+    let [first, second] = history.records() else {
+        panic!("two attempts: {:?}", history.records())
+    };
+    assert!(
+        first.begin_ts.max(second.begin_ts) < first.commit_ts.min(second.commit_ts),
+        "the two transactions overlap: {first:?} {second:?}"
+    );
+    let per_word = check(Discipline::SnapshotIsolation, &history);
+    assert!(per_word.is_ok(), "{per_word}");
+    let per_line = check(
+        Discipline::SnapshotIsolation,
+        stats.history.as_ref().expect("the engine recorded lines"),
+    );
+    let rules: Vec<_> = per_line.violations.iter().map(|v| v.rule).collect();
+    assert_eq!(rules, ["first-committer-wins"], "{per_line}");
 }

@@ -1,15 +1,15 @@
 //! Kernel-specific correctness invariants, checked on the committed
-//! memory image after full engine runs under every protocol, and after
-//! real-thread runs on the software STM at both isolation levels (its
-//! final `TVar` image written back into an `MvmStore`). These are the
-//! semantic guarantees concurrency must not break — complementary to
-//! the abort/throughput measurements of the figure harnesses.
+//! memory image after full engine runs under every protocol, the
+//! software STM at both isolation levels among them (its final `TVar`
+//! image written back into an `MvmStore`). These are the semantic
+//! guarantees concurrency must not break — complementary to the
+//! abort/throughput measurements of the figure harnesses.
 
-use sitm_bench::stm_driver::run_on_stm;
+use sitm_bench::stm_driver::StmProtocol;
 use sitm_core::{SiTm, Sontm, SsiTm, TwoPl};
 use sitm_mvm::{MvmStore, Word, WORDS_PER_LINE};
 use sitm_sim::{Engine, MachineConfig, TmProtocol, Workload};
-use sitm_stm::IsolationLevel;
+use sitm_stm::Stm;
 use sitm_workloads::stamp::{
     GenomeParams, GenomeWorkload, IntruderParams, IntruderWorkload, LabyrinthParams,
     LabyrinthWorkload, Ssca2Params, Ssca2Workload,
@@ -21,8 +21,8 @@ fn machine(cores: usize) -> MachineConfig {
     cfg
 }
 
-/// Runs a fresh workload from `make` under each simulated protocol and
-/// on `cores` real threads over the STM at both isolation levels, and
+/// Runs a fresh workload from `make` on `cores` simulated cores under
+/// each simulated protocol and the STM at both isolation levels, and
 /// hands `check` each run's name, commit count and final memory.
 fn run_all_protocols(
     make: impl Fn() -> Box<dyn Workload>,
@@ -31,7 +31,7 @@ fn run_all_protocols(
     check: impl Fn(&str, u64, &MvmStore),
 ) {
     let cfg = machine(cores);
-    for p in 0..4usize {
+    for p in 0..6usize {
         let mut w = make();
         let (stats, store) = match p {
             0 => {
@@ -46,21 +46,23 @@ fn run_all_protocols(
                 let (s, pr) = Engine::new(SiTm::new(&cfg), w.as_mut(), &cfg, seed).run();
                 (s, pr.store().clone())
             }
-            _ => {
+            3 => {
                 let (s, pr) = Engine::new(SsiTm::new(&cfg), w.as_mut(), &cfg, seed).run();
                 (s, pr.store().clone())
+            }
+            _ => {
+                let stm = if p == 4 {
+                    Stm::snapshot()
+                } else {
+                    Stm::serializable()
+                };
+                let protocol = StmProtocol::new(&cfg, stm);
+                let (s, pr) = Engine::new(protocol, w.as_mut(), &cfg, seed).run();
+                (s, pr.to_store())
             }
         };
         assert!(!stats.truncated, "{}: {}", stats.protocol, stats.summary());
         check(&stats.protocol, stats.commits(), &store);
-    }
-    for (level, name) in [
-        (IsolationLevel::Snapshot, "STM Snapshot"),
-        (IsolationLevel::Serializable, "STM Serializable"),
-    ] {
-        let run = run_on_stm(make().as_mut(), level, cores, seed);
-        let commits = run.history.committed().count() as u64;
-        check(name, commits, &run.memory.to_store());
     }
 }
 
