@@ -164,6 +164,60 @@ fn faults_leak_nothing_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
+/// Versions of one key the server retains, after a compaction, when
+/// two interactive clients leapfrog (one `BEGIN`s and reads, then the
+/// other `COMMIT`s) while a third client makes one-shot writes to the
+/// key. Every live snapshot is then at most one write old.
+fn leapfrog_retained(reactors: usize) -> usize {
+    const KEY: u64 = 11;
+    const WRITES: i64 = 2_000;
+    let server = Server::start(ServerConfig {
+        reactors,
+        gc_interval: Duration::from_secs(3600),
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let addr = server.addr();
+    // Connected first, so with two reactors they land on different
+    // ones; with one, both keep their transactions on the same thread.
+    let mut clients = [
+        Client::connect(addr).expect("first connect"),
+        Client::connect(addr).expect("second connect"),
+    ];
+    let mut writer = Client::connect(addr).expect("writer connect");
+    writer.write(KEY, 0).expect("seed write");
+    clients[0].begin().expect("begin");
+    clients[0].read(KEY).expect("read");
+    for i in 1..=WRITES {
+        writer.write(KEY, i).expect("one-shot write");
+        let next = i as usize % 2;
+        let open = 1 - next;
+        clients[next].begin().expect("begin");
+        clients[next].read(KEY).expect("read");
+        let committed = clients[open].commit().expect("commit round-trip");
+        assert!(committed.is_ok(), "a read-only commit cannot conflict");
+    }
+    server.compact_now();
+    let retained = server.versions_retained();
+    assert_eq!(server.keys(), 1);
+    server.shutdown();
+    retained
+}
+
+/// Overlapping interactive transactions on one reactor thread each pin
+/// their own snapshot: the server retains no more versions than when
+/// the two transactions live on different reactors.
+#[test]
+fn leapfrogging_transactions_on_one_reactor_pin_only_their_own_snapshots() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let apart = leapfrog_retained(2);
+    let together = leapfrog_retained(1);
+    assert!(
+        together <= apart,
+        "one reactor retains {together} versions of the key, two retain {apart}"
+    );
+}
+
 /// Interactive commits racing the same key: the loser gets a
 /// write-write abort on the wire, not a hang or a protocol error.
 #[test]

@@ -11,14 +11,16 @@
 //!   commit locked its write set, so it waits out the installs and
 //!   sees every one of them — atomic visibility in one sentence.
 //!
-//! * **The live-snapshot registry.** Every transaction registers its
-//!   begin timestamp in a cache-padded per-thread slot for the
-//!   duration of the transaction (an [`SnapshotGuard`] held by the
-//!   `Tx`). A periodic scan folds the minimum registered begin
-//!   timestamp into the monotone **watermark** — a lower bound on the
-//!   begin timestamp of every transaction alive now or starting later.
-//!   Version GC in `tvar.rs` trims exactly the versions no snapshot at
-//!   or above the watermark can ever read.
+//! * **The live-snapshot registry.** Every transaction claims a
+//!   cache-padded slot of its own and holds its begin timestamp there
+//!   for the duration of the transaction (a [`SnapshotGuard`] held by
+//!   the `Tx`), so overlapping transactions on one thread each pin
+//!   their own snapshot and nothing else. A periodic scan folds the
+//!   minimum registered begin timestamp into the monotone
+//!   **watermark** — a lower bound on the begin timestamp of every
+//!   transaction alive now or starting later. Version GC in `tvar.rs`
+//!   trims exactly the versions no snapshot at or above the watermark
+//!   can ever read.
 //!
 //! # The watermark invariant
 //!
@@ -26,40 +28,50 @@
 //! transaction. The ordering argument (all operations here are
 //! `SeqCst`, so they occur in one total order):
 //!
-//! 1. A beginning transaction *first* publishes a conservative
-//!    timestamp into its slot (the last clock value its thread
-//!    observed, which is `<=` the begin timestamp it is about to draw)
-//!    and *then* reads the clock to form its begin timestamp.
-//! 2. A watermark scan *first* reads the clock (call it `bound`) and
-//!    *then* reads the slots, folding `min` over `bound` and every
-//!    non-idle slot value.
+//! 1. A beginning transaction *first* raises [`SLOTS_CLAIMED`] past
+//!    the slot it is about to take, *then* publishes [`PENDING`] in
+//!    that slot, and *then* reads the clock to form its begin
+//!    timestamp, which it stores over `PENDING`.
+//! 2. A watermark scan *first* reads the clock (call it `bound`),
+//!    *then* `SLOTS_CLAIMED`, *then* the slots below it, folding `min`
+//!    over `bound` and every non-idle slot value.
 //!
-//! For any transaction T and any scan C, either C's slot read precedes
-//! T's slot publish in the total order — then T's later clock read sees
-//! at least the value C saw, so `begin_ts(T) >= bound(C) >= result(C)`
-//! — or C observes T's published value, which is `<=` `begin_ts(T)` by
-//! construction. Either way the scan result is `<= begin_ts(T)`, and
-//! since the watermark only moves up to a scan result (`fetch_max`),
-//! the invariant holds for every transaction. §14 turns this sketch
-//! into the GC safety argument.
+//! For any transaction T and any scan C, either C reads T's slot after
+//! T's publish — then it reads `PENDING` or `begin_ts(T)`, both `<=
+//! begin_ts(T)` — or C's clock read precedes T's clock read, so
+//! `begin_ts(T) >= bound(C) >= result(C)`. The second case covers C
+//! reading the slot before the publish, and C's prefix missing the
+//! slot: then C read `SLOTS_CLAIMED` before T raised it. Either way
+//! the scan result is `<= begin_ts(T)`, and since the watermark only
+//! moves up to a scan result (`fetch_max`), the invariant holds for
+//! every transaction. §14 turns this sketch into the GC safety
+//! argument.
 
 use std::cell::Cell;
 
+#[cfg(loom)]
+use crate::model_support::{claim_after_publish, clock_before_publish};
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use crate::sync::Mutex;
 use crate::tvar::lock_versions as lock;
 
-/// Registry slots available before thread registration falls back to
-/// the mutex-protected overflow table. One slot is claimed per OS
-/// thread (and recycled on thread exit), so only processes running
-/// more than this many concurrent transactional threads pay for the
-/// fallback. Model builds shrink to 2 so a three-thread model
-/// exercises the slot and overflow paths in one execution.
+/// Registry slots available before a registration falls back to the
+/// mutex-protected overflow table. Each live transaction holds one,
+/// so only a process with more than this many transactions open at
+/// once pays for the fallback. Model builds shrink to 2 so a
+/// three-transaction model exercises the slot and overflow paths in
+/// one execution.
 pub(crate) const SLOT_COUNT: usize = if cfg!(loom) { 2 } else { 256 };
 
 /// Slot value meaning "no transaction live here". `u64::MAX` so an
 /// idle slot is transparent to the `min` fold of a watermark scan.
 const IDLE: u64 = u64::MAX;
+
+/// Slot value of a claimed slot whose transaction has not read the
+/// clock yet. 0 is at or below every begin timestamp, so a scan that
+/// reads it folds a minimum the `fetch_max` watermark already holds:
+/// a pending slot keeps the watermark where it is.
+const PENDING: u64 = 0;
 
 /// How far (in clock units) the cached watermark may trail the clock
 /// before a commit triggers a rescan. Each writing commit advances the
@@ -77,36 +89,22 @@ struct Clock(AtomicU64);
 
 static CLOCK: Clock = Clock(AtomicU64::new(0));
 
-/// One live-snapshot slot, alone on its cache line. `begin` holds the
-/// (conservative) begin timestamp of the slot-owning thread's
-/// outermost live transaction, or [`IDLE`]. `depth` counts the
-/// thread's live transactions so nested/overlapping `Tx` values on one
-/// thread share the slot (the outermost begin timestamp is a lower
-/// bound for all of them).
+/// One live-snapshot slot, alone on its cache line: the begin
+/// timestamp of the one transaction holding it, [`PENDING`] while that
+/// transaction reads the clock, or [`IDLE`].
 #[repr(align(128))]
-struct Slot {
-    begin: AtomicU64,
-    depth: AtomicU64,
-}
+struct Slot(AtomicU64);
 
-static SLOTS: [Slot; SLOT_COUNT] = [const {
-    Slot {
-        begin: AtomicU64::new(IDLE),
-        depth: AtomicU64::new(0),
-    }
-}; SLOT_COUNT];
+static SLOTS: [Slot; SLOT_COUNT] = [const { Slot(AtomicU64::new(IDLE)) }; SLOT_COUNT];
 
 /// High-water mark of claimed slots: watermark scans only walk this
-/// prefix.
+/// prefix. A claim raises it before it publishes (step 1 of the
+/// watermark invariant).
 static SLOTS_CLAIMED: AtomicUsize = AtomicUsize::new(0);
 
-/// Slot indices returned by exited threads, recycled before
-/// [`SLOTS_CLAIMED`] grows.
-static FREE_SLOTS: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
-/// Overflow registry for threads beyond [`SLOT_COUNT`]: one entry per
-/// *transaction* (value = begin timestamp, [`IDLE`] = free). The mutex
-/// itself provides the publish/scan ordering the slot path gets from
+/// Overflow registry for transactions beyond [`SLOT_COUNT`]: one entry
+/// per transaction (value = begin timestamp, [`IDLE`] = free). The
+/// mutex itself provides the publish/scan ordering the slots get from
 /// `SeqCst`.
 static OVERFLOW: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
@@ -126,13 +124,20 @@ static NEXT_THREAD_INDEX: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static THREAD_INDEX: usize = NEXT_THREAD_INDEX.fetch_add(1, SeqCst);
-    /// The registry slot this thread owns for its lifetime, if one was
-    /// available.
-    static THREAD_SLOT: SlotHandle = SlotHandle::claim();
-    /// The newest clock value this thread has observed — the
-    /// conservative timestamp published ahead of reading the clock on
-    /// transaction begin (step 1 of the watermark invariant).
-    static LAST_SEEN: Cell<u64> = const { Cell::new(0) };
+    /// The slot this thread's last transaction claimed, tried first by
+    /// its next one: a thread running one transaction at a time keeps
+    /// reusing one line.
+    static SLOT_HINT: Cell<usize> = const { Cell::new(0) };
+}
+
+#[cfg(not(loom))]
+fn claim_after_publish() -> bool {
+    false
+}
+
+#[cfg(not(loom))]
+fn clock_before_publish() -> bool {
+    false
 }
 
 /// This thread's dense index (stable for the thread's lifetime).
@@ -154,9 +159,7 @@ pub(crate) fn clock_now() -> u64 {
 /// loaded the clock after the locks were taken and waits out the
 /// complete install on every written variable.
 pub(crate) fn commit_tick() -> u64 {
-    let end = CLOCK.0.fetch_add(1, SeqCst) + 1;
-    LAST_SEEN.with(|c| c.set(c.get().max(end)));
-    end
+    CLOCK.0.fetch_add(1, SeqCst) + 1
 }
 
 /// Registration of one live transaction in the epoch registry,
@@ -164,77 +167,82 @@ pub(crate) fn commit_tick() -> u64 {
 /// snapshot always pins the watermark at or below its begin timestamp.
 #[derive(Debug)]
 pub(crate) enum SnapshotGuard {
-    /// Thread-owned padded slot (shared by the thread's nested
-    /// transactions via the slot's depth counter).
+    /// A padded slot this transaction alone holds.
     Slot(usize),
-    /// Per-transaction entry in the overflow table.
+    /// An entry in the overflow table.
     Overflow(usize),
 }
 
 impl Drop for SnapshotGuard {
     fn drop(&mut self) {
         match *self {
-            SnapshotGuard::Slot(i) => {
-                let slot = &SLOTS[i];
-                if slot.depth.fetch_sub(1, SeqCst) == 1 {
-                    slot.begin.store(IDLE, SeqCst);
-                }
-            }
+            SnapshotGuard::Slot(i) => SLOTS[i].0.store(IDLE, SeqCst),
             SnapshotGuard::Overflow(k) => lock(&OVERFLOW)[k] = IDLE,
         }
     }
 }
 
-/// Begins a transaction's epoch: registers a conservative begin
-/// timestamp, then draws the real one from the clock. Returns the
-/// begin (snapshot) timestamp and the registration guard.
+/// Begins a transaction's epoch: claims a registry slot (publishing
+/// [`PENDING`]), then draws the begin timestamp from the clock and
+/// stores it in the slot. Returns the begin (snapshot) timestamp and
+/// the registration guard.
 pub(crate) fn enter() -> (u64, SnapshotGuard) {
-    let slot_idx = THREAD_SLOT.with(|s| s.idx);
-    match slot_idx {
+    let early = clock_before_publish().then(clock_now);
+    match claim() {
         Some(i) => {
-            let slot = &SLOTS[i];
-            // Publish *before* reading the clock (watermark invariant
-            // step 1). Only the outermost transaction publishes: any
-            // begin already registered by this thread is older, hence
-            // already a lower bound for this one.
-            if slot.depth.fetch_add(1, SeqCst) == 0 {
-                slot.begin.store(LAST_SEEN.with(|c| c.get()), SeqCst);
-                let ts = clock_now();
-                // Refine the conservative value so the watermark is
-                // not pinned lower than necessary.
-                slot.begin.store(ts, SeqCst);
-                LAST_SEEN.with(|c| c.set(ts));
-                (ts, SnapshotGuard::Slot(i))
-            } else {
-                let ts = clock_now();
-                LAST_SEEN.with(|c| c.set(ts));
-                (ts, SnapshotGuard::Slot(i))
+            let ts = early.unwrap_or_else(clock_now);
+            SLOTS[i].0.store(ts, SeqCst);
+            if claim_after_publish() {
+                raise_claimed(i);
             }
+            (ts, SnapshotGuard::Slot(i))
         }
         None => {
-            // Overflow: publish under the mutex, then read the clock.
-            // A scan either runs before our insert (its lock section
-            // precedes ours, so our clock reads see its bound) or
-            // observes our conservative value.
-            let conservative = LAST_SEEN.with(|c| c.get());
-            let key = {
-                let mut table = lock(&OVERFLOW);
-                match table.iter().position(|&v| v == IDLE) {
-                    Some(k) => {
-                        table[k] = conservative;
-                        k
-                    }
-                    None => {
-                        table.push(conservative);
-                        table.len() - 1
-                    }
-                }
-            };
-            let ts = clock_now();
-            lock(&OVERFLOW)[key] = ts;
-            LAST_SEEN.with(|c| c.set(ts));
+            // Every slot is taken: read the clock and publish in one
+            // lock section. A scan takes the lock after reading its
+            // bound, so it either locks first (and this clock read sees
+            // at least its bound) or observes the entry.
+            let mut table = lock(&OVERFLOW);
+            let ts = early.unwrap_or_else(clock_now);
+            let key = table.iter().position(|&v| v == IDLE).unwrap_or_else(|| {
+                table.push(IDLE);
+                table.len() - 1
+            });
+            table[key] = ts;
             (ts, SnapshotGuard::Overflow(key))
         }
+    }
+}
+
+/// Claims a free slot for a beginning transaction and publishes
+/// [`PENDING`] in it, trying the slot this thread used last before
+/// probing the others in order. `None` when all [`SLOT_COUNT`] slots
+/// are taken.
+fn claim() -> Option<usize> {
+    let hint = SLOT_HINT.with(Cell::get);
+    for i in std::iter::once(hint).chain(0..SLOT_COUNT) {
+        let slot = &SLOTS[i].0;
+        if slot.load(SeqCst) != IDLE {
+            continue;
+        }
+        // Raise the scanned prefix *before* the publish (watermark
+        // invariant step 1): a scan whose prefix misses this slot then
+        // read its bound before this transaction reads the clock.
+        if !claim_after_publish() {
+            raise_claimed(i);
+        }
+        if slot.compare_exchange(IDLE, PENDING, SeqCst, SeqCst).is_ok() {
+            SLOT_HINT.with(|h| h.set(i));
+            return Some(i);
+        }
+    }
+    None
+}
+
+/// Makes slot `i` part of the prefix every later scan walks.
+fn raise_claimed(i: usize) {
+    if SLOTS_CLAIMED.load(SeqCst) <= i {
+        SLOTS_CLAIMED.fetch_max(i + 1, SeqCst);
     }
 }
 
@@ -251,7 +259,8 @@ pub fn watermark() -> u64 {
 
 /// Rescans the registry and folds the result into the watermark
 /// (monotonically — the watermark never moves backwards). Returns the
-/// updated watermark.
+/// updated watermark: with no registration in flight, the oldest live
+/// begin timestamp, or the clock when no transaction is live.
 ///
 /// Commits call this automatically once per 64 commits; it is
 /// public for tests and diagnostics that need the bound fresh *now*.
@@ -263,7 +272,7 @@ pub fn refresh_watermark() -> u64 {
     let high = SLOTS_CLAIMED.load(SeqCst).min(SLOT_COUNT);
     for slot in &SLOTS[..high] {
         // IDLE is u64::MAX: transparent to the fold.
-        min = min.min(slot.begin.load(SeqCst));
+        min = min.min(slot.0.load(SeqCst));
     }
     for &v in lock(&OVERFLOW).iter() {
         min = min.min(v);
@@ -288,40 +297,10 @@ pub fn live_snapshots() -> usize {
     let high = SLOTS_CLAIMED.load(SeqCst).min(SLOT_COUNT);
     let in_slots = SLOTS[..high]
         .iter()
-        .filter(|s| s.begin.load(SeqCst) != IDLE)
+        .filter(|s| s.0.load(SeqCst) != IDLE)
         .count();
     let in_overflow = lock(&OVERFLOW).iter().filter(|&&v| v != IDLE).count();
     in_slots + in_overflow
-}
-
-/// A thread's claim on one registry slot, returned to the free list
-/// when the thread exits.
-struct SlotHandle {
-    idx: Option<usize>,
-}
-
-impl SlotHandle {
-    fn claim() -> Self {
-        let recycled = lock(&FREE_SLOTS).pop();
-        let idx = recycled.or_else(|| {
-            let i = SLOTS_CLAIMED.fetch_add(1, SeqCst);
-            (i < SLOT_COUNT).then_some(i)
-        });
-        SlotHandle { idx }
-    }
-}
-
-impl Drop for SlotHandle {
-    fn drop(&mut self) {
-        if let Some(i) = self.idx {
-            // Recycle only a quiescent slot. A nonzero depth here means
-            // a Tx was leaked (mem::forget) on this thread; losing the
-            // slot keeps the registry sound at the cost of one slot.
-            if SLOTS[i].depth.load(SeqCst) == 0 {
-                lock(&FREE_SLOTS).push(i);
-            }
-        }
-    }
 }
 
 /// Reset every epoch-layer global to its boot state. Model executions
@@ -333,11 +312,9 @@ impl Drop for SlotHandle {
 pub(crate) fn model_reset() {
     CLOCK.0.store(0, SeqCst);
     for slot in &SLOTS {
-        slot.begin.store(IDLE, SeqCst);
-        slot.depth.store(0, SeqCst);
+        slot.0.store(IDLE, SeqCst);
     }
     SLOTS_CLAIMED.store(0, SeqCst);
-    lock(&FREE_SLOTS).clear();
     lock(&OVERFLOW).clear();
     WATERMARK.store(0, SeqCst);
     WATERMARK_STAMP.store(0, SeqCst);
@@ -348,11 +325,23 @@ pub(crate) fn model_reset() {
 mod tests {
     use super::*;
 
+    use std::time::{Duration, Instant};
+
     // These tests share the process-global clock and registry with
     // every other test in the binary (the harness runs tests on
     // threads), so they assert relative properties — monotonicity and
     // bounds against values this test observed — not absolute clock
-    // values.
+    // values. Where another test's transaction can hold the registry
+    // back for a while, they wait for it with a deadline.
+
+    /// Polls `cond` until it holds, for at most ten seconds.
+    fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn ticks_are_monotone_and_visible() {
@@ -377,16 +366,58 @@ mod tests {
     }
 
     #[test]
-    fn nested_enters_share_the_slot() {
+    fn overlapping_enters_pin_their_own_begins() {
         let (outer, g1) = enter();
+        let _ = commit_tick();
         let (inner, g2) = enter();
-        assert!(inner >= outer);
-        // The registry still pins the *outermost* begin.
-        assert!(refresh_watermark() <= outer);
-        drop(g2);
-        // Outer still live: watermark still pinned.
+        assert!(inner > outer, "a commit lies between the two begins");
+        let registered = match g2 {
+            SnapshotGuard::Slot(i) => SLOTS[i].0.load(SeqCst),
+            SnapshotGuard::Overflow(k) => lock(&OVERFLOW)[k],
+        };
+        assert_eq!(registered, inner, "the inner begin is registered");
         assert!(refresh_watermark() <= outer);
         drop(g1);
+        // Only the inner begin is ours now: once no other test's older
+        // transaction is live, the scan reaches it exactly (and never
+        // passes it while it is live).
+        eventually("the watermark to reach the inner begin", || {
+            let wm = refresh_watermark();
+            assert!(wm <= inner, "watermark {wm} passed live begin {inner}");
+            wm == inner
+        });
+        drop(g2);
+    }
+
+    #[test]
+    fn more_open_transactions_than_slots_overflow_and_release() {
+        const EXTRA: usize = 8;
+        let baseline = live_snapshots();
+        let guards: Vec<(u64, SnapshotGuard)> = (0..SLOT_COUNT + EXTRA).map(|_| enter()).collect();
+        let overflowed = guards
+            .iter()
+            .filter(|(_, g)| matches!(g, SnapshotGuard::Overflow(_)))
+            .count();
+        assert!(overflowed >= EXTRA, "only {overflowed} overflowed");
+        assert!(live_snapshots() >= SLOT_COUNT + EXTRA);
+        let oldest = guards[0].0;
+        assert!(refresh_watermark() <= oldest, "every registration pins");
+        // The newest registrations are the overflowed ones: each pins
+        // on its own once the older ones are gone.
+        let (slotted, overflow): (Vec<_>, Vec<_>) = guards
+            .into_iter()
+            .partition(|(_, g)| matches!(g, SnapshotGuard::Slot(_)));
+        drop(slotted);
+        let first_overflow = overflow
+            .iter()
+            .map(|&(ts, _)| ts)
+            .min()
+            .expect("overflowed");
+        assert!(refresh_watermark() <= first_overflow);
+        drop(overflow);
+        eventually("live_snapshots to return to its baseline", || {
+            live_snapshots() <= baseline
+        });
     }
 
     #[test]

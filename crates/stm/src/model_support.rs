@@ -20,7 +20,10 @@
 //!    `false`.
 //!    [`break_stamp_recheck`] and [`break_lock_bit_check`] are the same
 //!    kind of check for the lock-free newest-value read: each removes
-//!    one half of its seqlock.
+//!    one half of its seqlock. Two crate-private knobs,
+//!    `break_claim_before_publish` and `break_publish_before_clock`,
+//!    each reorder one step of the epoch registry's begin path, which
+//!    the watermark invariant rests on.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -48,6 +51,17 @@ static SKIP_STAMP_RECHECK: AtomicBool = AtomicBool::new(false);
 /// new stamp.
 static IGNORE_LOCK_BIT: AtomicBool = AtomicBool::new(false);
 
+/// When set, a beginning transaction raises the registry's scanned
+/// prefix only after it has published its slot and stored its begin:
+/// a scan that reads the old prefix skips the slot although its bound
+/// is newer than the begin.
+static CLAIM_AFTER_PUBLISH: AtomicBool = AtomicBool::new(false);
+
+/// When set, a beginning transaction reads the clock before it
+/// publishes its slot: a scan can read its bound after that clock
+/// read and the slot before the publish, and pass the begin.
+static CLOCK_BEFORE_PUBLISH: AtomicBool = AtomicBool::new(false);
+
 /// True while [`break_fcw_validation`] is active.
 pub(crate) fn skip_fcw_validation() -> bool {
     SKIP_FCW.load(Ordering::Relaxed)
@@ -66,6 +80,16 @@ pub(crate) fn skip_stamp_recheck() -> bool {
 /// True while [`break_lock_bit_check`] is active.
 pub(crate) fn ignore_lock_bit() -> bool {
     IGNORE_LOCK_BIT.load(Ordering::Relaxed)
+}
+
+/// True while `break_claim_before_publish` is active.
+pub(crate) fn claim_after_publish() -> bool {
+    CLAIM_AFTER_PUBLISH.load(Ordering::Relaxed)
+}
+
+/// True while `break_publish_before_clock` is active.
+pub(crate) fn clock_before_publish() -> bool {
+    CLOCK_BEFORE_PUBLISH.load(Ordering::Relaxed)
 }
 
 /// Turns the skip-FCW mutation on or off (see [`SKIP_FCW`]).
@@ -89,6 +113,20 @@ pub fn break_stamp_recheck(on: bool) {
 /// [`IGNORE_LOCK_BIT`]).
 pub fn break_lock_bit_check(on: bool) {
     IGNORE_LOCK_BIT.store(on, Ordering::Relaxed);
+}
+
+/// Turns the claim-after-publish mutation on or off (see
+/// [`CLAIM_AFTER_PUBLISH`]).
+#[cfg(test)]
+pub(crate) fn break_claim_before_publish(on: bool) {
+    CLAIM_AFTER_PUBLISH.store(on, Ordering::Relaxed);
+}
+
+/// Turns the clock-before-publish mutation on or off (see
+/// [`CLOCK_BEFORE_PUBLISH`]).
+#[cfg(test)]
+pub(crate) fn break_publish_before_clock(on: bool) {
+    CLOCK_BEFORE_PUBLISH.store(on, Ordering::Relaxed);
 }
 
 /// Resets all process-global STM state to boot values so one model

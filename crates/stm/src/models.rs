@@ -11,7 +11,8 @@
 //!   interleaving: commit atomicity (no lost updates), snapshot
 //!   integrity (no torn reads of one commit's write set), the
 //!   watermark never passing a live snapshot (slot and overflow
-//!   registry paths alike), and the lock-free newest-value read never
+//!   registry paths alike) and reaching the oldest live one once
+//!   nothing is in flight, and the lock-free newest-value read never
 //!   pairing a value with another version's timestamp;
 //! * **mutation checks** — flip a `model_support` knob that
 //!   deliberately breaks the protocol (a committed winner escaping
@@ -19,8 +20,9 @@
 //!   and assert the corresponding model *fails*. A model that cannot
 //!   catch the bug it exists to pin is decoration; these tests keep the
 //!   models honest. Two more knobs each remove one half of the read
-//!   seqlock (the stamp re-check, the lock-bit test) and are checked
-//!   the same way.
+//!   seqlock (the stamp re-check, the lock-bit test), and two reorder
+//!   the registry's begin path (the prefix raised after the publish,
+//!   the clock read before it); each is checked the same way.
 
 use std::sync::Arc;
 
@@ -45,6 +47,10 @@ enum Mutation {
     SkipStampRecheck,
     /// Lock-free read: ignore the lock bit on the first stamp load.
     IgnoreLockBit,
+    /// Registry begin: raise the scanned prefix after the publish.
+    ClaimAfterPublish,
+    /// Registry begin: read the clock before the publish.
+    ClockBeforePublish,
 }
 
 /// Every model execution starts from pristine process-global state
@@ -56,6 +62,8 @@ fn pristine(mutation: Mutation) {
     model_support::break_tick_under_locks(mutation == Mutation::TickBeforeLocks);
     model_support::break_stamp_recheck(mutation == Mutation::SkipStampRecheck);
     model_support::break_lock_bit_check(mutation == Mutation::IgnoreLockBit);
+    model_support::break_claim_before_publish(mutation == Mutation::ClaimAfterPublish);
+    model_support::break_publish_before_clock(mutation == Mutation::ClockBeforePublish);
 }
 
 /// Two threads increment one counter through the full runtime retry
@@ -160,6 +168,45 @@ fn seqlock_read_model(mutation: Mutation) {
     }
 }
 
+/// Two overlapping transactions on one thread beside a committing
+/// thread, against `SLOT_COUNT = 2`: when all three registrations are
+/// live at once, the last one lands in the overflow table. The
+/// overlapping thread's scans must never pass a begin it holds
+/// (safety). Once the committer is done and only the inner
+/// transaction is left, a scan must return exactly its begin, and the
+/// clock once it too is gone (liveness): a registry that lets the
+/// outer begin stand in for the inner one pins the watermark at a
+/// snapshot nobody holds whenever the commit lands between the two.
+fn overlapping_registrations_model(mutation: Mutation) {
+    pristine(mutation);
+    let committer = thread::spawn(|| {
+        let (_, guard) = epoch::enter();
+        epoch::commit_tick();
+        drop(guard);
+        epoch::refresh_watermark();
+    });
+    let overlapping = thread::spawn(|| {
+        let (outer, outer_guard) = epoch::enter();
+        let (inner, inner_guard) = epoch::enter();
+        let wm = epoch::refresh_watermark();
+        assert!(wm <= outer, "watermark {wm} passed live snapshot {outer}");
+        drop(outer_guard);
+        let wm = epoch::refresh_watermark();
+        assert!(wm <= inner, "watermark {wm} passed live snapshot {inner}");
+        (inner, inner_guard)
+    });
+    committer.join();
+    let (inner, inner_guard) = overlapping.join();
+    let wm = epoch::refresh_watermark();
+    assert_eq!(
+        wm, inner,
+        "watermark {wm} lags the one live snapshot {inner}"
+    );
+    drop(inner_guard);
+    let (wm, clock) = (epoch::refresh_watermark(), epoch::clock_now());
+    assert_eq!(wm, clock, "watermark {wm} lags the idle clock {clock}");
+}
+
 #[test]
 fn loom_commit_path_loses_no_updates() {
     model(|| lost_update_model(Mutation::None));
@@ -196,6 +243,11 @@ fn loom_watermark_never_passes_a_live_snapshot() {
         // never past) the clock bound.
         assert!(epoch::refresh_watermark() <= epoch::clock_now());
     });
+}
+
+#[test]
+fn loom_overlapping_transactions_each_pin_their_own_snapshot() {
+    model(|| overlapping_registrations_model(Mutation::None));
 }
 
 #[test]
@@ -278,6 +330,42 @@ fn loom_mutation_ignored_lock_bit_is_caught() {
     );
     assert!(
         msg.contains("mismatched read"),
+        "failed for the wrong reason: {msg}"
+    );
+}
+
+#[test]
+fn loom_mutation_prefix_raised_after_publish_is_caught() {
+    // Raise SLOTS_CLAIMED only after the publish: a scan that read the
+    // old prefix skips a slot whose begin is older than its bound.
+    let result = std::panic::catch_unwind(|| {
+        model(|| overlapping_registrations_model(Mutation::ClaimAfterPublish))
+    });
+    let msg = failure_text(result);
+    assert!(
+        msg.contains("loom model failed"),
+        "unexpected failure: {msg}"
+    );
+    assert!(
+        msg.contains("passed live snapshot"),
+        "failed for the wrong reason: {msg}"
+    );
+}
+
+#[test]
+fn loom_mutation_clock_read_before_publish_is_caught() {
+    // Read the begin timestamp before publishing the slot: a commit and
+    // a scan that fit between the two pass the begin.
+    let result = std::panic::catch_unwind(|| {
+        model(|| overlapping_registrations_model(Mutation::ClockBeforePublish))
+    });
+    let msg = failure_text(result);
+    assert!(
+        msg.contains("loom model failed"),
+        "unexpected failure: {msg}"
+    );
+    assert!(
+        msg.contains("passed live snapshot"),
         "failed for the wrong reason: {msg}"
     );
 }

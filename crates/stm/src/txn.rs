@@ -32,8 +32,9 @@
 //! commit's tick, which the commit takes while its locks are held (the
 //! atomic-visibility argument of DESIGN.md §14).
 //!
-//! Every transaction also registers in the epoch registry for its
-//! lifetime (the `epoch::SnapshotGuard` field of [`Tx`]): the
+//! Every transaction also holds a slot of its own in the epoch
+//! registry for its lifetime (the `epoch::SnapshotGuard` field of
+//! [`Tx`]), however many other transactions its thread has open: the
 //! registry's watermark is what lets commits garbage-collect versions
 //! no live snapshot can reach (DESIGN.md §14).
 
@@ -295,10 +296,11 @@ pub struct Tx {
     /// The open record of this attempt, when the runtime records
     /// histories.
     log: Option<Box<TxLog>>,
-    /// This transaction's registration in the live-snapshot registry.
-    /// Held for the whole transaction (released on drop, on every exit
-    /// path), so epoch GC can never reclaim a version this snapshot
-    /// might still read.
+    /// This transaction's own registration in the live-snapshot
+    /// registry. Held for the whole transaction (released on drop, on
+    /// every exit path), so epoch GC can never reclaim a version this
+    /// snapshot might still read, and no other transaction's begin
+    /// stands in for it.
     _epoch: epoch::SnapshotGuard,
 }
 

@@ -13,6 +13,9 @@
 //! reproduces locally from the one number in the message. Every run's
 //! recorded history is also fed to the `sitm-check` oracle, giving each
 //! random schedule a machine-checked snapshot-isolation certificate.
+//! And each run checks that GC is live as well as safe: with no commit
+//! in flight, a rescan puts the watermark at the oldest live begin, or
+//! at the clock when no transaction is live.
 
 #![cfg(loom)]
 
@@ -21,7 +24,7 @@ use std::sync::Arc;
 use sitm_check::{check, Discipline};
 use sitm_loom::{dst, thread, FaultPlan};
 use sitm_obs::{run_seeded_cases, History, SmallRng};
-use sitm_stm::{model_support, Stm, TVar};
+use sitm_stm::{model_support, refresh_watermark, Stm, TVar};
 
 /// Accounts in the bank workload.
 const ACCOUNTS: usize = 4;
@@ -69,6 +72,19 @@ fn bank_run(seed: u64) -> (Vec<i64>, History) {
     }
     let finals: Vec<i64> = accounts.iter().map(TVar::load).collect();
     let history = stm.history().expect("recording enabled");
+    // Every thread is joined, so no transaction is live: the clock is
+    // the newest commit timestamp, and a rescan must reach it.
+    let clock = history
+        .records()
+        .iter()
+        .filter_map(|r| r.commit_ts)
+        .max()
+        .unwrap_or(0);
+    let wm = refresh_watermark();
+    assert_eq!(
+        wm, clock,
+        "seed {seed:#x}: idle watermark {wm} lags the clock {clock}"
+    );
     (finals, history)
 }
 
@@ -116,7 +132,9 @@ fn dst_same_seed_replays_byte_identical() {
 /// transactions (`Stm::begin` .. `Stm::commit`, stepped one operation
 /// at a time in an order drawn from `seed`), with history recording on
 /// or off. Returns the final balances and the runtime's commit and
-/// per-kind abort counts.
+/// per-kind abort counts. Every lane's transaction lives on the one
+/// stepping thread, so their lifetimes overlap; after each step a
+/// rescan must put the watermark at the oldest open snapshot.
 fn stepped_run(seed: u64, record: bool) -> (Vec<i64>, [u64; 3]) {
     model_support::reset();
     model_support::break_fcw_validation(false);
@@ -132,6 +150,8 @@ fn stepped_run(seed: u64, record: bool) -> (Vec<i64>, [u64; 3]) {
     // issued, and the transfer it performs.
     let mut lanes: Vec<Option<(sitm_stm::Tx, usize, usize, usize)>> =
         (0..THREADS).map(|_| None).collect();
+    // The clock: `reset` zeroes it and each writing commit ticks it.
+    let mut clock = 0;
     for _ in 0..THREADS * TRANSFERS * 8 {
         let lane = rng.gen_range(0..THREADS);
         lanes[lane] = match lanes[lane].take() {
@@ -148,11 +168,21 @@ fn stepped_run(seed: u64, record: bool) -> (Vec<i64>, [u64; 3]) {
                     Some((tx, step + 1, from, to))
                 }
                 _ => {
-                    let _ = stm.commit(tx); // a conflict is counted, not retried
+                    // A conflict is counted, not retried.
+                    if let Ok(Some(end)) = stm.commit(tx) {
+                        clock = end;
+                    }
                     None
                 }
             },
         };
+        let oldest = lanes.iter().flatten().map(|(tx, ..)| tx.snapshot()).min();
+        let wm = refresh_watermark();
+        assert_eq!(
+            wm,
+            oldest.unwrap_or(clock),
+            "seed {seed:#x}: watermark {wm} is not the oldest open snapshot {oldest:?} (clock {clock})"
+        );
     }
     drop(lanes); // open transactions roll back
     let stats = stm.stats();

@@ -1,13 +1,17 @@
 //! Robustness of the epoch registry on its unhappy paths: transaction
-//! bodies that panic, and thread counts that overflow the fixed slot
-//! array. Both must leave the registry clean — a leaked registration
-//! pins the GC watermark forever and versions accumulate unboundedly.
+//! bodies that panic, thread counts that overflow the fixed slot
+//! array, and chains of overlapping transactions on one thread. All
+//! must leave the registry clean — a leaked or stale registration pins
+//! the GC watermark and versions accumulate unboundedly. So besides
+//! safety these tests check liveness: with no commit in flight, a
+//! rescan puts the watermark at the oldest live begin, or at the clock
+//! when no transaction is live.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 
-use sitm_stm::{live_snapshots, refresh_watermark, Stm, TVar};
+use sitm_stm::{live_snapshots, refresh_watermark, Stm, TVar, Tx};
 
 /// Registry slots before the overflow table kicks in (`SLOT_COUNT` in
 /// `epoch.rs`; it is crate-private, so the overflow test pins the
@@ -24,6 +28,16 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Commits one write of `value` to `var` and returns its timestamp,
+/// which is the clock until the next commit.
+fn commit_write(stm: &Stm, var: &TVar<u64>, value: u64) -> u64 {
+    let mut tx = stm.begin();
+    tx.write(var, value);
+    stm.commit(tx)
+        .expect("no concurrent writer")
+        .expect("a write ticks the clock")
 }
 
 #[test]
@@ -54,18 +68,13 @@ fn panicking_body_releases_its_snapshot_and_watermark_advances() {
 
     // The registration is gone, so the watermark is free to move past
     // the panicked transaction's snapshot once the clock does.
-    for _ in 0..4 {
-        stm.atomically(|tx| {
-            let v = tx.read(&var)?;
-            tx.write(&var, v + 1);
-            Ok(())
-        });
-    }
+    let clock = (1..=4).fold(0, |_, i| commit_write(&stm, &var, i));
     let wm = refresh_watermark();
     assert!(
         wm > seen_snapshot.load(Ordering::Relaxed),
         "watermark {wm} still pinned at the panicked snapshot"
     );
+    assert_eq!(wm, clock, "nothing is live: the watermark is the clock");
 }
 
 #[test]
@@ -113,18 +122,65 @@ fn threads_beyond_the_slot_count_overflow_and_free_cleanly() {
 
     // And nothing pins retention: after churn, a refresh + compact
     // trims the variable back to the single newest version.
-    for _ in 0..8 {
-        stm.atomically(|tx| {
-            let v = tx.read(&var)?;
-            tx.write(&var, v + 1);
-            Ok(())
-        });
-    }
-    refresh_watermark();
+    let clock = (1..=8).fold(0, |_, i| commit_write(&stm, &var, i));
+    assert_eq!(
+        refresh_watermark(),
+        clock,
+        "nothing is live: the watermark is the clock"
+    );
     var.compact();
     assert_eq!(
         var.version_count(),
         1,
         "retired snapshots still forced version retention"
     );
+}
+
+/// Runs `LINKS` one-write commits to a fresh variable on this thread
+/// while holding a `Tx` across each: with `overlap`, the next `Tx`
+/// begins before the held one commits (a chain of overlapping
+/// transactions, as a server reactor or an engine driving many
+/// simulated threads produces); without, the held one commits first.
+/// Returns the one live `Tx`, the variable, and the rescanned
+/// watermark.
+fn held_chain(overlap: bool) -> (Tx, TVar<u64>, u64) {
+    const LINKS: u64 = 10_000;
+    let stm = Stm::snapshot();
+    let var = TVar::new(0u64);
+    let mut held = stm.begin();
+    for i in 1..=LINKS {
+        commit_write(&stm, &var, i);
+        if overlap {
+            let next = stm.begin();
+            stm.commit(std::mem::replace(&mut held, next))
+                .expect("read-only commits");
+        } else {
+            stm.commit(held).expect("read-only commits");
+            held = stm.begin();
+        }
+    }
+    let wm = refresh_watermark();
+    (held, var, wm)
+}
+
+#[test]
+fn overlapping_transactions_on_one_thread_do_not_pin_the_watermark() {
+    let _guard = serial();
+    for overlap in [false, true] {
+        let (held, var, wm) = held_chain(overlap);
+        assert_eq!(
+            wm,
+            held.snapshot(),
+            "overlap {overlap}: the watermark is the one live begin"
+        );
+        // The held snapshot reads the newest version, so everything
+        // older is reclaimable: 10 001 versions were made, one stays.
+        var.compact();
+        assert_eq!(
+            (var.version_count(), var.retired_total()),
+            (1, 10_000),
+            "overlap {overlap}: versions kept, retired"
+        );
+        drop(held);
+    }
 }
